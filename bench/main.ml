@@ -38,6 +38,18 @@ let run_selected quick json_file ids =
                 exit 2)
           ids
   in
+  (* Open the --json file before any experiment runs: an unwritable
+     path should cost a diagnostic, not a whole run and an uncaught
+     exception at the end. *)
+  let json_out =
+    Option.map
+      (fun file ->
+        try (file, open_out file)
+        with Sys_error msg ->
+          Printf.eprintf "cannot write --json file: %s\n" msg;
+          exit 2)
+      json_file
+  in
   if json_file <> None then Bench_support.json_enabled := true;
   let t0 = Unix.gettimeofday () in
   let records =
@@ -58,9 +70,9 @@ let run_selected quick json_file ids =
   in
   Printf.printf "\nall selected experiments completed in %.1fs\n"
     (Unix.gettimeofday () -. t0);
-  match json_file with
+  match json_out with
   | None -> ()
-  | Some file ->
+  | Some (file, oc) ->
       let doc =
         Harness.Json.Obj
           [
@@ -69,7 +81,6 @@ let run_selected quick json_file ids =
             ("experiments", Harness.Json.List records);
           ]
       in
-      let oc = open_out file in
       output_string oc (Harness.Json.to_string doc);
       output_char oc '\n';
       close_out oc;

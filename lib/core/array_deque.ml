@@ -66,183 +66,128 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
 
   let create ~capacity () = make ~length:capacity ()
 
+  (* Each operation is a closed recursive function over its backoff
+     state, started from [Dcas.Backoff.idle] and advanced with
+     [Dcas.Backoff.failed] at every retry point: an operation that
+     succeeds on its first pass allocates neither a loop closure nor a
+     backoff record. *)
+
   (* Figure 2: right-hand-side pop. *)
-  let pop_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_r = M.get t.r in
-      let new_r = (old_r - 1) %% t.length in
-      let old_s = M.get t.s.(new_r) in
-      match old_s with
-      | Null ->
-          (* Lines 6-11: possibly empty; confirm the (index, null cell)
-             pair atomically before reporting it. *)
-          if (not t.hints) || M.get t.r = old_r then
-            if M.dcas t.r t.s.(new_r) old_r old_s old_r old_s then `Empty
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-      | Item v ->
-          (* Lines 12-20: try to claim the item. *)
-          if t.hints then begin
-            let ok, got_r, got_s =
-              M.dcas_strong t.r t.s.(new_r) old_r old_s new_r Null
-            in
-            if ok then `Value v
-            else if got_r = old_r then
-              (* Lines 17-18: index unchanged, so the cell changed; if
-                 it is now null a competing pop on the other side stole
-                 the last item (Figure 6) and the deque was empty at
-                 the DCAS. *)
-              match got_s with
-              | Null -> `Empty
-              | Item _ ->
-                  Dcas.Backoff.once b;
-                  loop ()
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          end
-          else if M.dcas t.r t.s.(new_r) old_r old_s new_r Null then `Value v
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let rec pop_right_from t b =
+    let old_r = M.get t.r in
+    let new_r = (old_r - 1) %% t.length in
+    let old_s = M.get t.s.(new_r) in
+    match old_s with
+    | Null ->
+        (* Lines 6-11: possibly empty; confirm the (index, null cell)
+           pair atomically before reporting it. *)
+        if
+          ((not t.hints) || M.get t.r = old_r)
+          && M.dcas t.r t.s.(new_r) old_r old_s old_r old_s
+        then `Empty
+        else pop_right_from t (Dcas.Backoff.failed b)
+    | Item v ->
+        (* Lines 12-20: try to claim the item. *)
+        if t.hints then begin
+          let ok, got_r, got_s =
+            M.dcas_strong t.r t.s.(new_r) old_r old_s new_r Null
+          in
+          if ok then `Value v
+          else if got_r = old_r && got_s == Null then
+            (* Lines 17-18: index unchanged, so the cell changed; if it
+               is now null a competing pop on the other side stole the
+               last item (Figure 6) and the deque was empty at the
+               DCAS. *)
+            `Empty
+          else pop_right_from t (Dcas.Backoff.failed b)
+        end
+        else if M.dcas t.r t.s.(new_r) old_r old_s new_r Null then `Value v
+        else pop_right_from t (Dcas.Backoff.failed b)
+
+  let pop_right t = pop_right_from t Dcas.Backoff.idle
 
   (* Figure 3: right-hand-side push. *)
-  let push_right t v =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_r = M.get t.r in
-      let new_r = (old_r + 1) %% t.length in
-      let old_s = M.get t.s.(old_r) in
-      match old_s with
-      | Item _ ->
-          (* Lines 6-11: possibly full; confirm atomically. *)
-          if (not t.hints) || M.get t.r = old_r then
-            if M.dcas t.r t.s.(old_r) old_r old_s old_r old_s then `Full
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-      | Null ->
-          (* Lines 12-19: try to insert. *)
-          if t.hints then begin
-            let ok, got_r, _got_s =
-              M.dcas_strong t.r t.s.(old_r) old_r old_s new_r (Item v)
-            in
-            if ok then `Okay
-            else if got_r = old_r then
-              (* Lines 17-18: index unchanged, so the cell gained a
-                 value: whatever it is, the deque is full. *)
-              `Full
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          end
-          else if M.dcas t.r t.s.(old_r) old_r old_s new_r (Item v) then `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let rec push_right_from t v b =
+    let old_r = M.get t.r in
+    let new_r = (old_r + 1) %% t.length in
+    let old_s = M.get t.s.(old_r) in
+    match old_s with
+    | Item _ ->
+        (* Lines 6-11: possibly full; confirm atomically. *)
+        if
+          ((not t.hints) || M.get t.r = old_r)
+          && M.dcas t.r t.s.(old_r) old_r old_s old_r old_s
+        then `Full
+        else push_right_from t v (Dcas.Backoff.failed b)
+    | Null ->
+        (* Lines 12-19: try to insert. *)
+        if t.hints then begin
+          let ok, got_r, _got_s =
+            M.dcas_strong t.r t.s.(old_r) old_r old_s new_r (Item v)
+          in
+          if ok then `Okay
+          else if got_r = old_r then
+            (* Lines 17-18: index unchanged, so the cell gained a value:
+               whatever it is, the deque is full. *)
+            `Full
+          else push_right_from t v (Dcas.Backoff.failed b)
+        end
+        else if M.dcas t.r t.s.(old_r) old_r old_s new_r (Item v) then `Okay
+        else push_right_from t v (Dcas.Backoff.failed b)
+
+  let push_right t v = push_right_from t v Dcas.Backoff.idle
 
   (* Figure 30: left-hand-side pop (mirror image of Figure 2). *)
-  let pop_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_l = M.get t.l in
-      let new_l = (old_l + 1) %% t.length in
-      let old_s = M.get t.s.(new_l) in
-      match old_s with
-      | Null ->
-          if (not t.hints) || M.get t.l = old_l then
-            if M.dcas t.l t.s.(new_l) old_l old_s old_l old_s then `Empty
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-      | Item v ->
-          if t.hints then begin
-            let ok, got_l, got_s =
-              M.dcas_strong t.l t.s.(new_l) old_l old_s new_l Null
-            in
-            if ok then `Value v
-            else if got_l = old_l then
-              match got_s with
-              | Null -> `Empty
-              | Item _ ->
-                  Dcas.Backoff.once b;
-                  loop ()
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          end
-          else if M.dcas t.l t.s.(new_l) old_l old_s new_l Null then `Value v
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let rec pop_left_from t b =
+    let old_l = M.get t.l in
+    let new_l = (old_l + 1) %% t.length in
+    let old_s = M.get t.s.(new_l) in
+    match old_s with
+    | Null ->
+        if
+          ((not t.hints) || M.get t.l = old_l)
+          && M.dcas t.l t.s.(new_l) old_l old_s old_l old_s
+        then `Empty
+        else pop_left_from t (Dcas.Backoff.failed b)
+    | Item v ->
+        if t.hints then begin
+          let ok, got_l, got_s =
+            M.dcas_strong t.l t.s.(new_l) old_l old_s new_l Null
+          in
+          if ok then `Value v
+          else if got_l = old_l && got_s == Null then `Empty
+          else pop_left_from t (Dcas.Backoff.failed b)
+        end
+        else if M.dcas t.l t.s.(new_l) old_l old_s new_l Null then `Value v
+        else pop_left_from t (Dcas.Backoff.failed b)
+
+  let pop_left t = pop_left_from t Dcas.Backoff.idle
 
   (* Figure 31: left-hand-side push (mirror image of Figure 3). *)
-  let push_left t v =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_l = M.get t.l in
-      let new_l = (old_l - 1) %% t.length in
-      let old_s = M.get t.s.(old_l) in
-      match old_s with
-      | Item _ ->
-          if (not t.hints) || M.get t.l = old_l then
-            if M.dcas t.l t.s.(old_l) old_l old_s old_l old_s then `Full
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-      | Null ->
-          if t.hints then begin
-            let ok, got_l, _got_s =
-              M.dcas_strong t.l t.s.(old_l) old_l old_s new_l (Item v)
-            in
-            if ok then `Okay
-            else if got_l = old_l then `Full
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          end
-          else if M.dcas t.l t.s.(old_l) old_l old_s new_l (Item v) then `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let rec push_left_from t v b =
+    let old_l = M.get t.l in
+    let new_l = (old_l - 1) %% t.length in
+    let old_s = M.get t.s.(old_l) in
+    match old_s with
+    | Item _ ->
+        if
+          ((not t.hints) || M.get t.l = old_l)
+          && M.dcas t.l t.s.(old_l) old_l old_s old_l old_s
+        then `Full
+        else push_left_from t v (Dcas.Backoff.failed b)
+    | Null ->
+        if t.hints then begin
+          let ok, got_l, _got_s =
+            M.dcas_strong t.l t.s.(old_l) old_l old_s new_l (Item v)
+          in
+          if ok then `Okay
+          else if got_l = old_l then `Full
+          else push_left_from t v (Dcas.Backoff.failed b)
+        end
+        else if M.dcas t.l t.s.(old_l) old_l old_s new_l (Item v) then `Okay
+        else push_left_from t v (Dcas.Backoff.failed b)
+
+  let push_left t v = push_left_from t v Dcas.Backoff.idle
 
   (* --- Quiescent inspection (tests and invariant checks only) --- *)
 

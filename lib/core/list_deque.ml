@@ -46,6 +46,12 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
            reuse them immediately.  The paper's algorithms assume GC
            (Section 1.1, footnote 2); experiment E16 uses this mode to
            probe what that assumption actually protects. *)
+    to_sl : 'a pointer;
+    to_sr : 'a pointer;
+        (* [{ptr = Node sl; deleted = false}] and its SR twin, built once:
+           pushes and splices store them instead of rebuilding the same
+           record.  Sound because [pointer_equal] is structural; sharing
+           can only make more value elisions hit in the substrate. *)
   }
 
   let name = "list-deque/" ^ M.name
@@ -66,12 +72,23 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
 
   let nil_pointer = { ptr = Nil; deleted = false }
 
-  let new_raw_node () =
+  (* Passing [~equal:f] boxes [Some f] at every call; push makes three
+     locations, so the options are built once here. *)
+  let pointer_eq = Some pointer_equal
+  let cell_eq = Some cell_equal
+
+  (* A fresh node is created with its final contents: its locations are
+     unpublished until the splice DCAS, so no write needs to follow. *)
+  let new_node ~left ~right cell =
     {
-      left = M.make ~equal:pointer_equal nil_pointer;
-      right = M.make ~equal:pointer_equal nil_pointer;
-      value = M.make ~equal:cell_equal Null;
+      left = M.make ?equal:pointer_eq left;
+      right = M.make ?equal:pointer_eq right;
+      value = M.make ?equal:cell_eq cell;
     }
+
+  (* [n] is [p]'s target: [node_ref_equal p.ptr (Node n)] without
+     building the [Node]. *)
+  let points_at p n = match p.ptr with Node x -> x == n | Nil -> false
 
   (* Sentinels live as long as the deque and their inward pointers are
      touched by every operation on their side; padding keeps SL's and
@@ -91,11 +108,20 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
 
   let make ?(alloc = Alloc.unbounded) ?(recycle = false) () =
     let sl = new_sentinel_node () and sr = new_sentinel_node () in
+    let to_sl = { ptr = Node sl; deleted = false } in
+    let to_sr = { ptr = Node sr; deleted = false } in
     M.set_private sl.value SentL;
     M.set_private sr.value SentR;
-    M.set_private sl.right { ptr = Node sr; deleted = false };
-    M.set_private sr.left { ptr = Node sl; deleted = false };
-    { sl; sr; alloc; pool = (if recycle then Some (Atomic.make []) else None) }
+    M.set_private sl.right to_sr;
+    M.set_private sr.left to_sl;
+    {
+      sl;
+      sr;
+      alloc;
+      pool = (if recycle then Some (Atomic.make []) else None);
+      to_sl;
+      to_sr;
+    }
 
   (* Recycling pool: a Treiber stack of freed nodes. *)
   let rec pool_put pool n =
@@ -108,17 +134,10 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     | n :: rest as cur ->
         if Atomic.compare_and_set pool cur rest then Some n else pool_take pool
 
-  (* A node for a push: fresh, or recycled from the pool.  A recycled
-     node may still be referenced by stalled operations, so its fields
-     must be (re)initialized with real shared writes, not
-     [set_private]. *)
-  let obtain_node t =
-    match t.pool with
-    | None -> (new_raw_node (), true)
-    | Some pool -> (
-        match pool_take pool with
-        | Some n -> (n, false)
-        | None -> (new_raw_node (), true))
+  (* A recycled node for a push, if the deque recycles and its pool has
+     one. *)
+  let recycled_node t =
+    match t.pool with None -> None | Some pool -> pool_take pool
 
   (* A node became unreachable via a successful splice. *)
   let retire t n =
@@ -133,240 +152,231 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
      the failure proves another operation just won on the same words,
      so immediate retry only prolongs the convoy (Section 6 measures
      exactly this effect).  Retries after a plain re-read do not back
-     off — the state may simply have been stale. *)
-  let delete_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_l = M.get t.sr.left in
-      (* line 4: someone already finished the deletion *)
-      if not old_l.deleted then ()
-      else begin
-        let target = node_of old_l.ptr in
-        let old_ll = (M.get target.left).ptr in
-        let ll = node_of old_ll in
-        match M.get ll.value with
-        | Null ->
-            (* lines 16-26: two logically deleted nodes remain; try to
-               point the sentinels at each other (Figure 16). *)
-            let old_r = M.get t.sl.right in
-            if old_r.deleted then begin
-              let new_l = { ptr = Node t.sl; deleted = false } in
-              let new_r = { ptr = Node t.sr; deleted = false } in
-              if M.dcas t.sr.left t.sl.right old_l old_r new_l new_r then begin
-                (* both null nodes became unreachable *)
-                retire t target;
-                retire t (node_of old_r.ptr)
-              end
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+     off — the state may simply have been stale.
+
+     Every retry loop below is a closed recursive function taking its
+     state as arguments, and starts from [Dcas.Backoff.idle]: an
+     operation that succeeds at its first DCAS allocates neither a loop
+     closure nor a backoff record. *)
+  let rec delete_right_from t b =
+    let old_l = M.get t.sr.left in
+    (* line 4: someone already finished the deletion *)
+    if not old_l.deleted then ()
+    else begin
+      let target = node_of old_l.ptr in
+      let old_ll = (M.get target.left).ptr in
+      let ll = node_of old_ll in
+      match M.get ll.value with
+      | Null ->
+          (* lines 16-26: two logically deleted nodes remain; try to
+             point the sentinels at each other (Figure 16). *)
+          let old_r = M.get t.sl.right in
+          if old_r.deleted then begin
+            if M.dcas t.sr.left t.sl.right old_l old_r t.to_sl t.to_sr then begin
+              (* both null nodes became unreachable *)
+              retire t target;
+              retire t (node_of old_r.ptr)
             end
-            else loop ()
-        | SentL | SentR | Item _ ->
-            (* lines 6-14: splice out the single null node by making
-               SR and its left-left neighbor point at each other. *)
-            let old_llr = M.get ll.right in
-            if node_ref_equal old_llr.ptr (Node target) then begin
-              let new_sr_l = { ptr = old_ll; deleted = false } in
-              let new_llr = { ptr = Node t.sr; deleted = false } in
-              if M.dcas t.sr.left ll.right old_l old_llr new_sr_l new_llr then
-                retire t target
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
-            end
-            else loop ()
-      end
-    in
-    loop ()
+            else delete_right_from t (Dcas.Backoff.failed b)
+          end
+          else delete_right_from t b
+      | SentL | SentR | Item _ ->
+          (* lines 6-14: splice out the single null node by making
+             SR and its left-left neighbor point at each other. *)
+          let old_llr = M.get ll.right in
+          if points_at old_llr target then begin
+            let new_sr_l = { ptr = old_ll; deleted = false } in
+            if M.dcas t.sr.left ll.right old_l old_llr new_sr_l t.to_sr then
+              retire t target
+            else delete_right_from t (Dcas.Backoff.failed b)
+          end
+          else delete_right_from t b
+    end
+
+  let delete_right t = delete_right_from t Dcas.Backoff.idle
 
   (* Figure 34 (typos fixed): left-side physical deletion. *)
-  let delete_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_r = M.get t.sl.right in
-      if not old_r.deleted then ()
-      else begin
-        let target = node_of old_r.ptr in
-        let old_rr = (M.get target.right).ptr in
-        let rr = node_of old_rr in
-        match M.get rr.value with
-        | Null ->
-            let old_l = M.get t.sr.left in
-            if old_l.deleted then begin
-              let new_r = { ptr = Node t.sr; deleted = false } in
-              let new_l = { ptr = Node t.sl; deleted = false } in
-              if M.dcas t.sl.right t.sr.left old_r old_l new_r new_l then begin
-                retire t target;
-                retire t (node_of old_l.ptr)
-              end
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+  let rec delete_left_from t b =
+    let old_r = M.get t.sl.right in
+    if not old_r.deleted then ()
+    else begin
+      let target = node_of old_r.ptr in
+      let old_rr = (M.get target.right).ptr in
+      let rr = node_of old_rr in
+      match M.get rr.value with
+      | Null ->
+          let old_l = M.get t.sr.left in
+          if old_l.deleted then begin
+            if M.dcas t.sl.right t.sr.left old_r old_l t.to_sr t.to_sl then begin
+              retire t target;
+              retire t (node_of old_l.ptr)
             end
-            else loop ()
-        | SentL | SentR | Item _ ->
-            let old_rrl = M.get rr.left in
-            if node_ref_equal old_rrl.ptr (Node target) then begin
-              let new_sl_r = { ptr = old_rr; deleted = false } in
-              let new_rrl = { ptr = Node t.sl; deleted = false } in
-              if M.dcas t.sl.right rr.left old_r old_rrl new_sl_r new_rrl then
-                retire t target
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
-            end
-            else loop ()
-      end
-    in
-    loop ()
+            else delete_left_from t (Dcas.Backoff.failed b)
+          end
+          else delete_left_from t b
+      | SentL | SentR | Item _ ->
+          let old_rrl = M.get rr.left in
+          if points_at old_rrl target then begin
+            let new_sl_r = { ptr = old_rr; deleted = false } in
+            if M.dcas t.sl.right rr.left old_r old_rrl new_sl_r t.to_sl then
+              retire t target
+            else delete_left_from t (Dcas.Backoff.failed b)
+          end
+          else delete_left_from t b
+    end
+
+  let delete_left t = delete_left_from t Dcas.Backoff.idle
 
   (* Figure 11: right-side pop. *)
-  let pop_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_l = M.get t.sr.left in
-      let target = node_of old_l.ptr in
-      let v = M.get target.value in
-      match v with
-      | SentL -> `Empty (* line 5: SR points directly at SL *)
-      | SentR -> assert false (* SR->L never points at SR *)
-      | Null | Item _ ->
-          if old_l.deleted then begin
-            (* lines 6-7: finish the pending deletion, then retry *)
-            delete_right t;
-            loop ()
-          end
-          else begin
-            match v with
-            | Null ->
-                (* lines 8-12: right neighbor logically deleted by a
-                   popLeft; confirm (pointer, null) atomically and
-                   report empty. *)
-                if M.dcas t.sr.left target.value old_l v old_l v then `Empty
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
-            | Item x ->
-                (* lines 13-19: claim the value and mark the node
-                   deleted in the same DCAS. *)
-                let new_l = { ptr = old_l.ptr; deleted = true } in
-                if M.dcas t.sr.left target.value old_l v new_l Null then
-                  `Value x
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
-            | SentL | SentR -> assert false
-          end
-    in
-    loop ()
+  let rec pop_right_from t b =
+    let old_l = M.get t.sr.left in
+    let target = node_of old_l.ptr in
+    let v = M.get target.value in
+    match v with
+    | SentL -> `Empty (* line 5: SR points directly at SL *)
+    | SentR -> assert false (* SR->L never points at SR *)
+    | Null | Item _ ->
+        if old_l.deleted then begin
+          (* lines 6-7: finish the pending deletion, then retry *)
+          delete_right t;
+          pop_right_from t b
+        end
+        else begin
+          match v with
+          | Null ->
+              (* lines 8-12: right neighbor logically deleted by a
+                 popLeft; confirm (pointer, null) atomically and
+                 report empty. *)
+              if M.dcas t.sr.left target.value old_l v old_l v then `Empty
+              else pop_right_from t (Dcas.Backoff.failed b)
+          | Item x ->
+              (* lines 13-19: claim the value and mark the node
+                 deleted in the same DCAS. *)
+              let new_l = { ptr = old_l.ptr; deleted = true } in
+              if M.dcas t.sr.left target.value old_l v new_l Null then
+                `Value x
+              else pop_right_from t (Dcas.Backoff.failed b)
+          | SentL | SentR -> assert false
+        end
+
+  let pop_right t = pop_right_from t Dcas.Backoff.idle
 
   (* Figure 32 (typo fixed): left-side pop. *)
-  let pop_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_r = M.get t.sl.right in
-      let target = node_of old_r.ptr in
-      let v = M.get target.value in
-      match v with
-      | SentR -> `Empty
-      | SentL -> assert false
-      | Null | Item _ ->
-          if old_r.deleted then begin
-            delete_left t;
-            loop ()
-          end
-          else begin
-            match v with
-            | Null ->
-                if M.dcas t.sl.right target.value old_r v old_r v then `Empty
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
-            | Item x ->
-                let new_r = { ptr = old_r.ptr; deleted = true } in
-                if M.dcas t.sl.right target.value old_r v new_r Null then
-                  `Value x
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
-            | SentL | SentR -> assert false
-          end
-    in
-    loop ()
-
-  (* Figure 13: right-side push. *)
-  let push_right t v =
-    if not (Alloc.try_alloc t.alloc) then `Full (* lines 2-3, footnote 3 *)
-    else begin
-      let nn, fresh = obtain_node t in
-      let init = if fresh then M.set_private else M.set in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
-        let old_l = M.get t.sr.left in
-        if old_l.deleted then begin
-          (* lines 7-8 *)
-          delete_right t;
-          loop ()
-        end
-        else begin
-          (* lines 10-15: initialize the private node, then splice it
-             in between SR and its current left neighbor. *)
-          let target = node_of old_l.ptr in
-          init nn.right { ptr = Node t.sr; deleted = false };
-          init nn.left old_l;
-          init nn.value (Item v);
-          let old_lr = { ptr = Node t.sr; deleted = false } in
-          let new_ptr = { ptr = Node nn; deleted = false } in
-          if M.dcas t.sr.left target.right old_l old_lr new_ptr new_ptr then
-            `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-        end
-      in
-      loop ()
-    end
-
-  (* Figure 33 (typo fixed): left-side push. *)
-  let push_left t v =
-    if not (Alloc.try_alloc t.alloc) then `Full
-    else begin
-      let nn, fresh = obtain_node t in
-      let init = if fresh then M.set_private else M.set in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
-        let old_r = M.get t.sl.right in
+  let rec pop_left_from t b =
+    let old_r = M.get t.sl.right in
+    let target = node_of old_r.ptr in
+    let v = M.get target.value in
+    match v with
+    | SentR -> `Empty
+    | SentL -> assert false
+    | Null | Item _ ->
         if old_r.deleted then begin
           delete_left t;
-          loop ()
+          pop_left_from t b
         end
         else begin
-          let target = node_of old_r.ptr in
-          init nn.left { ptr = Node t.sl; deleted = false };
-          init nn.right old_r;
-          init nn.value (Item v);
-          let old_rl = { ptr = Node t.sl; deleted = false } in
-          let new_ptr = { ptr = Node nn; deleted = false } in
-          if M.dcas t.sl.right target.left old_r old_rl new_ptr new_ptr then
-            `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          match v with
+          | Null ->
+              if M.dcas t.sl.right target.value old_r v old_r v then `Empty
+              else pop_left_from t (Dcas.Backoff.failed b)
+          | Item x ->
+              let new_r = { ptr = old_r.ptr; deleted = true } in
+              if M.dcas t.sl.right target.value old_r v new_r Null then
+                `Value x
+              else pop_left_from t (Dcas.Backoff.failed b)
+          | SentL | SentR -> assert false
         end
-      in
-      loop ()
+
+  let pop_left t = pop_left_from t Dcas.Backoff.idle
+
+  (* Figure 13: right-side push.  Lines 5-8: SR's left pointer, once no
+     right-side deletion is pending. *)
+  let rec settled_sr_left t =
+    let old_l = M.get t.sr.left in
+    if old_l.deleted then begin
+      delete_right t;
+      settled_sr_left t
     end
+    else old_l
+
+  (* Lines 10-15: splice [nn] in between SR and its left neighbor
+     [old_l].  [nn] is fresh and unpublished, and its right link and
+     value never change, so a retry re-sets only its left link. *)
+  let rec splice_fresh_right t nn new_ptr old_l b =
+    let target = node_of old_l.ptr in
+    if M.dcas t.sr.left target.right old_l t.to_sr new_ptr new_ptr then `Okay
+    else begin
+      let b = Dcas.Backoff.failed b in
+      let old_l = settled_sr_left t in
+      M.set_private nn.left old_l;
+      splice_fresh_right t nn new_ptr old_l b
+    end
+
+  (* A recycled node may still be referenced by stalled operations, so
+     every pass (re)initializes all its fields with real shared writes,
+     not [set_private]. *)
+  let rec splice_recycled_right t nn new_ptr cell b =
+    let old_l = settled_sr_left t in
+    let target = node_of old_l.ptr in
+    M.set nn.right t.to_sr;
+    M.set nn.left old_l;
+    M.set nn.value cell;
+    if M.dcas t.sr.left target.right old_l t.to_sr new_ptr new_ptr then `Okay
+    else splice_recycled_right t nn new_ptr cell (Dcas.Backoff.failed b)
+
+  let push_right t v =
+    if not (Alloc.try_alloc t.alloc) then `Full (* lines 2-3, footnote 3 *)
+    else
+      match recycled_node t with
+      | Some nn ->
+          splice_recycled_right t nn { ptr = Node nn; deleted = false } (Item v)
+            Dcas.Backoff.idle
+      | None ->
+          let old_l = settled_sr_left t in
+          let nn = new_node ~left:old_l ~right:t.to_sr (Item v) in
+          splice_fresh_right t nn { ptr = Node nn; deleted = false } old_l
+            Dcas.Backoff.idle
+
+  (* Figure 33 (typo fixed): left-side push, the mirror image. *)
+  let rec settled_sl_right t =
+    let old_r = M.get t.sl.right in
+    if old_r.deleted then begin
+      delete_left t;
+      settled_sl_right t
+    end
+    else old_r
+
+  let rec splice_fresh_left t nn new_ptr old_r b =
+    let target = node_of old_r.ptr in
+    if M.dcas t.sl.right target.left old_r t.to_sl new_ptr new_ptr then `Okay
+    else begin
+      let b = Dcas.Backoff.failed b in
+      let old_r = settled_sl_right t in
+      M.set_private nn.right old_r;
+      splice_fresh_left t nn new_ptr old_r b
+    end
+
+  let rec splice_recycled_left t nn new_ptr cell b =
+    let old_r = settled_sl_right t in
+    let target = node_of old_r.ptr in
+    M.set nn.left t.to_sl;
+    M.set nn.right old_r;
+    M.set nn.value cell;
+    if M.dcas t.sl.right target.left old_r t.to_sl new_ptr new_ptr then `Okay
+    else splice_recycled_left t nn new_ptr cell (Dcas.Backoff.failed b)
+
+  let push_left t v =
+    if not (Alloc.try_alloc t.alloc) then `Full
+    else
+      match recycled_node t with
+      | Some nn ->
+          splice_recycled_left t nn { ptr = Node nn; deleted = false } (Item v)
+            Dcas.Backoff.idle
+      | None ->
+          let old_r = settled_sl_right t in
+          let nn = new_node ~left:t.to_sl ~right:old_r (Item v) in
+          splice_fresh_left t nn { ptr = Node nn; deleted = false } old_r
+            Dcas.Backoff.idle
 
   (* --- Quiescent inspection (tests and invariant checks only) --- *)
 

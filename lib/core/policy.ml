@@ -178,13 +178,12 @@ module Make (D : Deque_intf.S) = struct
       max_latency_ns = Atomic.get t.c_max_ns;
     }
 
+  let rec raise_max (c : int Atomic.t) ns =
+    let cur = Atomic.get c in
+    if ns > cur && not (Atomic.compare_and_set c cur ns) then raise_max c ns
+
   let note_latency t ~t0 =
-    let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-    let rec bump () =
-      let cur = Atomic.get t.c_max_ns in
-      if ns > cur && not (Atomic.compare_and_set t.c_max_ns cur ns) then bump ()
-    in
-    bump ()
+    raise_max t.c_max_ns (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
 
   (* Deadline bookkeeping: [deadline] is a per-call budget in seconds,
      measured from the call's entry.  [None] = no deadline. *)
@@ -257,49 +256,49 @@ module Make (D : Deque_intf.S) = struct
      a [?deadline] bounds the attempt WINDOW in wall-clock time
      (expiry surfaces as `Timeout).  A deadline is an explicit opt-in
      to waiting, so when one is given it governs: retrying continues
-     past the count cap until the budget is spent. *)
+     past the count cap until the budget is spent.
+
+     The retry loops are closed recursive functions whose backoff is
+     created at the first retry ([Dcas.Backoff.failed]), so a call that
+     needs no retry allocates neither a closure nor a backoff record. *)
+  let rec push_from t ~t0 ~deadline ~side v attempt b : push_outcome =
+    match push_primary t ~side v with
+    | `Okay ->
+        try_refill t ~side;
+        finish t ~t0 t.c_ok `Okay
+    | `Full -> (
+        match t.full with
+        | Spill -> (
+            match push_overflow t ~side v with
+            | `Okay ->
+                Atomic.incr t.c_spilled;
+                finish t ~t0 t.c_ok `Okay
+            | `Full ->
+                (* overflow allocation failed: genuine saturation *)
+                finish t ~t0 t.c_full `Full)
+        | Reject | Retry _ ->
+            let budgeted =
+              match t.full with Retry { max_attempts } -> max_attempts | _ -> 1
+            in
+            if deadline <> None then
+              if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+              else begin
+                Atomic.incr t.c_retries;
+                let b = Dcas.Backoff.failed b in
+                if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+                else push_from t ~t0 ~deadline ~side v (attempt + 1) b
+              end
+            else if attempt < budgeted then begin
+              Atomic.incr t.c_retries;
+              push_from t ~t0 ~deadline ~side v (attempt + 1)
+                (Dcas.Backoff.failed b)
+            end
+            else finish t ~t0 t.c_full `Full)
+
   let push ?deadline t ~side v : push_outcome =
     let t0 = Unix.gettimeofday () in
     if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
-    else
-      let backoff = Dcas.Backoff.create () in
-      let budgeted =
-        match t.full with Retry { max_attempts } -> max_attempts | _ -> 1
-      in
-      let rec go attempt =
-        match push_primary t ~side v with
-        | `Okay ->
-            try_refill t ~side;
-            finish t ~t0 t.c_ok `Okay
-        | `Full -> (
-            match t.full with
-            | Spill -> (
-                match push_overflow t ~side v with
-                | `Okay ->
-                    Atomic.incr t.c_spilled;
-                    finish t ~t0 t.c_ok `Okay
-                | `Full ->
-                    (* overflow allocation failed: genuine saturation *)
-                    finish t ~t0 t.c_full `Full)
-            | Reject | Retry _ ->
-                if deadline <> None then
-                  if expired ~t0 deadline then
-                    finish t ~t0 t.c_timeout `Timeout
-                  else begin
-                    Atomic.incr t.c_retries;
-                    Dcas.Backoff.once backoff;
-                    if expired ~t0 deadline then
-                      finish t ~t0 t.c_timeout `Timeout
-                    else go (attempt + 1)
-                  end
-                else if attempt < budgeted then begin
-                  Atomic.incr t.c_retries;
-                  Dcas.Backoff.once backoff;
-                  go (attempt + 1)
-                end
-                else finish t ~t0 t.c_full `Full)
-      in
-      go 1
+    else push_from t ~t0 ~deadline ~side v 1 Dcas.Backoff.idle
 
   (* --- pop --- *)
 
@@ -316,35 +315,31 @@ module Make (D : Deque_intf.S) = struct
         | `Right -> Overflow.pop_right o
         | `Left -> Overflow.pop_left o)
 
+  let rec pop_from t ~t0 ~deadline ~side b : 'a pop_outcome =
+    match pop_primary t ~side with
+    | `Value _ as got ->
+        (* the pop freed one slot: prime it with a parked value *)
+        try_refill t ~side;
+        finish t ~t0 t.c_ok got
+    | `Empty -> (
+        match pop_overflow t ~side with
+        | `Value _ as got ->
+            Atomic.incr t.c_drained;
+            finish t ~t0 t.c_ok got
+        | `Empty ->
+            if deadline = None then finish t ~t0 t.c_empty `Empty
+            else if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+            else begin
+              Atomic.incr t.c_retries;
+              let b = Dcas.Backoff.failed b in
+              if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+              else pop_from t ~t0 ~deadline ~side b
+            end)
+
   let pop ?deadline t ~side : 'a pop_outcome =
     let t0 = Unix.gettimeofday () in
     if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
-    else
-      let backoff = Dcas.Backoff.create () in
-      let rec go () =
-        match pop_primary t ~side with
-        | `Value v ->
-            (* the pop freed one slot: prime it with a parked value *)
-            try_refill t ~side;
-            finish t ~t0 t.c_ok (`Value v)
-        | `Empty -> (
-            match pop_overflow t ~side with
-            | `Value v ->
-                Atomic.incr t.c_drained;
-                finish t ~t0 t.c_ok (`Value v)
-            | `Empty ->
-                if deadline = None then finish t ~t0 t.c_empty `Empty
-                else if expired ~t0 deadline then
-                  finish t ~t0 t.c_timeout `Timeout
-                else begin
-                  Atomic.incr t.c_retries;
-                  Dcas.Backoff.once backoff;
-                  if expired ~t0 deadline then
-                    finish t ~t0 t.c_timeout `Timeout
-                  else go ()
-                end)
-      in
-      go ()
+    else pop_from t ~t0 ~deadline ~side Dcas.Backoff.idle
 
   (* The four named operations of the deque vocabulary. *)
   let push_right ?deadline t v = push ?deadline t ~side:`Right v

@@ -1,8 +1,14 @@
 (* Randomized truncated exponential backoff.  Retry loops in the
    lock-free structures back off after a failed DCAS so that, under
    contention, competing operations desynchronize instead of failing
-   each other's DCAS repeatedly.  The state is a single record kept in
-   the caller's stack frame; no allocation on the hot path. *)
+   each other's DCAS repeatedly.
+
+   The state is a heap record: without flambda every [create] allocates
+   five words, whether or not the loop ever fails.  So retry loops start
+   from the shared placeholder [idle] and pass their state through
+   [failed] after each failure, which creates the record on the first
+   one: an operation whose first attempt succeeds allocates nothing
+   here. *)
 
 type t = { min_wait : int; max_wait : int; mutable wait : int; mutable seed : int }
 
@@ -68,3 +74,12 @@ let once t =
   if t.wait < t.max_wait then t.wait <- min t.max_wait (t.wait * 2)
 
 let reset t = t.wait <- t.min_wait
+
+(* Never passed to [once] or [reset], so never mutated. *)
+let idle =
+  { min_wait = default_min_wait; max_wait = default_max_wait; wait = 0; seed = 1 }
+
+let failed t =
+  let t = if t == idle then create () else t in
+  once t;
+  t

@@ -2,9 +2,14 @@
 
     A failed DCAS means another operation succeeded (lock-freedom), but
     spinning straight back into the retry loop makes competing
-    operations fail each other repeatedly.  Retry loops create one
-    backoff per operation invocation and call {!once} after each
-    failure. *)
+    operations fail each other repeatedly.
+
+    A backoff is a heap record: each {!create} allocates five words.
+    Hot retry loops therefore create it on the first failure, not on
+    entry: they start from {!idle} and replace their state with
+    [failed b] after each failed attempt, so an operation that succeeds
+    at once allocates nothing here.  Loops that are not hot may still
+    {!create} one per invocation and call {!once} after each failure. *)
 
 type t
 
@@ -27,3 +32,13 @@ val once : t -> unit
 
 val reset : t -> unit
 (** Return the wait bound to [min_wait] (e.g. after a success). *)
+
+val idle : t
+(** The state of a retry loop that has not failed yet.  Shared by every
+    loop; never pass it to {!once} or {!reset}. *)
+
+val failed : t -> t
+(** [failed b] records one failed attempt: it backs off once, as
+    {!once}, and returns the state for the next attempt — [b] itself,
+    or, when [b] is {!idle}, a fresh [create ()] with the default
+    bounds. *)

@@ -159,8 +159,8 @@ let owner_of = function
    layer its chance to kill the domain right here, mid-CASN.  Helpers
    installing someone else's descriptor never trigger the hook.  The
    owner is read back out of [desc] (rather than passed in) so the
-   acquire closures in [help_*] capture nothing beyond what the
-   fault-free protocol already needs. *)
+   acquire functions take nothing beyond what the fault-free protocol
+   already needs. *)
 let published desc =
   if Atomic.get hook_armed then begin
     let owner = owner_of desc in
@@ -182,16 +182,12 @@ let decided owner =
     && List.memq owner (Atomic.get dead_list)
   then Opstats.incr_orphan counters
 
-let next_id =
-  let c = Atomic.make 0 in
-  fun () -> Atomic.fetch_and_add c 1
-
 let make ?(equal = ( = )) v =
-  { id = next_id (); state = Atomic.make (Value v); equal }
+  { id = Id.next (); state = Atomic.make (Value v); equal }
 
 let make_padded ?(equal = ( = )) v =
   Padding.copy_as_padded
-    { id = next_id (); state = Padding.make_atomic (Value v); equal }
+    { id = Id.next (); state = Padding.make_atomic (Value v); equal }
 
 (* The logical value of a state block, given the owning descriptor's
    current status.  Status is monotonic (Undecided -> Failed/Succeeded,
@@ -234,6 +230,20 @@ let release_one (type a) (loc : a loc) (cur : a state) =
       in
       ignore (Atomic.compare_and_set loc.state cur replacement)
 
+(* Eagerly release [loc] if [desc] still owns it, so later operations
+   on it take the fast [Value] path. *)
+let release_own (type a) desc (loc : a loc) =
+  match Atomic.get loc.state with
+  | Owned { desc = d; _ } as cur when d == desc -> release_one loc cur
+  | Value _ | Owned _ -> ()
+
+(* Helping runs on every DCAS, so its loops are closed top-level
+   functions that take all their state as arguments: a local recursive
+   closure over the descriptor's fields would be allocated afresh on
+   every call.  The acquire functions return true iff this call's CAS
+   decided the status, so the orphan accounting ([decided]) runs after
+   them and the fault-free path allocates only what the protocol needs:
+   the descriptor, its [Owned] blocks and the released [Value]s. *)
 let rec help desc =
   match desc with
   | Casn { status; owner; entries } -> help_casn desc status owner entries
@@ -243,48 +253,43 @@ let rec help desc =
         after_b
 
 and help_casn desc status owner entries =
-  let n = Array.length entries in
-  (* [acquire] returns true iff this call's CAS decided the status, so
-     the orphan accounting runs outside the loop and the closure
-     environment stays what the fault-free protocol needs. *)
-  let rec acquire i =
-    if i >= n then Atomic.compare_and_set status Undecided Succeeded
-    else if Atomic.get status <> Undecided then false
-    else
-      let (Entry { loc; before; after }) = entries.(i) in
-      let cur = Atomic.get loc.state in
-      match cur with
-      | Owned { desc = d; _ } when d == desc -> acquire (i + 1)
-      | Owned { desc = d; _ } ->
-          if Atomic.get (status_of d) = Undecided then help d
-          else release_one loc cur;
-          acquire i
-      | Value v ->
-          if loc.equal v before then
-            if
-              Atomic.compare_and_set loc.state cur
-                (Owned { desc; before; after; orig = cur })
-            then begin
-              published desc;
-              acquire (i + 1)
-            end
-            else acquire i
-          else Atomic.compare_and_set status Undecided Failed
-  in
-  if acquire 0 then decided owner;
-  (* Eagerly release whatever we still own so later operations on these
-     locations take the fast [Value] path. *)
-  Array.iter
-    (fun (Entry { loc; _ }) ->
-      match Atomic.get loc.state with
-      | Owned { desc = d; _ } as cur when d == desc -> release_one loc cur
-      | Value _ | Owned _ -> ())
-    entries
+  if acquire_from desc status entries 0 then decided owner;
+  for i = 0 to Array.length entries - 1 do
+    let (Entry { loc; _ }) = entries.(i) in
+    release_own desc loc
+  done
 
-(* The flat two-location protocol: textually the [help_casn] acquire
-   loop unrolled for entries 0 and 1 (locations pre-sorted by id), with
-   the entry array and [Entry] blocks gone.  The decide and release
-   steps are identical, so every interleaving maps one-to-one onto a
+(* Acquire [entries] from index [i] on, in order. *)
+and acquire_from desc status entries i =
+  if i >= Array.length entries then
+    Atomic.compare_and_set status Undecided Succeeded
+  else if Atomic.get status <> Undecided then false
+  else
+    let (Entry { loc; before; after }) = entries.(i) in
+    let cur = Atomic.get loc.state in
+    match cur with
+    | Owned { desc = d; _ } when d == desc ->
+        acquire_from desc status entries (i + 1)
+    | Owned { desc = d; _ } ->
+        if Atomic.get (status_of d) = Undecided then help d
+        else release_one loc cur;
+        acquire_from desc status entries i
+    | Value v ->
+        if loc.equal v before then
+          if
+            Atomic.compare_and_set loc.state cur
+              (Owned { desc; before; after; orig = cur })
+          then begin
+            published desc;
+            acquire_from desc status entries (i + 1)
+          end
+          else acquire_from desc status entries i
+        else Atomic.compare_and_set status Undecided Failed
+
+(* The flat two-location protocol: textually the [acquire_from] loop
+   unrolled for entries 0 and 1 (locations pre-sorted by id), with the
+   entry array and [Entry] blocks gone.  The decide and release steps
+   are identical, so every interleaving maps one-to-one onto a
    generic-CASN interleaving. *)
 and help_dcas2 :
     type a b.
@@ -299,61 +304,62 @@ and help_dcas2 :
     b ->
     unit =
  fun desc status owner loc_a before_a after_a loc_b before_b after_b ->
-  (* As in [help_casn], the acquire loops return true iff this call's
-     CAS decided the status; [decided] runs after, outside the
-     closures, so the fault-free hot path allocates exactly what it
-     did before the crash layer existed. *)
-  let rec acquire_a () =
-    if Atomic.get status = Undecided then
-      let cur = Atomic.get loc_a.state in
-      match cur with
-      | Owned { desc = d; _ } when d == desc -> acquire_b ()
-      | Owned { desc = d; _ } ->
-          if Atomic.get (status_of d) = Undecided then help d
-          else release_one loc_a cur;
-          acquire_a ()
-      | Value v ->
-          if loc_a.equal v before_a then
-            if
-              Atomic.compare_and_set loc_a.state cur
-                (Owned { desc; before = before_a; after = after_a; orig = cur })
-            then begin
-              published desc;
-              acquire_b ()
-            end
-            else acquire_a ()
-          else Atomic.compare_and_set status Undecided Failed
-    else false
-  and acquire_b () =
-    if Atomic.get status = Undecided then
-      let cur = Atomic.get loc_b.state in
-      match cur with
-      | Owned { desc = d; _ } when d == desc ->
-          Atomic.compare_and_set status Undecided Succeeded
-      | Owned { desc = d; _ } ->
-          if Atomic.get (status_of d) = Undecided then help d
-          else release_one loc_b cur;
-          acquire_b ()
-      | Value v ->
-          if loc_b.equal v before_b then
-            if
-              Atomic.compare_and_set loc_b.state cur
-                (Owned { desc; before = before_b; after = after_b; orig = cur })
-            then begin
-              published desc;
-              Atomic.compare_and_set status Undecided Succeeded
-            end
-            else acquire_b ()
-          else Atomic.compare_and_set status Undecided Failed
-    else false
-  in
-  if acquire_a () then decided owner;
-  (match Atomic.get loc_a.state with
-  | Owned { desc = d; _ } as cur when d == desc -> release_one loc_a cur
-  | Value _ | Owned _ -> ());
-  match Atomic.get loc_b.state with
-  | Owned { desc = d; _ } as cur when d == desc -> release_one loc_b cur
-  | Value _ | Owned _ -> ()
+  if acquire_a desc status loc_a before_a after_a loc_b before_b after_b then
+    decided owner;
+  release_own desc loc_a;
+  release_own desc loc_b
+
+and acquire_a :
+    type a b.
+    desc -> status Atomic.t -> a loc -> a -> a -> b loc -> b -> b -> bool =
+ fun desc status loc_a before_a after_a loc_b before_b after_b ->
+  if Atomic.get status = Undecided then
+    let cur = Atomic.get loc_a.state in
+    match cur with
+    | Owned { desc = d; _ } when d == desc ->
+        acquire_b desc status loc_b before_b after_b
+    | Owned { desc = d; _ } ->
+        if Atomic.get (status_of d) = Undecided then help d
+        else release_one loc_a cur;
+        acquire_a desc status loc_a before_a after_a loc_b before_b after_b
+    | Value v ->
+        if loc_a.equal v before_a then
+          if
+            Atomic.compare_and_set loc_a.state cur
+              (Owned { desc; before = before_a; after = after_a; orig = cur })
+          then begin
+            published desc;
+            acquire_b desc status loc_b before_b after_b
+          end
+          else
+            acquire_a desc status loc_a before_a after_a loc_b before_b
+              after_b
+        else Atomic.compare_and_set status Undecided Failed
+  else false
+
+and acquire_b : type b. desc -> status Atomic.t -> b loc -> b -> b -> bool =
+ fun desc status loc_b before_b after_b ->
+  if Atomic.get status = Undecided then
+    let cur = Atomic.get loc_b.state in
+    match cur with
+    | Owned { desc = d; _ } when d == desc ->
+        Atomic.compare_and_set status Undecided Succeeded
+    | Owned { desc = d; _ } ->
+        if Atomic.get (status_of d) = Undecided then help d
+        else release_one loc_b cur;
+        acquire_b desc status loc_b before_b after_b
+    | Value v ->
+        if loc_b.equal v before_b then
+          if
+            Atomic.compare_and_set loc_b.state cur
+              (Owned { desc; before = before_b; after = after_b; orig = cur })
+          then begin
+            published desc;
+            Atomic.compare_and_set status Undecided Succeeded
+          end
+          else acquire_b desc status loc_b before_b after_b
+        else Atomic.compare_and_set status Undecided Failed
+  else false
 
 (* Complete every orphaned descriptor on the crashed owners' behalf:
    the survivors' side of Theorems 3.1/4.1 made into an API.  Helping
@@ -455,31 +461,20 @@ let dcas l1 l2 o1 o2 n1 n2 =
    operation's successful DCAS.  Retries back off — the failure that
    sent us around the loop means the locations are contended right now,
    and re-colliding immediately mostly fails the other operations'
-   DCASes too.  The backoff state is allocated only once the first
-   attempt has failed, keeping the success path allocation-equal to
-   [dcas]. *)
+   DCASes too.  The backoff state is allocated only once a retry has
+   failed, keeping the success path allocation-equal to [dcas]. *)
+let rec dcas_strong_retry l1 l2 o1 o2 n1 n2 b =
+  let v1 = get l1 in
+  let v2 = get l2 in
+  if l1.equal v1 o1 && l2.equal v2 o2 then
+    if dcas l1 l2 o1 o2 n1 n2 then (true, o1, o2)
+    else dcas_strong_retry l1 l2 o1 o2 n1 n2 (Backoff.failed b)
+  else if dcas l1 l2 v1 v2 v1 v2 then (false, v1, v2)
+  else dcas_strong_retry l1 l2 o1 o2 n1 n2 (Backoff.failed b)
+
 let dcas_strong l1 l2 o1 o2 n1 n2 =
   if dcas l1 l2 o1 o2 n1 n2 then (true, o1, o2)
-  else begin
-    let b = Backoff.create () in
-    let rec retry () =
-      let v1 = get l1 in
-      let v2 = get l2 in
-      if l1.equal v1 o1 && l2.equal v2 o2 then begin
-        if dcas l1 l2 o1 o2 n1 n2 then (true, o1, o2)
-        else begin
-          Backoff.once b;
-          retry ()
-        end
-      end
-      else if dcas l1 l2 v1 v2 v1 v2 then (false, v1, v2)
-      else begin
-        Backoff.once b;
-        retry ()
-      end
-    in
-    retry ()
-  end
+  else dcas_strong_retry l1 l2 o1 o2 n1 n2 Backoff.idle
 
 (* Generic N-word CASN over the same locations: the natural
    generalization the paper's Section 6 alludes to when discussing

@@ -534,6 +534,30 @@ let dcas2_tests =
         Alcotest.(check bool)
           (Printf.sprintf "%.0f < %.0f minor words" w_on w_off)
           true (w_on < w_off));
+    Alcotest.test_case "dcas2: allocation budget of a successful dcas" `Quick
+      (fun () ->
+        (* the protocol's own blocks only: the descriptor with its status
+           word (11 words), two [Owned] blocks (10) and two released
+           [Value] blocks (4).  Helping must add nothing — no closure,
+           no backoff.  As in the fast-fail test, the per-call cost is
+           the slope of the delta over the iteration count. *)
+        let a = M.make 0 and b = M.make 0 in
+        let next = ref 0 in
+        let delta n =
+          let before = Gc.minor_words () in
+          for _ = 1 to n do
+            let v = !next in
+            if not (M.dcas a b v v (v + 1) (v + 1)) then
+              Alcotest.fail "uncontended dcas failed";
+            next := v + 1
+          done;
+          Gc.minor_words () -. before
+        in
+        ignore (delta 10);
+        let per_call = (delta 10_010 -. delta 10) /. 10_000. in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.1f words <= 25" per_call)
+          true (per_call <= 25.));
     Alcotest.test_case "dcas2: both modes agree with the reference" `Quick
       (fun () ->
         (* the same mixed op sequence — successful, failing, no-op and
@@ -710,6 +734,27 @@ let misc_tests =
         let a = Dcas.Id.next () in
         let b = Dcas.Id.next () in
         Alcotest.(check bool) "a < b" true (a < b));
+    Alcotest.test_case "id: unique across domains" `Quick (fun () ->
+        (* each domain draws from its own blocks: more than one block
+           per domain, and no id handed out twice *)
+        let per_domain = (2 * Dcas.Id.block) + 7 in
+        let draw () = List.init per_domain (fun _ -> Dcas.Id.next ()) in
+        let ds = List.init 3 (fun _ -> Domain.spawn draw) in
+        let mine = draw () in
+        let all = mine :: List.map Domain.join ds in
+        List.iter
+          (fun ids ->
+            Alcotest.(check bool) "increasing within a domain" true
+              (List.sort compare ids = ids))
+          all;
+        let ids = List.concat all in
+        Alcotest.(check int) "all distinct" (List.length ids)
+          (List.length (List.sort_uniq compare ids)));
+    Alcotest.test_case "backoff: created on the first failure" `Quick
+      (fun () ->
+        let b = Dcas.Backoff.failed Dcas.Backoff.idle in
+        Alcotest.(check bool) "a fresh state" true (b != Dcas.Backoff.idle);
+        Alcotest.(check bool) "then kept" true (Dcas.Backoff.failed b == b));
     Alcotest.test_case "opstats: reset zeroes counters" `Quick (fun () ->
         let module M = Dcas.Mem_seq in
         M.reset_stats ();

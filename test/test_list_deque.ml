@@ -212,6 +212,31 @@ let test_recycling_model_checked () =
        ~setup:[ Pop_right ]
        [ [ Push_right 2 ]; [ Pop_right ] ])
 
+(* A single-domain push_right + pop_right pair on the lock-free deque
+   allocates the algorithm's words and little else: the node with its
+   three locations, the splice and deletion pointers, and three DCASes
+   (splice, logical pop, physical delete by the next push).  Retry
+   closures, backoff records and rebuilt sentinel pointers must stay
+   off the path. *)
+let test_allocation_budget () =
+  let module L = Deque.List_deque.Lockfree in
+  let d = L.make () in
+  let delta n =
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      if L.push_right d i <> `Okay then Alcotest.fail "push refused";
+      match L.pop_right d with
+      | `Value _ -> ()
+      | `Empty -> Alcotest.fail "pop found nothing"
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (delta 10);
+  let per_pair = (delta 10_010 -. delta 10) /. 10_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per pair <= 130" per_pair)
+    true (per_pair <= 130.)
+
 let () =
   Alcotest.run "list_deque"
     [
@@ -227,6 +252,11 @@ let () =
         [ Alcotest.test_case "bounded budget" `Quick test_allocator_semantics ] );
       ( "invariant",
         [ Alcotest.test_case "random churn" `Quick test_churn_invariant ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "push+pop pair budget" `Quick
+            test_allocation_budget;
+        ] );
       ( "recycling (E16)",
         [
           QCheck_alcotest.to_alcotest
