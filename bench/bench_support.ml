@@ -171,62 +171,12 @@ let two_end_throughput ~threads ~duration (factory : factory) ~capacity
   let h = factory.make ~capacity ~prefill in
   let r =
     Harness.Runner.run ~threads ~duration (fun ~tid ~rng ->
-        let push = Harness.Splitmix.bool rng in
+        let push = Dcas.Splitmix.bool rng in
         if tid mod 2 = 0 then
           ignore (if push then h.push_right tid else h.pop_right ())
         else ignore (if push then h.push_left tid else h.pop_left ()))
   in
   Harness.Runner.throughput r
-
-(* --- Fixed-bucket latency histogram (experiment E21) ---
-
-   Linear buckets of [width_ns] nanoseconds, last bucket absorbing
-   overflow.  The log-bucketed Harness.Metrics.Histogram (E7b) has ~2x
-   resolution per bucket, which is too coarse to compare the close
-   distributions of the substrate ablation; constant-width buckets keep
-   p50/p99 honest at the cost of a bounded range.  Like E7b, latencies
-   should be recorded for groups of operations — gettimeofday cannot
-   time one sub-microsecond op. *)
-module Fixed_histogram = struct
-  type t = { width_ns : float; counts : int array; mutable total : int }
-
-  let create ?(width_ns = 25.) ?(buckets = 8192) () =
-    if width_ns <= 0. || buckets < 1 then
-      invalid_arg "Fixed_histogram.create";
-    { width_ns; counts = Array.make buckets 0; total = 0 }
-
-  let add t ~ns =
-    let i = int_of_float (ns /. t.width_ns) in
-    let i = if i < 0 then 0 else min i (Array.length t.counts - 1) in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-
-  let merge a b =
-    if a.width_ns <> b.width_ns || Array.length a.counts <> Array.length b.counts
-    then invalid_arg "Fixed_histogram.merge: shapes differ";
-    {
-      width_ns = a.width_ns;
-      counts = Array.init (Array.length a.counts) (fun i -> a.counts.(i) + b.counts.(i));
-      total = a.total + b.total;
-    }
-
-  (* Upper bound of the bucket containing quantile [q] (0 < q <= 1), so
-     quantiles are monotone in [q] by construction. *)
-  let quantile_ns t q =
-    if t.total = 0 then Float.nan
-    else begin
-      let target = max 1 (int_of_float (ceil (q *. float_of_int t.total))) in
-      let last = Array.length t.counts - 1 in
-      let rec go i seen =
-        let seen = seen + t.counts.(i) in
-        if seen >= target || i >= last then float_of_int (i + 1) *. t.width_ns
-        else go (i + 1) seen
-      in
-      go 0 0
-    end
-end
 
 let header title =
   Printf.printf "\n=== %s ===\n" title

@@ -24,6 +24,11 @@ let greenwald1 = of_greenwald_v1 (module Baselines.Greenwald_v1.Lockfree)
 let fmt_tp = Harness.Table.ops_per_sec
 let fmt_ns = Harness.Table.ns
 
+(* A Dcas.Histogram quantile: nan for an empty histogram, infinity when
+   the rank landed past the histogram's range. *)
+let fmt_q v =
+  if Float.is_nan v then "-" else if v = infinity then "overflow" else fmt_ns v
+
 (* ------------------------------------------------------------------ *)
 (* E1: array boundary behaviour (Figures 4, 7, 8)                      *)
 (* ------------------------------------------------------------------ *)
@@ -37,12 +42,12 @@ let e1 ~quick =
         let module A = Deque.Array_deque.Lockfree in
         let d = A.make ~length () in
         let oracle = ref (Spec.Seq_deque.make ~capacity:length ()) in
-        let rng = Harness.Splitmix.create ~seed:(length * 31) in
+        let rng = Dcas.Splitmix.create ~seed:(length * 31) in
         let okay = ref 0 and full = ref 0 and got = ref 0 and empty = ref 0 in
         let agree = ref true in
         for i = 1 to ops_count do
           let op =
-            match Harness.Splitmix.int rng ~bound:4 with
+            match Dcas.Splitmix.int rng ~bound:4 with
             | 0 -> Spec.Op.Push_right i
             | 1 -> Spec.Op.Push_left i
             | 2 -> Spec.Op.Pop_right
@@ -432,22 +437,19 @@ let e7 ~quick =
      unbounded capacity"
 
 (* Latency distribution under contention: each worker times batches of
-   operations and feeds the per-batch mean into its own log-bucketed
-   histogram (gettimeofday is too coarse for single sub-microsecond
-   operations); histograms merge after the run.  Complements E7's
-   throughput shape with tail behaviour — retry loops under contention
-   show up in p99, not in the mean. *)
+   operations and records the per-batch mean into one shared histogram
+   (gettimeofday is too coarse for single sub-microsecond operations).
+   Complements E7's throughput shape with tail behaviour — retry loops
+   under contention show up in p99, not in the mean. *)
 let e7_latency ~quick =
   header "E7b latency distribution under contention (4 threads, balanced mix)";
   let duration = dur ~quick 0.6 in
-  let batch = 64 in
+  let batch = 64 and threads = 4 in
   let measure (factory : factory) =
     let h = factory.make ~capacity:1024 ~prefill:512 in
-    let histograms =
-      Array.init 4 (fun _ -> Harness.Metrics.Histogram.create ())
-    in
-    let _r =
-      Harness.Runner.run ~threads:4 ~duration (fun ~tid ~rng ->
+    let hist = Dcas.Histogram.create () in
+    let r =
+      Harness.Runner.run ~threads ~duration (fun ~tid ~rng ->
           let t0 = Harness.Metrics.now () in
           for _ = 1 to batch do
             ignore
@@ -459,35 +461,29 @@ let e7_latency ~quick =
                  ~pop_left:(fun () -> if h.pop_left () then `Value 0 else `Empty)
                  Harness.Workload.balanced rng tid)
           done;
-          let ns =
-            (Harness.Metrics.now () -. t0) *. 1e9 /. float_of_int batch
-          in
-          Harness.Metrics.Histogram.add histograms.(tid)
-            ~ns:(int_of_float (Float.max 1. ns)))
+          Dcas.Histogram.record hist
+            (int_of_float
+               ((Harness.Metrics.now () -. t0) *. 1e9 /. float_of_int batch)))
     in
-    Array.fold_left Harness.Metrics.Histogram.merge
-      (Harness.Metrics.Histogram.create ())
-      histograms
-  in
-  let rows =
-    List.map
-      (fun f ->
-        let hist = measure f in
-        [
-          f.f_name;
-          fmt_ns (Harness.Metrics.Histogram.mean_ns hist);
-          fmt_ns (Harness.Metrics.Histogram.quantile_ns hist 0.5);
-          fmt_ns (Harness.Metrics.Histogram.quantile_ns hist 0.99);
-        ])
-      [ array_lockfree; list_lockfree; dummy_lockfree; lock_deque ]
+    (* each thread spends the whole run on its batches *)
+    let mean_ns =
+      float_of_int threads *. r.Harness.Runner.elapsed *. 1e9
+      /. float_of_int (batch * Harness.Runner.total r)
+    in
+    [
+      factory.f_name;
+      fmt_ns mean_ns;
+      fmt_q (Dcas.Histogram.quantile hist 0.5);
+      fmt_q (Dcas.Histogram.quantile hist 0.99);
+    ]
   in
   Harness.Table.print
-    ~headers:
-      [ "implementation"; "mean/op"; "p50 (bucket)"; "p99 (bucket)" ]
-    rows;
+    ~headers:[ "implementation"; "mean/op"; "p50"; "p99" ]
+    (List.map measure
+       [ array_lockfree; list_lockfree; dummy_lockfree; lock_deque ]);
   note
     "per-batch means of %d ops; p99 >> p50 indicates retry storms or\n\
-     preemption inside operations (quantiles are bucket upper bounds, 2x wide)"
+     preemption inside operations (quantiles are upper bounds within 3.1%%)"
     batch
 
 (* ------------------------------------------------------------------ *)
@@ -874,8 +870,8 @@ let e13 ~quick =
     for seed = 1 to rounds do
       let apply = make_apply () in
       let recorder = Spec.History.Recorder.create ~threads in
-      let master = Harness.Splitmix.create ~seed in
-      let rngs = Array.init threads (fun _ -> Harness.Splitmix.split master) in
+      let master = Dcas.Splitmix.create ~seed in
+      let rngs = Array.init threads (fun _ -> Dcas.Splitmix.split master) in
       let started = Atomic.make 0 in
       let worker tid () =
         let rng = rngs.(tid) in
@@ -885,7 +881,7 @@ let e13 ~quick =
         done;
         for i = 1 to ops_per_thread do
           let op =
-            match Harness.Splitmix.int rng ~bound:4 with
+            match Dcas.Splitmix.int rng ~bound:4 with
             | 0 -> Push_right ((tid * 1000) + i)
             | 1 -> Push_left ((tid * 1000) + i)
             | 2 -> Pop_right
@@ -1235,8 +1231,8 @@ let e16 ~quick =
   let popped = Array.init 4 (fun _ -> Array.make n_vals 0) in
   let _ =
     Harness.Runner.run_fixed ~threads:4 ~iters (fun ~tid ~rng ~i:_ ->
-        let v = Harness.Splitmix.int rng ~bound:n_vals in
-        match Harness.Splitmix.int rng ~bound:4 with
+        let v = Dcas.Splitmix.int rng ~bound:n_vals in
+        match Dcas.Splitmix.int rng ~bound:4 with
         | 0 ->
             if L.push_right q v = `Okay then
               pushed.(tid).(v) <- pushed.(tid).(v) + 1
@@ -1377,7 +1373,7 @@ let e21 ~quick =
      full/empty boundary for whole scheduler quanta, which measures the
      scheduler and not the deque.  Latency is recorded per group of
      ~2x64 items and divided down (gettimeofday cannot time one
-     sub-microsecond op; same device as E7b), into the fixed-bucket
+     sub-microsecond op; same device as E7b), into one shared
      histogram.  Conservation is exact: every item pushed is either
      popped or still in the deque. *)
   let duration = dur ~quick 0.4 in
@@ -1392,10 +1388,7 @@ let e21 ~quick =
             let batch = List.init k (fun i -> i) in
             let pushed = Dcas.Padding.make_atomic 0 in
             let popped = Dcas.Padding.make_atomic 0 in
-            let hists =
-              Array.init 2 (fun _ ->
-                  Fixed_histogram.create ~width_ns:50. ~buckets:32768 ())
-            in
+            let hist = Dcas.Histogram.create () in
             let group = max 1 (64 / k) in
             let r =
               Harness.Runner.run ~threads:2 ~duration (fun ~tid ~rng:_ ->
@@ -1414,8 +1407,8 @@ let e21 ~quick =
                   let dt_ns = (Harness.Metrics.now () -. t0) *. 1e9 in
                   let moved = !got_in + !got_out in
                   if moved > 0 then
-                    Fixed_histogram.add hists.(tid)
-                      ~ns:(dt_ns /. float_of_int moved);
+                    Dcas.Histogram.record hist
+                      (int_of_float (dt_ns /. float_of_int moved));
                   ignore (Atomic.fetch_and_add pushed !got_in);
                   ignore (Atomic.fetch_and_add popped !got_out))
             in
@@ -1429,12 +1422,8 @@ let e21 ~quick =
             let tp =
               float_of_int (pushed + popped) /. r.Harness.Runner.elapsed
             in
-            let h = Fixed_histogram.merge hists.(0) hists.(1) in
-            let q p =
-              if Fixed_histogram.count h = 0 then 0.
-              else finite (Fixed_histogram.quantile_ns h p)
-            in
-            let p50 = q 0.5 and p99 = q 0.99 in
+            let p50 = Dcas.Histogram.quantile hist 0.5 in
+            let p99 = Dcas.Histogram.quantile hist 0.99 in
             (* allocation per item, measured quiescently on one domain
                (minor words are per-domain counters) *)
             let mw =
@@ -1465,8 +1454,8 @@ let e21 ~quick =
               pname;
               string_of_int k;
               fmt_tp tp;
-              fmt_ns p50;
-              fmt_ns p99;
+              fmt_q p50;
+              fmt_q p99;
               Printf.sprintf "%.1f" mw;
               (if pushed = popped + remaining then "ok"
                else
@@ -1813,7 +1802,7 @@ let e23_frozen_probe () =
   let counts = Array.init threads (fun _ -> Dcas.Padding.make_atomic 0) in
   let worker tid () =
     Harness.Stall.Freezer.enroll ~tid;
-    let rng = Harness.Splitmix.create ~seed:(0xE23 + tid) in
+    let rng = Dcas.Splitmix.create ~seed:(0xE23 + tid) in
     while not (Atomic.get stop) do
       (match Harness.Workload.draw Harness.Workload.balanced rng with
       | Harness.Workload.Push_right -> ignore (Probe_st.push_right d 1)
@@ -1883,7 +1872,6 @@ let e23 ~quick =
   header
     "E23 cross-algorithm shootout: DCAS deques vs single-word-CAS competitors";
   let duration = dur ~quick 0.3 in
-  let finite f = if Float.is_finite f then f else 0. in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let mixes =
     [
@@ -1903,10 +1891,7 @@ let e23 ~quick =
                 let inst = sh.sh_make () in
                 let pushed = Dcas.Padding.make_atomic 0 in
                 let popped = Dcas.Padding.make_atomic 0 in
-                let hists =
-                  Array.init threads (fun _ ->
-                      Fixed_histogram.create ~width_ns:50. ~buckets:32768 ())
-                in
+                let hist = Dcas.Histogram.create () in
                 let group = 64 in
                 let r =
                   Harness.Runner.run ~threads ~duration (fun ~tid ~rng ->
@@ -1919,8 +1904,8 @@ let e23 ~quick =
                         | `Miss -> ()
                       done;
                       let dt_ns = (Harness.Metrics.now () -. t0) *. 1e9 in
-                      Fixed_histogram.add hists.(tid)
-                        ~ns:(dt_ns /. float_of_int group);
+                      Dcas.Histogram.record hist
+                        (int_of_float (dt_ns /. float_of_int group));
                       ignore (Atomic.fetch_and_add pushed !pu);
                       ignore (Atomic.fetch_and_add popped !po))
                 in
@@ -1932,15 +1917,8 @@ let e23 ~quick =
                 let tp =
                   float_of_int (run_pushed + popped) /. r.Harness.Runner.elapsed
                 in
-                let h =
-                  Array.fold_left Fixed_histogram.merge hists.(0)
-                    (Array.sub hists 1 (threads - 1))
-                in
-                let q p =
-                  if Fixed_histogram.count h = 0 then 0.
-                  else finite (Fixed_histogram.quantile_ns h p)
-                in
-                let p50 = q 0.5 and p99 = q 0.99 in
+                let p50 = Dcas.Histogram.quantile hist 0.5 in
+                let p99 = Dcas.Histogram.quantile hist 0.99 in
                 emit_json
                   (Harness.Json.Obj
                      [
@@ -1964,8 +1942,8 @@ let e23 ~quick =
                   mix_name;
                   string_of_int threads;
                   fmt_tp tp;
-                  fmt_ns p50;
-                  fmt_ns p99;
+                  fmt_q p50;
+                  fmt_q p99;
                   Printf.sprintf "%.1f" words;
                   (if conserved then "ok"
                    else
@@ -2017,10 +1995,39 @@ module Soak_mem =
 module Soak_service =
   Worksteal.Shard_service.Make (Deque.Array_deque.Make (Soak_mem))
 
+(* Phase-tagged service-time histograms for the soaks: successful
+   operations only — the SLO is on served requests, not on consumers'
+   empty scans — split calm/fault by a flag the storm driver flips.
+   Every worker domain records into the same two histograms. *)
+type soak_latency = {
+  fault_phase : bool Atomic.t;
+  calm_h : Dcas.Histogram.t;
+  fault_h : Dcas.Histogram.t;
+}
+
+let soak_latency () =
+  {
+    fault_phase = Atomic.make false;
+    calm_h = Dcas.Histogram.create ();
+    fault_h = Dcas.Histogram.create ();
+  }
+
+let record_served l ~ns =
+  Dcas.Histogram.record
+    (if Atomic.get l.fault_phase then l.fault_h else l.calm_h)
+    (int_of_float ns)
+
+let on_served_push l ~tid:_ ~ns = function
+  | `Okay -> record_served l ~ns
+  | `Full | `Timeout -> ()
+
+let on_served_pop l ~tid:_ ~ns = function
+  | `Value _ -> record_served l ~ns
+  | `Empty | `Timeout -> ()
+
 let e24 ~quick =
   header "E24 sharded service soak: SLO-gated latency under live fault storms";
   let duration = dur ~quick 2.0 in
-  let finite f = if Float.is_finite f then f else 0. in
   let cfg =
     {
       Worksteal.Shard_service.default with
@@ -2040,33 +2047,11 @@ let e24 ~quick =
       sup = { Worksteal.Supervisor.default with silence_after = 0. };
     }
   in
-  let slots = cfg.Worksteal.Shard_service.producers + cfg.Worksteal.Shard_service.consumers in
   let cell ~label ~storm =
     Harness.Crash.reset ();
     Harness.Stall.Freezer.reset ();
     Soak_chaos.disarm ();
-    (* Phase-tagged service-time histograms: per-slot (the observers
-       run on the worker domains), split calm/fault by a flag the storm
-       driver flips, successful operations only — the SLO is on served
-       requests, not on consumers' empty scans. *)
-    let fault_phase = Atomic.make false in
-    let mk () =
-      Array.init slots (fun _ ->
-          Fixed_histogram.create ~width_ns:500. ~buckets:65536 ())
-    in
-    let calm_h = mk () and fault_h = mk () in
-    let record ~tid ~ns =
-      let h = if Atomic.get fault_phase then fault_h else calm_h in
-      if tid >= 0 && tid < slots then Fixed_histogram.add h.(tid) ~ns
-    in
-    let on_push ~tid ~ns = function
-      | `Okay -> record ~tid ~ns
-      | `Full | `Timeout -> ()
-    in
-    let on_pop ~tid ~ns = function
-      | `Value _ -> record ~tid ~ns
-      | `Empty | `Timeout -> ()
-    in
+    let lat = soak_latency () in
     (* The storm driver runs on the calling domain while traffic flows:
        a calm lead-in, then — inside the fault window — seeded chaos, a
        freeze/thaw episode on producer 0 and a targeted mid-CASN kill
@@ -2075,7 +2060,7 @@ let e24 ~quick =
     let driver () =
       if storm then begin
         Unix.sleepf third;
-        Atomic.set fault_phase true;
+        Atomic.set lat.fault_phase true;
         Soak_chaos.configure ~fail_prob:0.002 ~seed:0xC4A05 ();
         Harness.Stall.Freezer.freeze ~tid:0;
         Unix.sleepf (Float.min 0.05 (third /. 4.));
@@ -2084,13 +2069,16 @@ let e24 ~quick =
           ~tid:cfg.Worksteal.Shard_service.producers ();
         Unix.sleepf third;
         Soak_chaos.disarm ();
-        Atomic.set fault_phase false;
+        Atomic.set lat.fault_phase false;
         Unix.sleepf third
       end
       else Unix.sleepf duration
     in
     let spurious0 = (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious in
-    let r = Soak_service.run ~config:cfg ~on_push ~on_pop ~driver ~duration () in
+    let r =
+      Soak_service.run ~config:cfg ~on_push:(on_served_push lat)
+        ~on_pop:(on_served_pop lat) ~driver ~duration ()
+    in
     let freezes = Harness.Stall.Freezer.freeze_hits () in
     let spurious =
       (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious - spurious0
@@ -2098,15 +2086,8 @@ let e24 ~quick =
     Harness.Crash.reset ();
     Harness.Stall.Freezer.reset ();
     let open Worksteal.Shard_service in
-    let merge hs =
-      Array.fold_left Fixed_histogram.merge hs.(0)
-        (Array.sub hs 1 (slots - 1))
-    in
-    let q h p =
-      if Fixed_histogram.count h = 0 then 0.
-      else finite (Fixed_histogram.quantile_ns h p)
-    in
-    let ch = merge calm_h and fh = merge fault_h in
+    let q = Dcas.Histogram.quantile in
+    let ch = lat.calm_h and fh = lat.fault_h in
     let conserved = if conserved r then 1 else 0 in
     let tp =
       if r.elapsed > 0. then
@@ -2114,7 +2095,7 @@ let e24 ~quick =
       else 0.
     in
     let imbalance =
-      finite (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
+      (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
     in
     let recovery_max = List.fold_left Float.max 0. r.recoveries in
     emit_json
@@ -2157,10 +2138,10 @@ let e24 ~quick =
     [
       label;
       fmt_tp tp;
-      fmt_ns (q ch 0.5);
-      fmt_ns (q ch 0.99);
-      fmt_ns (q ch 0.999);
-      (if Fixed_histogram.count fh = 0 then "-" else fmt_ns (q fh 0.99));
+      fmt_q (q ch 0.5);
+      fmt_q (q ch 0.99);
+      fmt_q (q ch 0.999);
+      fmt_q (q fh 0.99);
       string_of_int r.killed;
       string_of_int r.replacements;
       string_of_int r.adoptions;
@@ -2211,7 +2192,6 @@ let e24 ~quick =
 let e25 ~quick =
   header "E25 multi-storm survival soak: deadlines, zombies, fencing";
   let duration = dur ~quick 2.4 in
-  let finite f = if Float.is_finite f then f else 0. in
   let cfg =
     {
       Worksteal.Shard_service.default with
@@ -2256,24 +2236,7 @@ let e25 ~quick =
     Harness.Stall.Freezer.reset ();
     Harness.Stall.Zombie.reset ();
     Soak_chaos.disarm ();
-    let fault_phase = Atomic.make false in
-    let mk () =
-      Array.init slots (fun _ ->
-          Fixed_histogram.create ~width_ns:500. ~buckets:65536 ())
-    in
-    let calm_h = mk () and fault_h = mk () in
-    let record ~tid ~ns =
-      let h = if Atomic.get fault_phase then fault_h else calm_h in
-      if tid >= 0 && tid < slots then Fixed_histogram.add h.(tid) ~ns
-    in
-    let on_push ~tid ~ns = function
-      | `Okay -> record ~tid ~ns
-      | `Full | `Timeout -> ()
-    in
-    let on_pop ~tid ~ns = function
-      | `Value _ -> record ~tid ~ns
-      | `Empty | `Timeout -> ()
-    in
+    let lat = soak_latency () in
     (* The storm schedule occupies the middle third: a zombie window on
        the last consumer, a mid-CASN kill of the first consumer, a
        short freeze of producer 0 and a chaos window, overlapping, with
@@ -2322,9 +2285,9 @@ let e25 ~quick =
             ~disarm_chaos:Soak_chaos.disarm
             ~chaos_hits:(fun () ->
               (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious)
-            ~on_active:(fun n -> Atomic.set fault_phase (n > 0))
+            ~on_active:(fun n -> Atomic.set lat.fault_phase (n > 0))
             ~settle:(Float.min 0.1 third) windows;
-        Atomic.set fault_phase false;
+        Atomic.set lat.fault_phase false;
         (* calm recovery tail *)
         Unix.sleepf third
       end
@@ -2332,7 +2295,10 @@ let e25 ~quick =
     in
     let spurious0 = (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious in
     let bites0 = Harness.Stall.Zombie.bites () in
-    let r = Soak_service.run ~config:cfg ~on_push ~on_pop ~driver ~duration () in
+    let r =
+      Soak_service.run ~config:cfg ~on_push:(on_served_push lat)
+        ~on_pop:(on_served_pop lat) ~driver ~duration ()
+    in
     let freezes = Harness.Stall.Freezer.freeze_hits () in
     let spurious =
       (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious - spurious0
@@ -2345,15 +2311,8 @@ let e25 ~quick =
     Harness.Stall.Freezer.reset ();
     Harness.Stall.Zombie.reset ();
     let open Worksteal.Shard_service in
-    let merge hs =
-      Array.fold_left Fixed_histogram.merge hs.(0)
-        (Array.sub hs 1 (slots - 1))
-    in
-    let q h p =
-      if Fixed_histogram.count h = 0 then 0.
-      else finite (Fixed_histogram.quantile_ns h p)
-    in
-    let ch = merge calm_h and fh = merge fault_h in
+    let q = Dcas.Histogram.quantile in
+    let ch = lat.calm_h and fh = lat.fault_h in
     let conserved = if conserved r then 1 else 0 in
     let tp =
       if r.elapsed > 0. then
@@ -2361,7 +2320,7 @@ let e25 ~quick =
       else 0.
     in
     let imbalance =
-      finite (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
+      (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
     in
     let shed_total = shed r in
     let shed_rate =
@@ -2421,8 +2380,8 @@ let e25 ~quick =
     [
       label;
       fmt_tp tp;
-      fmt_ns (q ch 0.99);
-      (if Fixed_histogram.count fh = 0 then "-" else fmt_ns (q fh 0.99));
+      fmt_q (q ch 0.99);
+      fmt_q (q fh 0.99);
       Printf.sprintf "%.1f%%" (shed_rate *. 100.);
       string_of_int r.overshoot_max_ns;
       string_of_int r.killed;

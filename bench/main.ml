@@ -86,6 +86,20 @@ let run_selected quick json_file ids =
       close_out oc;
       Printf.printf "wrote %s\n" file
 
+(* A gated latency quantile.  Dcas.Histogram reads a quantile whose
+   rank landed past its range as infinity and one of an empty histogram
+   as nan, and the JSON writer turns both into null: a gate must fail
+   on it, not compare it. *)
+let quantile_of ~experiment ~row k r =
+  match Harness.Json.number_value (Harness.Json.member k r) with
+  | Some v -> v
+  | None ->
+      Printf.eprintf
+        "%s invariant violated: %s: %s is null: the quantile overflowed the \
+         histogram or is empty\n"
+        experiment row k;
+      exit 1
+
 (* E21 carries enough structure to cross-check the perf claims, not
    just the schema: the allocation-lean substrate must actually
    allocate less than the generic descriptors op-for-op, batching must
@@ -134,13 +148,13 @@ let check_e21 rows =
     [ "write"; "confirm" ];
   List.iter
     (fun r ->
-      if num "p50_ns" r > num "p99_ns" r then
-        fail "batch %s k=%d: p50 %.0fns above p99 %.0fns" (str "path" r)
-          (int_of "k" r) (num "p50_ns" r) (num "p99_ns" r);
+      let row = Printf.sprintf "batch %s k=%d" (str "path" r) (int_of "k" r) in
+      let p50 = quantile_of ~experiment:"e21" ~row "p50_ns" r in
+      let p99 = quantile_of ~experiment:"e21" ~row "p99_ns" r in
+      if p50 > p99 then fail "%s: p50 %.0fns above p99 %.0fns" row p50 p99;
       if int_of "pushed" r <> int_of "popped" r + int_of "remaining" r then
-        fail "batch %s k=%d: %d pushed <> %d popped + %d remaining"
-          (str "path" r) (int_of "k" r) (int_of "pushed" r) (int_of "popped" r)
-          (int_of "remaining" r))
+        fail "%s: %d pushed <> %d popped + %d remaining" row
+          (int_of "pushed" r) (int_of "popped" r) (int_of "remaining" r))
     batch;
   let batch_row path k =
     match
@@ -254,9 +268,9 @@ let check_e23 rows =
       if int_of "conserved" r <> 1 then
         fail "%s: %d pushed <> %d popped + %d remaining" label
           (int_of "pushed" r) (int_of "popped" r) (int_of "remaining" r);
-      if num "p50_ns" r > num "p99_ns" r then
-        fail "%s: p50 %.0fns above p99 %.0fns" label (num "p50_ns" r)
-          (num "p99_ns" r);
+      let p50 = quantile_of ~experiment:"e23" ~row:label "p50_ns" r in
+      let p99 = quantile_of ~experiment:"e23" ~row:label "p99_ns" r in
+      if p50 > p99 then fail "%s: p50 %.0fns above p99 %.0fns" label p50 p99;
       if not (num "ops_per_sec" r > 0.) then fail "%s: no throughput" label)
     shootout;
   (match frozen with
@@ -297,6 +311,7 @@ let check_e24 rows =
     | None -> fail "row %S lacks numeric %S" (str "cell" r) k
   in
   let int_of k r = int_of_float (num k r) in
+  let q k r = quantile_of ~experiment:"e24" ~row:(str "cell" r) k r in
   let soak = List.filter (fun r -> str "section" r = "soak") rows in
   let cell c =
     match List.find_opt (fun r -> str "cell" r = c) soak with
@@ -315,16 +330,13 @@ let check_e24 rows =
       if int_of "leftover" r <> 0 then
         fail "%s: %d items left after the final drain" c (int_of "leftover" r);
       if not (num "ops_per_sec" r > 0.) then fail "%s: no throughput" c;
-      if
-        num "calm_p50_ns" r > num "calm_p99_ns" r
-        || num "calm_p99_ns" r > num "calm_p999_ns" r
-      then
-        fail "%s: calm quantiles out of order (%.0f/%.0f/%.0f)" c
-          (num "calm_p50_ns" r) (num "calm_p99_ns" r) (num "calm_p999_ns" r);
+      let p50 = q "calm_p50_ns" r and p99 = q "calm_p99_ns" r in
+      let p999 = q "calm_p999_ns" r in
+      if p50 > p99 || p99 > p999 then
+        fail "%s: calm quantiles out of order (%.0f/%.0f/%.0f)" c p50 p99 p999;
       (* generous 1-core SLO: calm p99 under 50ms *)
-      if num "calm_p99_ns" r > 50e6 then
-        fail "%s: calm p99 %.1fms blows the 50ms SLO" c
-          (num "calm_p99_ns" r /. 1e6))
+      if p99 > 50e6 then
+        fail "%s: calm p99 %.1fms blows the 50ms SLO" c (p99 /. 1e6))
     soak;
   if int_of "killed" calm <> 0 || int_of "freezes" calm <> 0 then
     fail "calm cell saw faults (%d kills, %d freezes)" (int_of "killed" calm)
@@ -338,7 +350,7 @@ let check_e24 rows =
       (int_of "killed" storm);
   if int_of "recoveries" storm < 1 || not (num "recovery_max_s" storm > 0.) then
     fail "storm cell recorded no recovery latency";
-  if num "fault_p50_ns" storm > num "fault_p99_ns" storm then
+  if q "fault_p50_ns" storm > q "fault_p99_ns" storm then
     fail "storm: fault quantiles out of order";
   Printf.printf "e24 invariants: ok\n"
 
@@ -364,6 +376,7 @@ let check_e25 rows =
     | None -> fail "row %S lacks numeric %S" (str "cell" r) k
   in
   let int_of k r = int_of_float (num k r) in
+  let q k r = quantile_of ~experiment:"e25" ~row:(str "cell" r) k r in
   let soak = List.filter (fun r -> str "section" r = "soak") rows in
   let cell c =
     match List.find_opt (fun r -> str "cell" r = c) soak with
@@ -390,12 +403,10 @@ let check_e25 rows =
       if num "overshoot_max_ns" r > 50e6 then
         fail "%s: served op finished %.1fms past its deadline" c
           (num "overshoot_max_ns" r /. 1e6);
-      if
-        num "calm_p50_ns" r > num "calm_p99_ns" r
-        || num "calm_p99_ns" r > num "calm_p999_ns" r
-      then
-        fail "%s: calm quantiles out of order (%.0f/%.0f/%.0f)" c
-          (num "calm_p50_ns" r) (num "calm_p99_ns" r) (num "calm_p999_ns" r))
+      let p50 = q "calm_p50_ns" r and p99 = q "calm_p99_ns" r in
+      let p999 = q "calm_p999_ns" r in
+      if p50 > p99 || p99 > p999 then
+        fail "%s: calm quantiles out of order (%.0f/%.0f/%.0f)" c p50 p99 p999)
     soak;
   (* shed-rate ceilings: a calm cell shedding visibly means admission
      or expiry fires without cause; a storm cell may shed heavily but
@@ -448,7 +459,7 @@ let check_e25 rows =
     fail "storm: recovery quantiles out of order (%.3f/%.3f/%.3f)"
       (num "recovery_p50_s" storm) (num "recovery_p90_s" storm)
       (num "recovery_max_s" storm);
-  if num "fault_p50_ns" storm > num "fault_p99_ns" storm then
+  if q "fault_p50_ns" storm > q "fault_p99_ns" storm then
     fail "storm: fault quantiles out of order";
   Printf.printf "e25 invariants: ok\n"
 

@@ -32,11 +32,10 @@
      ordinary traffic instead of waiting for the primary to empty.
 
    - {e backpressure / starvation accounting}: per-wrapper counters
-     (successes, rejections, retries, spills, timeouts) and the maximum
-     observed single-call latency, cheap enough to stay on in
-     production harnesses; per-thread fairness over a whole run is
-     computed by {!Harness.Metrics.Starvation} from the runner's
-     per-thread counts.
+     (successes, rejections, retries, spills, timeouts), cheap enough
+     to stay on in production harnesses; per-thread fairness over a
+     whole run is computed by {!Harness.Metrics.Starvation} from the
+     runner's per-thread counts.
 
    The wrapper adds no atomicity of its own: each underlying operation
    remains linearizable; a retried operation is simply a sequence of
@@ -63,59 +62,14 @@ type stats = {
   spill_drained : int;  (* pops served from the overflow deque *)
   refilled : int;  (* parked values moved back into the primary *)
   overflow_size : int;  (* values currently parked in the overflow *)
-  max_latency_ns : int;  (* worst single completed call *)
 }
 
 let pp_stats ppf s =
   Format.fprintf ppf
     "ok=%d full=%d empty=%d timeout=%d retries=%d spill=%d/%d refill=%d \
-     pending=%d max_latency=%dns"
+     pending=%d"
     s.ok s.full_rejections s.empty_misses s.timeouts s.retries s.spilled
-    s.spill_drained s.refilled s.overflow_size s.max_latency_ns
-
-(* A tiny concurrent latency sketch for admission control: power-of-two
-   nanosecond buckets under padded atomic counters.  Writers only ever
-   [Atomic.incr] one bucket, so recording is wait-free and cheap enough
-   for every served request; readers fold the counters for a
-   conservative (bucket-upper-bound) quantile.  Reads racing writes can
-   be off by in-flight increments — fine for a shedding heuristic,
-   which only needs the order of magnitude of the tail. *)
-module Lat = struct
-  let buckets = 64
-
-  type t = int Atomic.t array
-
-  let create () : t =
-    Array.init buckets (fun _ -> Dcas.Padding.make_atomic 0)
-
-  let bucket_of ~ns =
-    if not (ns >= 2.) (* also NaN *) then 0
-    else
-      let b = int_of_float (Float.log2 ns) in
-      if b >= buckets then buckets - 1 else b
-
-  let note (t : t) ~ns = Atomic.incr t.(bucket_of ~ns)
-  let count (t : t) = Array.fold_left (fun n c -> n + Atomic.get c) 0 t
-
-  (* Upper bound of the bucket holding the q-th ranked observation:
-     never underestimates the tail by more than one doubling. *)
-  let quantile_ns (t : t) q =
-    let total = count t in
-    if total = 0 then 0.
-    else
-      let rank =
-        let r = int_of_float (ceil (q *. float_of_int total)) in
-        if r < 1 then 1 else if r > total then total else r
-      in
-      let rec go b seen =
-        if b >= buckets then Float.pow 2. (float_of_int buckets)
-        else
-          let seen = seen + Atomic.get t.(b) in
-          if seen >= rank then Float.pow 2. (float_of_int (b + 1))
-          else go (b + 1) seen
-      in
-      go 0 0
-end
+    s.spill_drained s.refilled s.overflow_size
 
 module Make (D : Deque_intf.S) = struct
   module Overflow = List_deque.Lockfree
@@ -136,7 +90,6 @@ module Make (D : Deque_intf.S) = struct
     c_spilled : int Atomic.t;
     c_drained : int Atomic.t;
     c_refilled : int Atomic.t;
-    c_max_ns : int Atomic.t;
   }
 
   let name = "policy[" ^ D.name ^ "]"
@@ -158,7 +111,6 @@ module Make (D : Deque_intf.S) = struct
       c_spilled = Dcas.Padding.make_atomic 0;
       c_drained = Dcas.Padding.make_atomic 0;
       c_refilled = Dcas.Padding.make_atomic 0;
-      c_max_ns = Dcas.Padding.make_atomic 0;
     }
 
   let stats t =
@@ -175,25 +127,19 @@ module Make (D : Deque_intf.S) = struct
         (match t.overflow with
         | None -> 0
         | Some o -> List.length (Overflow.unsafe_to_list o));
-      max_latency_ns = Atomic.get t.c_max_ns;
     }
 
-  let rec raise_max (c : int Atomic.t) ns =
-    let cur = Atomic.get c in
-    if ns > cur && not (Atomic.compare_and_set c cur ns) then raise_max c ns
-
-  let note_latency t ~t0 =
-    raise_max t.c_max_ns (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
-
   (* Deadline bookkeeping: [deadline] is a per-call budget in seconds,
-     measured from the call's entry.  [None] = no deadline. *)
+     measured from the call's entry at [t0].  [None] = no deadline, and
+     then the clock is never read. *)
+  let start = function None -> 0. | Some _ -> Unix.gettimeofday ()
+
   let expired ~t0 = function
     | None -> false
     | Some budget -> Unix.gettimeofday () -. t0 >= budget
 
-  let finish t ~t0 (counter : int Atomic.t) outcome =
+  let finish (counter : int Atomic.t) outcome =
     Atomic.incr counter;
-    note_latency t ~t0;
     outcome
 
   (* --- push --- *)
@@ -265,27 +211,27 @@ module Make (D : Deque_intf.S) = struct
     match push_primary t ~side v with
     | `Okay ->
         try_refill t ~side;
-        finish t ~t0 t.c_ok `Okay
+        finish t.c_ok `Okay
     | `Full -> (
         match t.full with
         | Spill -> (
             match push_overflow t ~side v with
             | `Okay ->
                 Atomic.incr t.c_spilled;
-                finish t ~t0 t.c_ok `Okay
+                finish t.c_ok `Okay
             | `Full ->
                 (* overflow allocation failed: genuine saturation *)
-                finish t ~t0 t.c_full `Full)
+                finish t.c_full `Full)
         | Reject | Retry _ ->
             let budgeted =
               match t.full with Retry { max_attempts } -> max_attempts | _ -> 1
             in
             if deadline <> None then
-              if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+              if expired ~t0 deadline then finish t.c_timeout `Timeout
               else begin
                 Atomic.incr t.c_retries;
                 let b = Dcas.Backoff.failed b in
-                if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+                if expired ~t0 deadline then finish t.c_timeout `Timeout
                 else push_from t ~t0 ~deadline ~side v (attempt + 1) b
               end
             else if attempt < budgeted then begin
@@ -293,11 +239,11 @@ module Make (D : Deque_intf.S) = struct
               push_from t ~t0 ~deadline ~side v (attempt + 1)
                 (Dcas.Backoff.failed b)
             end
-            else finish t ~t0 t.c_full `Full)
+            else finish t.c_full `Full)
 
   let push ?deadline t ~side v : push_outcome =
-    let t0 = Unix.gettimeofday () in
-    if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+    let t0 = start deadline in
+    if expired ~t0 deadline then finish t.c_timeout `Timeout
     else push_from t ~t0 ~deadline ~side v 1 Dcas.Backoff.idle
 
   (* --- pop --- *)
@@ -320,25 +266,25 @@ module Make (D : Deque_intf.S) = struct
     | `Value _ as got ->
         (* the pop freed one slot: prime it with a parked value *)
         try_refill t ~side;
-        finish t ~t0 t.c_ok got
+        finish t.c_ok got
     | `Empty -> (
         match pop_overflow t ~side with
         | `Value _ as got ->
             Atomic.incr t.c_drained;
-            finish t ~t0 t.c_ok got
+            finish t.c_ok got
         | `Empty ->
-            if deadline = None then finish t ~t0 t.c_empty `Empty
-            else if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+            if deadline = None then finish t.c_empty `Empty
+            else if expired ~t0 deadline then finish t.c_timeout `Timeout
             else begin
               Atomic.incr t.c_retries;
               let b = Dcas.Backoff.failed b in
-              if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+              if expired ~t0 deadline then finish t.c_timeout `Timeout
               else pop_from t ~t0 ~deadline ~side b
             end)
 
   let pop ?deadline t ~side : 'a pop_outcome =
-    let t0 = Unix.gettimeofday () in
-    if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
+    let t0 = start deadline in
+    if expired ~t0 deadline then finish t.c_timeout `Timeout
     else pop_from t ~t0 ~deadline ~side Dcas.Backoff.idle
 
   (* The four named operations of the deque vocabulary. *)

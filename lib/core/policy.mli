@@ -41,34 +41,9 @@ type stats = {
   spill_drained : int;  (** pops served from the overflow *)
   refilled : int;  (** parked values moved back into the primary *)
   overflow_size : int;  (** values currently parked in the overflow *)
-  max_latency_ns : int;  (** worst single completed call *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit
-
-(** A concurrent latency sketch for admission control (E25): log₂
-    nanosecond buckets under padded atomic counters.  Recording is a
-    single wait-free [Atomic.incr], cheap enough for every served
-    request; quantile reads fold the counters and return the bucket's
-    upper bound, so the tail is never underestimated by more than one
-    doubling.  Reads racing writes can miss in-flight increments —
-    acceptable for a shedding heuristic. *)
-module Lat : sig
-  type t
-
-  val create : unit -> t
-
-  val note : t -> ns:float -> unit
-  (** Record one observation of [ns] nanoseconds (negative or NaN
-      values land in the lowest bucket). *)
-
-  val count : t -> int
-  (** Observations recorded so far. *)
-
-  val quantile_ns : t -> float -> float
-  (** [quantile_ns t q] is an upper bound on the [q]-quantile of the
-      recorded observations in nanoseconds; [0.] when empty. *)
-end
 
 module Make (D : Deque_intf.S) : sig
   type side = [ `Left | `Right ]

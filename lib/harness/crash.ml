@@ -73,12 +73,17 @@ type dstate = {
   mutable tid : int;
   mutable die_at_publish : bool;
   mutable epoch : int;
-  mutable rng : Splitmix.t;
+  mutable rng : Dcas.Splitmix.t;
 }
 
 let key : dstate Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { tid = -1; die_at_publish = false; epoch = -1; rng = Splitmix.create ~seed:0 })
+      {
+        tid = -1;
+        die_at_publish = false;
+        epoch = -1;
+        rng = Dcas.Splitmix.create ~seed:0;
+      })
 
 let check_tid ~who tid =
   if tid < 0 || tid >= max_slots then
@@ -169,15 +174,15 @@ let rng_for (c : config) (d : dstate) =
   if d.epoch <> c.epoch then begin
     let slot = Atomic.fetch_and_add slots 1 in
     d.epoch <- c.epoch;
-    let s = Splitmix.create ~seed:c.seed in
+    let s = Dcas.Splitmix.create ~seed:c.seed in
     for _ = 0 to slot do
-      ignore (Splitmix.next_int64 s)
+      ignore (Dcas.Splitmix.next_int64 s)
     done;
-    d.rng <- Splitmix.split s
+    d.rng <- Dcas.Splitmix.split s
   end;
   d.rng
 
-let draw rng ppm = ppm > 0 && Splitmix.int rng ~bound:1_000_000 < ppm
+let draw rng ppm = ppm > 0 && Dcas.Splitmix.int rng ~bound:1_000_000 < ppm
 
 (* Claim one unit of the probabilistic kill budget. *)
 let rec claim_budget max_kills =

@@ -1,10 +1,9 @@
-(* Measurement helpers for the macro benchmarks: wall-clock timing and
-   a log-bucketed latency histogram.
-
-   Latency is recorded in batches (time a group of operations, divide)
-   because [Unix.gettimeofday]'s microsecond resolution is too coarse
-   for a single sub-microsecond deque operation; bechamel covers the
-   single-operation regime in experiment E4. *)
+(* Measurement helpers for the macro benchmarks: wall-clock timing,
+   per-thread fairness and throughput.  Latency distributions go to
+   Dcas.Histogram, recorded in batches (time a group of operations,
+   divide) because [Unix.gettimeofday]'s microsecond resolution is too
+   coarse for a single sub-microsecond deque operation; bechamel covers
+   the single-operation regime in experiment E4. *)
 
 let now = Unix.gettimeofday
 
@@ -12,49 +11,6 @@ let time f =
   let t0 = now () in
   let r = f () in
   (r, now () -. t0)
-
-(* Histogram over nanosecond latencies with 2x-wide buckets from 1ns to
-   ~1s: bucket i covers [2^i, 2^(i+1)) ns. *)
-module Histogram = struct
-  type t = { buckets : int array; mutable count : int; mutable sum_ns : float }
-
-  let nbuckets = 31
-
-  let create () = { buckets = Array.make nbuckets 0; count = 0; sum_ns = 0. }
-
-  let bucket_of_ns ns =
-    let ns = max 1 ns in
-    min (nbuckets - 1) (int_of_float (Float.log2 (float_of_int ns)))
-
-  let add t ~ns =
-    t.buckets.(bucket_of_ns ns) <- t.buckets.(bucket_of_ns ns) + 1;
-    t.count <- t.count + 1;
-    t.sum_ns <- t.sum_ns +. float_of_int ns
-
-  let merge a b =
-    let t = create () in
-    Array.iteri (fun i v -> t.buckets.(i) <- v + b.buckets.(i)) a.buckets;
-    t.count <- a.count + b.count;
-    t.sum_ns <- a.sum_ns +. b.sum_ns;
-    t
-
-  let mean_ns t = if t.count = 0 then 0. else t.sum_ns /. float_of_int t.count
-
-  (* Upper bound of the bucket containing the q-quantile. *)
-  let quantile_ns t q =
-    if t.count = 0 then 0.
-    else begin
-      let target = int_of_float (q *. float_of_int t.count) in
-      let rec walk i seen =
-        if i >= nbuckets then Float.pow 2. (float_of_int nbuckets)
-        else
-          let seen = seen + t.buckets.(i) in
-          if seen > target then Float.pow 2. (float_of_int (i + 1))
-          else walk (i + 1) seen
-      in
-      walk 0 0
-    end
-end
 
 (* Per-thread fairness: how unevenly did operations distribute over the
    workers?  A lock-free structure guarantees system-wide progress, not

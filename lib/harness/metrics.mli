@@ -1,28 +1,13 @@
-(** Wall-clock timing and a log-bucketed latency histogram.
-
-    Latency should be recorded in batches ([Unix.gettimeofday] is too
-    coarse for one sub-microsecond operation); bechamel covers the
-    single-operation regime (experiment E4). *)
+(** Wall-clock timing, per-thread fairness and throughput.  Latency
+    distributions go to {!Dcas.Histogram}, recorded in batches
+    ([Unix.gettimeofday] is too coarse for one sub-microsecond
+    operation); bechamel covers the single-operation regime
+    (experiment E4). *)
 
 val now : unit -> float
 
 val time : (unit -> 'a) -> 'a * float
 (** Result and elapsed seconds. *)
-
-module Histogram : sig
-  (** Buckets of width 2x from 1ns to ~1s: bucket [i] covers
-      [2^i, 2^(i+1)) nanoseconds. *)
-
-  type t
-
-  val create : unit -> t
-  val add : t -> ns:int -> unit
-  val merge : t -> t -> t
-  val mean_ns : t -> float
-
-  val quantile_ns : t -> float -> float
-  (** Upper bound of the bucket containing the given quantile. *)
-end
 
 module Starvation : sig
   (** Per-thread fairness of a multi-domain run: lock-freedom

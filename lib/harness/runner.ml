@@ -32,8 +32,8 @@ let run ?(seed = 0x5EED) ?watchdog ~threads ~duration body =
   let stop = Atomic.make false in
   let started = Atomic.make 0 in
   let per_thread = Array.make threads 0 in
-  let master = Splitmix.create ~seed in
-  let rngs = Array.init threads (fun _ -> Splitmix.split master) in
+  let master = Dcas.Splitmix.create ~seed in
+  let rngs = Array.init threads (fun _ -> Dcas.Splitmix.split master) in
   let tick =
     match watchdog with
     | None -> fun ~tid:_ -> ()
@@ -78,8 +78,8 @@ let run ?(seed = 0x5EED) ?watchdog ~threads ~duration body =
 let run_fixed ?(seed = 0x5EED) ?watchdog ~threads ~iters body =
   if threads < 1 then invalid_arg "Runner.run_fixed: threads must be >= 1";
   let started = Atomic.make 0 in
-  let master = Splitmix.create ~seed in
-  let rngs = Array.init threads (fun _ -> Splitmix.split master) in
+  let master = Dcas.Splitmix.create ~seed in
+  let rngs = Array.init threads (fun _ -> Dcas.Splitmix.split master) in
   let tick =
     match watchdog with
     | None -> fun ~tid:_ -> ()

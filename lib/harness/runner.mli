@@ -26,7 +26,7 @@ val run :
   ?watchdog:Watchdog.t ->
   threads:int ->
   duration:float ->
-  (tid:int -> rng:Splitmix.t -> unit) ->
+  (tid:int -> rng:Dcas.Splitmix.t -> unit) ->
   result
 (** Each domain evaluates the body (one logical operation per call)
     repeatedly until [duration] elapses.  Per-thread RNG streams derive
@@ -45,7 +45,7 @@ val run_fixed :
   ?watchdog:Watchdog.t ->
   threads:int ->
   iters:int ->
-  (tid:int -> rng:Splitmix.t -> i:int -> unit) ->
+  (tid:int -> rng:Dcas.Splitmix.t -> i:int -> unit) ->
   float
 (** Every thread performs exactly [iters] operations; returns the
     elapsed wall-clock seconds.  Used where operation counts must

@@ -59,10 +59,12 @@ let validate ws =
    alignment is what deserves fuzzing. *)
 let jittered ~seed ~jitter ws =
   if not (jitter >= 0.) then invalid_arg "Storm.jittered: jitter must be >= 0";
-  let rng = Splitmix.create ~seed in
+  let rng = Dcas.Splitmix.create ~seed in
   List.map
     (fun w ->
-      let u = float_of_int (Splitmix.int rng ~bound:2001 - 1000) /. 1000. in
+      let u =
+        float_of_int (Dcas.Splitmix.int rng ~bound:2001 - 1000) /. 1000.
+      in
       { w with at = Float.max 0. (w.at +. (u *. jitter)) })
     ws
 

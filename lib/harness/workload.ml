@@ -28,7 +28,7 @@ let total m = m.w_push_right + m.w_push_left + m.w_pop_right + m.w_pop_left
 let draw m rng =
   let t = total m in
   if t <= 0 then invalid_arg "Workload.draw: empty mix";
-  let x = Splitmix.int rng ~bound:t in
+  let x = Dcas.Splitmix.int rng ~bound:t in
   if x < m.w_push_right then Push_right
   else if x < m.w_push_right + m.w_push_left then Push_left
   else if x < m.w_push_right + m.w_push_left + m.w_pop_right then Pop_right

@@ -21,7 +21,7 @@ val lifo_right : mix
 val fifo : mix
 (** Queue usage: push right, pop left. *)
 
-val draw : mix -> Splitmix.t -> kind
+val draw : mix -> Dcas.Splitmix.t -> kind
 (** @raise Invalid_argument on an all-zero mix. *)
 
 val apply :
@@ -30,7 +30,7 @@ val apply :
   pop_right:(unit -> [ `Value of int | `Empty ]) ->
   pop_left:(unit -> [ `Value of int | `Empty ]) ->
   mix ->
-  Splitmix.t ->
+  Dcas.Splitmix.t ->
   int ->
   bool
 (** Draw one operation and apply it; [true] if it succeeded (push okay

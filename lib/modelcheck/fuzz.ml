@@ -22,7 +22,7 @@
    the (shrunk) thread scripts and the exact decision sequence, so the
    failure reproduces byte-for-byte from the CLI or a test.
 
-   Everything is driven by Harness.Splitmix: same seed, same runs, same
+   Everything is driven by Dcas.Splitmix: same seed, same runs, same
    verdict. *)
 
 type strategy = Uniform | Pct of int  (* priority change-point depth d >= 1 *)
@@ -176,11 +176,11 @@ let replay ?(max_steps = 100_000) scenario ~token =
 (* --- the two schedule families --- *)
 
 let uniform_decide rng _depth enabled =
-  Harness.Splitmix.int rng ~bound:(List.length enabled)
+  Dcas.Splitmix.int rng ~bound:(List.length enabled)
 
 let shuffle rng a =
   for i = Array.length a - 1 downto 1 do
-    let j = Harness.Splitmix.int rng ~bound:(i + 1) in
+    let j = Dcas.Splitmix.int rng ~bound:(i + 1) in
     let t = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- t
@@ -195,7 +195,7 @@ let pct_decide rng ~n ~depth ~horizon =
   shuffle rng prios;
   let changes =
     Array.init (max 0 (depth - 1)) (fun _ ->
-        Harness.Splitmix.int rng ~bound:(max 1 horizon))
+        Dcas.Splitmix.int rng ~bound:(max 1 horizon))
   in
   let step = ref 0 in
   fun _depth enabled ->
@@ -318,7 +318,7 @@ let minimize ~max_steps scenario (f0 : failure) =
 
 let run ?(max_steps = 100_000) ?(shrink = true) ?watchdog ~runs ~seed
     ~strategy scenario =
-  let master = Harness.Splitmix.create ~seed in
+  let master = Dcas.Splitmix.create ~seed in
   let n = Array.length scenario.Scenario.threads in
   let horizon =
     match strategy with
@@ -352,7 +352,7 @@ let run ?(max_steps = 100_000) ?(shrink = true) ?watchdog ~runs ~seed
     if k > runs then
       { budget = runs; executed = runs; strategy; seed; violation = None }
     else
-      let rng = Harness.Splitmix.split master in
+      let rng = Dcas.Splitmix.split master in
       match
         let r = run_one ~max_steps scenario (mk_decide rng) in
         tick k;

@@ -62,7 +62,7 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
   and ctx = {
     pool : pool;
     worker : int;
-    rng : Harness.Splitmix.t;
+    rng : Dcas.Splitmix.t;
     ws : wstate;
   }
 
@@ -134,7 +134,7 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     let n = ctx.pool.workers in
     if n <= 1 then []
     else begin
-      let start = Harness.Splitmix.int ctx.rng ~bound:n in
+      let start = Dcas.Splitmix.int ctx.rng ~bound:n in
       let rec go k =
         if k >= n then []
         else
@@ -234,14 +234,14 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
 
   let run ?(seed = 0xD0E5) ?(steal_batch = 8) ~workers ~capacity root =
     check_args ~who:"run" ~workers ~steal_batch;
-    let master = Harness.Splitmix.create ~seed in
+    let master = Dcas.Splitmix.create ~seed in
     let pool = make_pool ~workers ~capacity ~steal_max:steal_batch () in
     let ctxs =
       Array.init workers (fun worker ->
           {
             pool;
             worker;
-            rng = Harness.Splitmix.split master;
+            rng = Dcas.Splitmix.split master;
             ws = make_wstate ~slot:worker ~born:0;
           })
     in
@@ -289,7 +289,7 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     let born = Atomic.get pool.epochs.(slot) in
     let ws = make_wstate ~slot ~born in
     let ctx =
-      { pool; worker = slot; rng = Harness.Splitmix.split rng; ws }
+      { pool; worker = slot; rng = Dcas.Splitmix.split rng; ws }
     in
     let d =
       Domain.spawn (fun () ->
@@ -405,7 +405,7 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
       ?(config = Supervisor.default) ?watchdog ~workers ~capacity root =
     check_args ~who:"run_supervised" ~workers ~steal_batch;
     Supervisor.validate config;
-    let master = Harness.Splitmix.create ~seed in
+    let master = Dcas.Splitmix.create ~seed in
     let pool =
       make_pool ?wd:watchdog ~workers ~capacity ~steal_max:steal_batch ()
     in
@@ -414,7 +414,7 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
           {
             pool;
             worker;
-            rng = Harness.Splitmix.split master;
+            rng = Dcas.Splitmix.split master;
             ws = make_wstate ~slot:worker ~born:0;
           })
     in
@@ -428,7 +428,7 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
           (d, { ws = ctx.ws; domain = None; last_ticks = 0; last_move = t0 }))
     in
     let worker_domains = List.map fst initial in
-    let sup_rng = Harness.Splitmix.split master in
+    let sup_rng = Dcas.Splitmix.split master in
     let sup =
       Domain.spawn (fun () ->
           supervise pool config ~rng:sup_rng

@@ -261,10 +261,10 @@ module Make (D : Deque.Deque_intf.S) = struct
      [`Timeout] outcome. *)
   let produce st ws ~on_push ~rng value =
     let cfg = st.cfg in
-    let key = Harness.Splitmix.int rng ~bound:cfg.key_space in
+    let key = Dcas.Splitmix.int rng ~bound:cfg.key_space in
     let urgent =
       cfg.urgent_share > 0.
-      && Harness.Splitmix.int rng ~bound:10_000
+      && Dcas.Splitmix.int rng ~bound:10_000
          < int_of_float (cfg.urgent_share *. 10_000.)
     in
     Atomic.set ws.busy true;
@@ -315,7 +315,7 @@ module Make (D : Deque.Deque_intf.S) = struct
   let producer_loop st ws ~on_push =
     let cfg = st.cfg in
     let rng =
-      Harness.Splitmix.create ~seed:(cfg.seed + (ws.slot * 7919) + 1)
+      Dcas.Splitmix.create ~seed:(cfg.seed + (ws.slot * 7919) + 1)
     in
     let t_start = Unix.gettimeofday () in
     let sent = ref 0 in
@@ -403,7 +403,7 @@ module Make (D : Deque.Deque_intf.S) = struct
               (* the sojourn estimate must see the whole tail, shed
                  requests included — they ARE the tail *)
               S.note_sojourn st.service ~shard:it.home
-                ~ns:((now -. it.enq) *. 1e9);
+                ~ns:(int_of_float ((now -. it.enq) *. 1e9));
               if now >= it.expiry then begin
                 (* expired in queue: shed at dequeue — the op resolves
                    as a first-class timeout, its unit stays spawned *)

@@ -36,7 +36,7 @@ module type SCHEDULER = sig
   val worker : ctx -> int
   (** Index of the worker currently running the task. *)
 
-  val rng : ctx -> Harness.Splitmix.t
+  val rng : ctx -> Dcas.Splitmix.t
   (** The worker's deterministic RNG stream. *)
 
   val spawn : ctx -> (ctx -> unit) -> unit

@@ -178,7 +178,7 @@ let stress_conservation ?seed ?watchdog ?(per_op = fun ~tid:_ ~i:_ -> ()) impl
     Harness.Runner.run_fixed ?seed ?watchdog ~threads ~iters
       (fun ~tid ~rng ~i ->
         per_op ~tid ~i;
-        match Harness.Splitmix.int rng ~bound:4 with
+        match Dcas.Splitmix.int rng ~bound:4 with
         | 0 ->
             if h.apply (Op.Push_right (encode tid i)) = Op.Okay then
               Hashtbl.replace pushed.(tid) (encode tid i) ()
@@ -242,8 +242,8 @@ let stress_conservation ?seed ?watchdog ?(per_op = fun ~tid:_ ~i:_ -> ()) impl
 let record_round impl ~threads ~ops_per_thread ~capacity ~seed =
   let h = impl.fresh ~capacity in
   let recorder = Spec.History.Recorder.create ~threads in
-  let master = Harness.Splitmix.create ~seed in
-  let rngs = Array.init threads (fun _ -> Harness.Splitmix.split master) in
+  let master = Dcas.Splitmix.create ~seed in
+  let rngs = Array.init threads (fun _ -> Dcas.Splitmix.split master) in
   let started = Atomic.make 0 in
   let worker tid () =
     let rng = rngs.(tid) in
@@ -253,7 +253,7 @@ let record_round impl ~threads ~ops_per_thread ~capacity ~seed =
     done;
     for i = 1 to ops_per_thread do
       let op =
-        match Harness.Splitmix.int rng ~bound:4 with
+        match Dcas.Splitmix.int rng ~bound:4 with
         | 0 -> Op.Push_right ((tid * 1000) + i)
         | 1 -> Op.Push_left ((tid * 1000) + i)
         | 2 -> Op.Pop_right

@@ -134,9 +134,9 @@ let test_invalid_length () =
    semantics. *)
 let test_hints_equivalence () =
   let ops =
-    let rng = Harness.Splitmix.create ~seed:99 in
+    let rng = Dcas.Splitmix.create ~seed:99 in
     List.init 500 (fun i ->
-        match Harness.Splitmix.int rng ~bound:4 with
+        match Dcas.Splitmix.int rng ~bound:4 with
         | 0 -> Op.Push_right i
         | 1 -> Op.Push_left i
         | 2 -> Op.Pop_right
@@ -307,12 +307,12 @@ let test_batched_lockfree_agrees () =
   let module L = Deque.Array_deque.Lockfree in
   let d = L.make ~length:5 () in
   let r = A.make ~length:5 () in
-  let rng = Harness.Splitmix.create ~seed:4242 in
+  let rng = Dcas.Splitmix.create ~seed:4242 in
   for i = 1 to 400 do
-    let k = Harness.Splitmix.int rng ~bound:4 in
+    let k = Dcas.Splitmix.int rng ~bound:4 in
     let vs = List.init k (fun j -> (10 * i) + j) in
     let agree =
-      match Harness.Splitmix.int rng ~bound:4 with
+      match Dcas.Splitmix.int rng ~bound:4 with
       | 0 -> L.push_many_right d vs = ref_push_many A.push_right r vs
       | 1 -> L.push_many_left d vs = ref_push_many A.push_left r vs
       | 2 -> L.pop_many_right d k = ref_pop_many A.pop_right r k

@@ -147,7 +147,7 @@ let storm () =
     Harness.Runner.run ~seed:0xE22 ~watchdog:wd ~threads ~duration:0.3
       (fun ~tid ~rng ->
         Crash.enroll ~tid;
-        if Harness.Splitmix.int rng ~bound:2 = 0 then begin
+        if Dcas.Splitmix.int rng ~bound:2 = 0 then begin
           match C_array.push_right d tid with
           | `Okay -> pushes.(tid) <- pushes.(tid) + 1
           | `Full -> ()

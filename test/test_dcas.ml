@@ -108,10 +108,10 @@ let transfer_test (module M : MEM) () =
   let a = M.make 1000 and b = M.make 1000 in
   let iters = 20_000 in
   let worker seed () =
-    let rng = Harness.Splitmix.create ~seed in
+    let rng = Dcas.Splitmix.create ~seed in
     for _ = 1 to iters do
-      let amount = 1 + Harness.Splitmix.int rng ~bound:5 in
-      let flip = Harness.Splitmix.bool rng in
+      let amount = 1 + Dcas.Splitmix.int rng ~bound:5 in
+      let flip = Dcas.Splitmix.bool rng in
       let rec attempt () =
         let va = M.get a and vb = M.get b in
         let ok =
@@ -235,10 +235,10 @@ let casn_tests =
         (* four counters, transfers across a random pair via casn *)
         let locs = Array.init 4 (fun _ -> M.make 100) in
         let worker seed () =
-          let rng = Harness.Splitmix.create ~seed in
+          let rng = Dcas.Splitmix.create ~seed in
           for _ = 1 to 10_000 do
-            let i = Harness.Splitmix.int rng ~bound:4 in
-            let j = (i + 1 + Harness.Splitmix.int rng ~bound:3) mod 4 in
+            let i = Dcas.Splitmix.int rng ~bound:4 in
+            let j = (i + 1 + Dcas.Splitmix.int rng ~bound:3) mod 4 in
             let rec attempt () =
               let vi = M.get locs.(i) and vj = M.get locs.(j) in
               if
@@ -569,14 +569,14 @@ let dcas2_tests =
             with_dcas2 flag (fun () ->
                 let la = M.make 0 and lb = M.make 100 in
                 let sa = S.make 0 and sb = S.make 100 in
-                let rng = Harness.Splitmix.create ~seed:(Bool.to_int flag) in
+                let rng = Dcas.Splitmix.create ~seed:(Bool.to_int flag) in
                 for _ = 1 to 2_000 do
-                  let o1 = Harness.Splitmix.int rng ~bound:4 in
-                  let o2 = 100 + Harness.Splitmix.int rng ~bound:4 in
-                  let n1 = Harness.Splitmix.int rng ~bound:4 in
-                  let n2 = 100 + Harness.Splitmix.int rng ~bound:4 in
+                  let o1 = Dcas.Splitmix.int rng ~bound:4 in
+                  let o2 = 100 + Dcas.Splitmix.int rng ~bound:4 in
+                  let n1 = Dcas.Splitmix.int rng ~bound:4 in
+                  let n2 = 100 + Dcas.Splitmix.int rng ~bound:4 in
                   let lr, sr =
-                    if Harness.Splitmix.bool rng then
+                    if Dcas.Splitmix.bool rng then
                       ( M.casn [ M.Cass (la, o1, n1); M.Cass (lb, o2, n2) ],
                         S.casn [ S.Cass (sa, o1, n1); S.Cass (sb, o2, n2) ] )
                     else (M.dcas la lb o1 o2 n1 n2, S.dcas sa sb o1 o2 n1 n2)

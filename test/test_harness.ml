@@ -4,41 +4,41 @@
    benchmark number in EXPERIMENTS.md, so it gets its own checks. *)
 
 let test_splitmix_determinism () =
-  let a = Harness.Splitmix.create ~seed:123 in
-  let b = Harness.Splitmix.create ~seed:123 in
+  let a = Dcas.Splitmix.create ~seed:123 in
+  let b = Dcas.Splitmix.create ~seed:123 in
   for _ = 1 to 100 do
     Alcotest.(check int64)
-      "same stream" (Harness.Splitmix.next_int64 a)
-      (Harness.Splitmix.next_int64 b)
+      "same stream" (Dcas.Splitmix.next_int64 a)
+      (Dcas.Splitmix.next_int64 b)
   done
 
 let test_splitmix_split_independent () =
-  let master = Harness.Splitmix.create ~seed:7 in
-  let s1 = Harness.Splitmix.split master in
-  let s2 = Harness.Splitmix.split master in
+  let master = Dcas.Splitmix.create ~seed:7 in
+  let s1 = Dcas.Splitmix.split master in
+  let s2 = Dcas.Splitmix.split master in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Harness.Splitmix.next_int64 s1 = Harness.Splitmix.next_int64 s2 then
+    if Dcas.Splitmix.next_int64 s1 = Dcas.Splitmix.next_int64 s2 then
       incr same
   done;
   Alcotest.(check int) "split streams differ" 0 !same
 
 let test_splitmix_bounds () =
-  let rng = Harness.Splitmix.create ~seed:5 in
+  let rng = Dcas.Splitmix.create ~seed:5 in
   for _ = 1 to 10_000 do
-    let v = Harness.Splitmix.int rng ~bound:7 in
+    let v = Dcas.Splitmix.int rng ~bound:7 in
     if v < 0 || v >= 7 then Alcotest.failf "out of range: %d" v
   done;
   Alcotest.check_raises "bound 0"
     (Invalid_argument "Splitmix.int: bound must be positive") (fun () ->
-      ignore (Harness.Splitmix.int rng ~bound:0))
+      ignore (Dcas.Splitmix.int rng ~bound:0))
 
 let test_splitmix_uniformish () =
-  let rng = Harness.Splitmix.create ~seed:11 in
+  let rng = Dcas.Splitmix.create ~seed:11 in
   let counts = Array.make 4 0 in
   let n = 40_000 in
   for _ = 1 to n do
-    let v = Harness.Splitmix.int rng ~bound:4 in
+    let v = Dcas.Splitmix.int rng ~bound:4 in
     counts.(v) <- counts.(v) + 1
   done;
   Array.iteri
@@ -76,28 +76,104 @@ let test_table_formats () =
   Alcotest.(check string) "us" "1.50us" (Harness.Table.ns 1500.);
   Alcotest.(check string) "ratio" "2.00x" (Harness.Table.ratio 2.0)
 
-let test_histogram () =
-  let h = Harness.Metrics.Histogram.create () in
-  List.iter
-    (fun ns -> Harness.Metrics.Histogram.add h ~ns)
-    [ 100; 100; 100; 100; 100; 100; 100; 100; 100; 10_000 ];
-  let mean = Harness.Metrics.Histogram.mean_ns h in
-  Alcotest.(check bool) "mean near 1090" true (abs_float (mean -. 1090.) < 1.);
-  let p50 = Harness.Metrics.Histogram.quantile_ns h 0.5 in
-  Alcotest.(check bool) "p50 bucket covers 100ns" true (p50 <= 256.);
-  let p99 = Harness.Metrics.Histogram.quantile_ns h 0.99 in
-  Alcotest.(check bool) "p99 bucket covers 10us" true (p99 >= 8192.)
+module H = Dcas.Histogram
 
-let test_histogram_merge () =
-  let a = Harness.Metrics.Histogram.create () in
-  let b = Harness.Metrics.Histogram.create () in
-  Harness.Metrics.Histogram.add a ~ns:10;
-  Harness.Metrics.Histogram.add b ~ns:1000;
-  let m = Harness.Metrics.Histogram.merge a b in
-  Alcotest.(check bool) "count 2" true (Harness.Metrics.Histogram.mean_ns m = 505.)
+let test_histogram () =
+  let h = H.create () in
+  List.iter (H.record h)
+    [ 100; 100; 100; 100; 100; 100; 100; 100; 100; 10_000 ];
+  Alcotest.(check int) "count" 10 (H.count h);
+  let p50 = H.quantile h 0.5 and p99 = H.quantile h 0.99 in
+  Alcotest.(check bool) (Printf.sprintf "p50 %.0f bounds 100ns" p50) true
+    (p50 >= 100. && p50 <= 100. *. (1. +. (1. /. 32.)));
+  Alcotest.(check bool) (Printf.sprintf "p99 %.0f bounds 10us" p99) true
+    (p99 >= 10_000. && p99 <= 10_000. *. (1. +. (1. /. 32.)));
+  let w0 = Gc.minor_words () in
+  for v = 0 to 9_999 do
+    H.record h (v * 7_919)
+  done;
+  Alcotest.(check (float 0.)) "recording allocates nothing" 0.
+    (Gc.minor_words () -. w0)
+
+(* One histogram shared by every domain: recording is a single atomic
+   increment, so no record is lost to a race. *)
+let test_histogram_shared () =
+  let h = H.create () in
+  let per_domain = 100_000 in
+  let worker d () =
+    for i = 1 to per_domain do
+      H.record h ((i * (d + 1)) land 0xFFFFF)
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun d -> Domain.spawn (worker d)));
+  Alcotest.(check int) "exact total" (4 * per_domain) (H.count h)
+
+let test_histogram_overflow_and_empty () =
+  let h = H.create () in
+  Alcotest.(check bool) "empty reads nan" true
+    (Float.is_nan (H.quantile h 0.5));
+  H.record h ((1 lsl 36) - 1);
+  Alcotest.(check (float 0.)) "top of range is a number"
+    (float_of_int ((1 lsl 36) - 1))
+    (H.quantile h 1.);
+  for _ = 1 to 97 do
+    H.record h 1_000
+  done;
+  H.record h (1 lsl 36);
+  H.record h 100_000_000_000;
+  Alcotest.(check int) "overflow counted" 100 (H.count h);
+  Alcotest.(check bool) "p50 in range" true
+    (Float.is_finite (H.quantile h 0.5));
+  Alcotest.(check (float 0.)) "p99 reads overflow" infinity (H.quantile h 0.99)
+
+(* The soaks' old linear histogram clamped everything past 65 536 x 500ns
+   and read a 40ms tail as 32.768ms. *)
+let test_histogram_tail_not_clipped () =
+  let h = H.create () in
+  H.record h 40_000_000;
+  Alcotest.(check bool) "p99 >= 40ms" true (H.quantile h 0.99 >= 40e6)
+
+(* Samples from 1ns to 60s, spread evenly over the octaves. *)
+let samples_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 300)
+      (let* e = int_range 0 35 in
+       let* m = int_range 0 ((1 lsl e) - 1) in
+       return (min 60_000_000_000 ((1 lsl e) + m))))
+
+let quantiles = [ 0.; 0.001; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999; 1. ]
+
+let qcheck_histogram_bound =
+  QCheck2.Test.make ~name:"quantile within 1/32 above nearest rank"
+    ~count:300 samples_gen (fun samples ->
+      let h = H.create () in
+      List.iter (H.record h) samples;
+      let sorted = Array.of_list (List.sort compare samples) in
+      let n = Array.length sorted in
+      List.for_all
+        (fun q ->
+          let rank =
+            max 1 (min n (int_of_float (Float.ceil (q *. float_of_int n))))
+          in
+          let v = float_of_int sorted.(rank - 1) and u = H.quantile h q in
+          v <= u && u <= v *. (1. +. (1. /. 32.)))
+        quantiles)
+
+let qcheck_histogram_monotone =
+  QCheck2.Test.make ~name:"quantiles monotone in q" ~count:300
+    QCheck2.Gen.(
+      pair samples_gen (list_size (int_range 2 20) (float_bound_inclusive 1.)))
+    (fun (samples, qs) ->
+      let h = H.create () in
+      List.iter (H.record h) samples;
+      let us = List.map (H.quantile h) (List.sort compare qs) in
+      fst
+        (List.fold_left
+           (fun (ok, prev) u -> (ok && prev <= u, u))
+           (true, 0.) us))
 
 let test_workload_mix () =
-  let rng = Harness.Splitmix.create ~seed:3 in
+  let rng = Dcas.Splitmix.create ~seed:3 in
   let counts = Hashtbl.create 4 in
   let bump k = Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)) in
   for _ = 1 to 10_000 do
@@ -112,7 +188,7 @@ let test_workload_mix () =
     (pushes > 2 * pops)
 
 let test_workload_right_only () =
-  let rng = Harness.Splitmix.create ~seed:4 in
+  let rng = Dcas.Splitmix.create ~seed:4 in
   for _ = 1 to 1_000 do
     match Harness.Workload.draw Harness.Workload.right_only rng with
     | Harness.Workload.Push_right | Harness.Workload.Pop_right -> ()
@@ -477,7 +553,14 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
+          Alcotest.test_case "histogram shared across domains" `Quick
+            test_histogram_shared;
+          Alcotest.test_case "histogram overflow and empty" `Quick
+            test_histogram_overflow_and_empty;
+          Alcotest.test_case "histogram 40ms tail not clipped" `Quick
+            test_histogram_tail_not_clipped;
+          QCheck_alcotest.to_alcotest qcheck_histogram_bound;
+          QCheck_alcotest.to_alcotest qcheck_histogram_monotone;
         ] );
       ( "workload",
         [

@@ -141,9 +141,9 @@ let test_allocator_semantics () =
 (* Mixed random single-threaded churn keeps the invariant. *)
 let test_churn_invariant () =
   let d = L.make () in
-  let rng = Harness.Splitmix.create ~seed:7 in
+  let rng = Dcas.Splitmix.create ~seed:7 in
   for i = 1 to 2000 do
-    (match Harness.Splitmix.int rng ~bound:4 with
+    (match Dcas.Splitmix.int rng ~bound:4 with
     | 0 -> ignore (L.push_right d i)
     | 1 -> ignore (L.push_left d i)
     | 2 -> ignore (L.pop_right d)

@@ -60,10 +60,10 @@ let test_empty_states () =
 let test_equivalent_to_deleted_bit () =
   let d1 = D.make () in
   let d2 = B.make () in
-  let rng = Harness.Splitmix.create ~seed:21 in
+  let rng = Dcas.Splitmix.create ~seed:21 in
   for i = 1 to 3000 do
     let check_eq a b = if a <> b then Alcotest.failf "divergence at op %d" i in
-    match Harness.Splitmix.int rng ~bound:4 with
+    match Dcas.Splitmix.int rng ~bound:4 with
     | 0 -> check_eq (D.push_right d1 i = `Okay) (B.push_right d2 i = `Okay)
     | 1 -> check_eq (D.push_left d1 i = `Okay) (B.push_left d2 i = `Okay)
     | 2 -> check_eq (D.pop_right d1) (B.pop_right d2)

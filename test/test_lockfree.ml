@@ -232,8 +232,8 @@ let run_frozen ?watchdog ~threads ~time_budget op =
   Harness.Stall.Freezer.reset ();
   let stop = Atomic.make false in
   let counts = Array.init threads (fun _ -> Atomic.make 0) in
-  let master = Harness.Splitmix.create ~seed:0xF0E1 in
-  let rngs = Array.init threads (fun _ -> Harness.Splitmix.split master) in
+  let master = Dcas.Splitmix.create ~seed:0xF0E1 in
+  let rngs = Array.init threads (fun _ -> Dcas.Splitmix.split master) in
   let worker tid () =
     Harness.Stall.Freezer.enroll ~tid;
     let rng = rngs.(tid) in
@@ -289,9 +289,9 @@ let run_frozen ?watchdog ~threads ~time_budget op =
 
 (* A balanced op mix over both ends, from the worker's own stream. *)
 let mixed_op ~push_right ~push_left ~pop_right ~pop_left ~tid ~rng =
-  match Harness.Splitmix.int rng ~bound:4 with
-  | 0 -> ignore (push_right ((tid * 1_000_000) + Harness.Splitmix.int rng ~bound:1000))
-  | 1 -> ignore (push_left ((tid * 1_000_000) + Harness.Splitmix.int rng ~bound:1000))
+  match Dcas.Splitmix.int rng ~bound:4 with
+  | 0 -> ignore (push_right ((tid * 1_000_000) + Dcas.Splitmix.int rng ~bound:1000))
+  | 1 -> ignore (push_left ((tid * 1_000_000) + Dcas.Splitmix.int rng ~bound:1000))
   | 2 -> ignore (pop_right ())
   | _ -> ignore (pop_left ())
 

@@ -263,9 +263,7 @@ let test_policy_deadline_under_chaos () =
       let s = PC.stats d in
       Alcotest.(check int) "timeouts counted" 2 s.Deque.Policy.timeouts;
       Alcotest.(check bool) "deadline ops retried underneath" true
-        (s.Deque.Policy.retries > 0);
-      Alcotest.(check bool) "worst-case latency recorded" true
-        (s.Deque.Policy.max_latency_ns > 0))
+        (s.Deque.Policy.retries > 0))
 
 (* Spill under real contention: many domains push past capacity and pop
    concurrently; the primary + overflow chain must conserve values.

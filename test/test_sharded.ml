@@ -366,6 +366,34 @@ let test_deadline_sheds_conserve () =
   Alcotest.(check bool) "no served op finished far past its deadline" true
     (r.Svc.overshoot_max_ns <= 50_000_000)
 
+(* --- admission control --- *)
+
+let test_admission () =
+  let t = Sh.create ~shards:2 ~capacity:8 () in
+  let key = 0 in
+  let shard = Sh.shard_of t ~key in
+  for _ = 1 to 31 do
+    Sh.note_sojourn t ~shard ~ns:1_000_000
+  done;
+  Alcotest.(check (option (float 0.))) "no estimate below 32 observations"
+    None (Sh.sojourn_p99_ns t ~shard);
+  Alcotest.(check bool) "cold start admits" true
+    (Sh.admit t ~key ~budget:0.0005);
+  for _ = 32 to 100 do
+    Sh.note_sojourn t ~shard ~ns:1_000_000
+  done;
+  (match Sh.sojourn_p99_ns t ~shard with
+  | None -> Alcotest.fail "no estimate after 100 observations"
+  | Some p99 ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p99 %.0fns within [1ms, 1.032ms]" p99)
+        true
+        (p99 >= 1e6 && p99 <= 1.032e6));
+  Alcotest.(check bool) "2ms budget admitted" true
+    (Sh.admit t ~key ~budget:0.002);
+  Alcotest.(check bool) "0.5ms budget refused" false
+    (Sh.admit t ~key ~budget:0.0005)
+
 let () =
   let tiered = Test_support.tiered in
   Alcotest.run "sharded"
@@ -389,6 +417,7 @@ let () =
             test_steal_rebalancing;
           Alcotest.test_case "quarantine and adoption" `Quick
             test_adoption;
+          Alcotest.test_case "p99 sojourn admission" `Quick test_admission;
         ] );
       ( "supervised service",
         [

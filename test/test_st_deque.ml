@@ -68,9 +68,9 @@ let test_sequential_mark_states () =
 (* Mixed random single-threaded churn keeps the invariant. *)
 let test_churn_invariant () =
   let d = St.make () in
-  let rng = Harness.Splitmix.create ~seed:11 in
+  let rng = Dcas.Splitmix.create ~seed:11 in
   for i = 1 to 2000 do
-    (match Harness.Splitmix.int rng ~bound:4 with
+    (match Dcas.Splitmix.int rng ~bound:4 with
     | 0 -> ignore (St.push_right d i)
     | 1 -> ignore (St.push_left d i)
     | 2 -> ignore (St.pop_right d)
