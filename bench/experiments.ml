@@ -1511,6 +1511,7 @@ let e22 ~quick =
   let degree = 3 in
   let leaves = int_of_float (float_of_int degree ** float_of_int depth) in
   let kill_depth = depth - 2 in
+  let steal_batch = 8 in
   (* One supervised run over the crash-instrumented array deque; the
      caller arms the deaths (targeted tickets or a probabilistic
      storm) via [arm], which receives the worker count. *)
@@ -1533,9 +1534,13 @@ let e22 ~quick =
     in
     let wd = Harness.Watchdog.create ~threads:workers ~stall_after:30. () in
     let t0 = Unix.gettimeofday () in
-    let r = Crash_sched.run_supervised ~workers ~capacity:512 ~watchdog:wd root in
+    let r =
+      Crash_sched.run_supervised ~steal_batch ~workers ~capacity:512
+        ~watchdog:wd root
+    in
     let dt = Unix.gettimeofday () -. t0 in
     Harness.Crash.disarm ();
+    let leaves_seen = Atomic.get counter in
     let stalled = if Harness.Watchdog.fired wd then 1 else 0 in
     let ok = if Worksteal.Supervisor.conserved r then 1 else 0 in
     let open Worksteal.Supervisor in
@@ -1551,16 +1556,19 @@ let e22 ~quick =
            ("spawned", Harness.Json.Int r.spawned);
            ("executed", Harness.Json.Int r.executed);
            ("killed", Harness.Json.Int r.killed);
+           ("presumed_dead", Harness.Json.Int r.presumed_dead);
            ("adopted", Harness.Json.Int r.adopted);
            ("reconciled", Harness.Json.Int r.reconciled);
            ("replacements", Harness.Json.Int r.replacements);
+           ("steal_batch", Harness.Json.Int steal_batch);
+           ("leaves", Harness.Json.Int leaves);
+           ("leaves_seen", Harness.Json.Int leaves_seen);
            ("orphans_helped", Harness.Json.Int r.orphans_helped);
            ( "mid_casn_kills",
              Harness.Json.Int (Harness.Crash.mid_casn_kills ()) );
            ("conserved", Harness.Json.Int ok);
            ("stalled", Harness.Json.Int stalled);
          ]);
-    let leaves_seen = Atomic.get counter in
     [
       label;
       string_of_int workers;
@@ -1568,6 +1576,7 @@ let e22 ~quick =
       string_of_int r.spawned;
       string_of_int r.executed;
       string_of_int r.killed;
+      string_of_int r.presumed_dead;
       string_of_int r.adopted;
       string_of_int r.reconciled;
       string_of_int r.orphans_helped;
@@ -1625,8 +1634,8 @@ let e22 ~quick =
   Harness.Table.print
     ~headers:
       [
-        "scenario"; "n"; "tasks/s"; "spawned"; "executed"; "killed"; "adopted";
-        "reconciled"; "orphans"; "conserved"; "leaves";
+        "scenario"; "n"; "tasks/s"; "spawned"; "executed"; "killed";
+        "presumed"; "adopted"; "reconciled"; "orphans"; "conserved"; "leaves";
       ]
     (rows @ storm_rows);
   note

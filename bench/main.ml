@@ -180,8 +180,11 @@ let check_e21 rows =
    targeted kill-k-of-n and probabilistic storm alike — must conserve
    tasks exactly (spawned = executed + reconciled), terminate without
    the watchdog firing, and help every descriptor orphaned by a
-   mid-CASN death.  The targeted rows must also land exactly the kills
-   they asked for. *)
+   mid-CASN death.  Reconciliation must stay within the documented
+   loss bound of steal_batch + 2 units per death, and the leaf count
+   must show that no task ran twice and that none vanished without
+   being written off.  The targeted rows must also land exactly the
+   kills they asked for. *)
 let check_e22 rows =
   let open Harness.Json in
   let fail fmt =
@@ -210,6 +213,18 @@ let check_e22 rows =
         fail "%s: %d orphans helped but %d mid-CASN kills" label
           (int_of "orphans_helped" r) (int_of "mid_casn_kills" r);
       if not (num "ops_per_sec" r > 0.) then fail "%s: no throughput" label;
+      let killed = int_of "killed" r and batch = int_of "steal_batch" r in
+      let reconciled = int_of "reconciled" r in
+      if reconciled > killed * (batch + 2) then
+        fail "%s: reconciled %d units, above the loss bound %d deaths x \
+              (steal_batch %d + 2)"
+          label reconciled killed batch;
+      let leaves = int_of "leaves" r and seen = int_of "leaves_seen" r in
+      if seen > leaves then
+        fail "%s: %d of %d leaves seen: a task ran twice" label seen leaves;
+      if reconciled = 0 && seen <> leaves then
+        fail "%s: %d of %d leaves seen and nothing reconciled: a task vanished"
+          label seen leaves;
       if str "section" r = "targeted" then begin
         let k = Scanf.sscanf label "kill %d of %d" (fun k _ -> k) in
         if int_of "killed" r <> k then
@@ -585,7 +600,7 @@ let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let cmd =
-  let doc = "DCAS deque experiment tables (E1-E24)" in
+  let doc = "DCAS deque experiment tables (E1-E25)" in
   Cmd.v
     (Cmd.info "bench" ~doc)
     Term.(const main $ quick $ json_file $ check $ compare_flag $ ids)

@@ -1,5 +1,5 @@
 (* A sharded deque service front end: K per-core deques behind one
-   routing surface (ROADMAP item 3).
+   routing surface (experiment E24).
 
    The paper's deques are single components; a service carrying real
    traffic runs K of them and routes M producers/consumers across the

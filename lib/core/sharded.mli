@@ -1,6 +1,6 @@
-(** A sharded deque service front end (ROADMAP item 3): K per-core
-    deques behind one routing surface, judged by requests-under-SLO
-    rather than single-structure ops/s (experiment E24).
+(** A sharded deque service front end: K per-core deques behind one
+    routing surface, judged by requests-under-SLO rather than
+    single-structure ops/s (experiment E24).
 
     Each shard is a {!Policy.Make} wrapper, so deadlines surface as
     [`Timeout] and full shards degrade per the configured

@@ -21,7 +21,7 @@
    the main domain are never victims.  Deaths are either targeted
    ([kill ~tid], deterministic tests) or drawn from per-domain seeded
    SplitMix streams ([configure ~prob], like {!Dcas.Mem_chaos}); a
-   [tid] dies at most once, so a supervisor's epoch-fenced replacement
+   [tid] dies at most once, so a supervisor's replacement worker
    enrolled under the same slot is not re-killed, and [max_kills]
    bounds the total body count of a probabilistic run.
 

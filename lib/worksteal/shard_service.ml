@@ -1,17 +1,16 @@
 (* A supervised producer/consumer service over a sharded deque
-   (ROADMAP item 3, experiment E24).
+   (experiment E24).
 
    [Core.Sharded] is the data plane: K policy-wrapped deques behind
    affinity routing, cross-shard overflow and steal rebalancing.  This
    module is the control plane that turns it into a service that
    survives fail-stop faults: M producer domains inject keyed traffic
    (open-loop token bucket or closed loop), N consumer domains drain
-   it, and a monitor domain — never enrolled with the crash layer,
-   hence immortal — watches for dead or silent workers, quarantines
-   and adopts a dead consumer's home shard, spawns an epoch-free
-   replacement (each crash tid dies at most once, so replacements are
-   immortal), and finally reconciles the pending counter under the
-   same quiescence certificate as {!Scheduler.Make.run_supervised}.
+   it, and the {!Supervisor} monitor — the same loop that supervises
+   {!Scheduler.Make.run_supervised} — fences dead, silent and zombie
+   workers, has this module replace them (a consumer's home shard is
+   quarantined, adopted and revived), and finally reconciles the
+   pending counter under its quiescence certificate.
 
    Conservation is the acceptance law, service-wide:
 
@@ -33,21 +32,14 @@
    no-find scan (the certificate's ingredient) walks every shard,
    quarantined ones included, primary and overflow both.
 
-   Failure detection is two disjoint detectors (Supervisor knobs):
-   tick-based silence ([silence_after]) catches workers whose
-   heartbeat froze (dead without a certificate, or frozen), and
-   progress-based zombie detection ([zombie_after]) catches consumers
-   whose heartbeat keeps ticking while their progress counters — ops
-   resolved plus no-find scans — are frozen (Harness.Stall.Zombie's
-   alive-but-useless mode).  An idle consumer trips neither: its
-   empty scans advance progress, and its deliberate idle-backoff
-   sleeps are flagged ([idling]) so a long park between scans can
-   never be mistaken for silence.  Either detector fences the old
-   worker (it retires at its next loop iteration, even if it wakes
-   later) before the slot is replaced and — for consumers — its home
-   shard is adopted; the owners table holds one tracked entry per
-   slot, so a fenced worker is never examined again and no slot is
-   adopted twice for one failure. *)
+   Failure detection is the supervisor's: tick-based silence
+   ([silence_after]) and progress-based zombie detection
+   ([zombie_after], consumers only — an open-loop producer between
+   refills legitimately makes no progress).  A consumer flags its
+   idle-backoff sleeps ([idling]) so a long park between scans can
+   never be mistaken for silence, and checks its [fenced] flag every
+   loop, so a worker that wakes up after being replaced retires
+   instead of running beside its replacement. *)
 
 type config = {
   shards : int;
@@ -149,64 +141,42 @@ let pp_report ppf r =
 module Make (D : Deque.Deque_intf.S) = struct
   module S = Deque.Sharded.Make (D)
 
-  (* Per-worker-domain state, monitor-readable; all atomics padded
-     (the records sit next to each other in the tracking list). *)
-  type wstate = {
-    slot : int;
-    role : [ `Producer | `Consumer ];
-    busy : bool Atomic.t;  (* inside an operation + its accounting *)
-    ticks : int Atomic.t;  (* liveness heartbeat, bumped every loop *)
-    scans : int Atomic.t;  (* full no-find service scans (consumers) *)
-    spawned_w : int Atomic.t;  (* net pending units granted *)
-    executed_w : int Atomic.t;
-    ok_w : int Atomic.t;
-    full_w : int Atomic.t;
-    timeout_w : int Atomic.t;
-    shed_adm_w : int Atomic.t;  (* refused at enqueue by admission *)
-    shed_exp_w : int Atomic.t;  (* budget spent: push timeout / expired pop *)
-    late_ns_w : int Atomic.t;  (* max served completion past expiry, ns *)
-    idling : bool Atomic.t;
-    (* inside the deliberate idle-backoff sleep: the monitor must not
-       read the park as silence (the false-silence hazard) *)
-    fenced : bool Atomic.t;
-    (* set by the monitor before replacing this worker: the worker
-       retires at its next loop check, so a presumed-dead worker that
-       wakes up, or a cured zombie, can never run beside its
-       replacement *)
-    died : bool Atomic.t;
-    retired : bool Atomic.t;
+  (* The service's own per-worker counters, beside the shared ones in
+     {!Supervisor.worker}; all atomics padded. *)
+  type own = {
+    ok : int Atomic.t;
+    full : int Atomic.t;
+    timeout : int Atomic.t;
+    shed_adm : int Atomic.t;  (* refused at enqueue by admission *)
+    shed_exp : int Atomic.t;  (* budget spent: push timeout / expired pop *)
+    late_ns : int Atomic.t;  (* max served completion past expiry, ns *)
   }
 
-  let make_wstate ~slot ~role =
-    {
-      slot;
-      role;
-      busy = Dcas.Padding.make_atomic false;
-      ticks = Dcas.Padding.make_atomic 0;
-      scans = Dcas.Padding.make_atomic 0;
-      spawned_w = Dcas.Padding.make_atomic 0;
-      executed_w = Dcas.Padding.make_atomic 0;
-      ok_w = Dcas.Padding.make_atomic 0;
-      full_w = Dcas.Padding.make_atomic 0;
-      timeout_w = Dcas.Padding.make_atomic 0;
-      shed_adm_w = Dcas.Padding.make_atomic 0;
-      shed_exp_w = Dcas.Padding.make_atomic 0;
-      late_ns_w = Dcas.Padding.make_atomic 0;
-      idling = Dcas.Padding.make_atomic false;
-      fenced = Dcas.Padding.make_atomic false;
-      died = Dcas.Padding.make_atomic false;
-      retired = Dcas.Padding.make_atomic false;
-    }
+  type worker = own Supervisor.worker
+
+  (* Slots hold producers first, then consumers; only consumers'
+     no-find scans walk every shard, so only they certify quiescence. *)
+  let make_worker cfg ~slot : worker =
+    let a = Dcas.Padding.make_atomic in
+    Supervisor.worker ~slot ~certifies:(slot >= cfg.producers)
+      {
+        ok = a 0;
+        full = a 0;
+        timeout = a 0;
+        shed_adm = a 0;
+        shed_exp = a 0;
+        late_ns = a 0;
+      }
 
   (* Progress (as opposed to liveness): operations this worker has
      RESOLVED — served, refused, timed out, shed — plus finished
      no-find scans.  A healthy idle consumer keeps completing empty
      scans, so its progress moves; a zombie's heartbeat moves while
      this stays frozen.  That asymmetry is the whole detector. *)
-  let progress ws =
-    Atomic.get ws.executed_w + Atomic.get ws.ok_w + Atomic.get ws.full_w
-    + Atomic.get ws.timeout_w + Atomic.get ws.shed_adm_w
-    + Atomic.get ws.shed_exp_w + Atomic.get ws.scans
+  let progress (ws : worker) =
+    Atomic.get ws.executed + Atomic.get ws.own.ok + Atomic.get ws.own.full
+    + Atomic.get ws.own.timeout + Atomic.get ws.own.shed_adm
+    + Atomic.get ws.own.shed_exp + Atomic.get ws.scans
 
   (* What travels through the deques: the value plus its deadline
      stamp.  [expiry] is absolute ([infinity] without a deadline) so a
@@ -221,9 +191,15 @@ module Make (D : Deque.Deque_intf.S) = struct
     pending : int Atomic.t;
     stop : bool Atomic.t;  (* producers: stop injecting *)
     producers_running : int Atomic.t;
-    drained : bool Atomic.t;  (* consumers may exit: stop + pending=0 *)
     wd : Harness.Watchdog.t option;
   }
+
+  (* No new request can arrive: producers told to stop, and all gone. *)
+  let quiet st =
+    Atomic.get st.stop && Atomic.get st.producers_running = 0
+
+  (* Consumers may exit: no request can arrive and none is pending. *)
+  let drained st = quiet st && Atomic.get st.pending = 0
 
   (* Consumers are pinned to a home shard round-robin by slot: their
      pops route there first, so a consumer death starves a specific
@@ -259,7 +235,7 @@ module Make (D : Deque.Deque_intf.S) = struct
      would only age into an expired pop) or timed out inside the push
      itself.  Both surface to the observer as the first-class
      [`Timeout] outcome. *)
-  let produce st ws ~on_push ~rng value =
+  let produce st (ws : worker) ~on_push ~rng value =
     let cfg = st.cfg in
     let key = Dcas.Splitmix.int rng ~bound:cfg.key_space in
     let urgent =
@@ -269,7 +245,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     in
     Atomic.set ws.busy true;
     Atomic.incr st.pending;
-    Atomic.incr ws.spawned_w;
+    Atomic.incr ws.spawned;
     let t0 = Unix.gettimeofday () in
     let admitted =
       match cfg.deadline with
@@ -280,7 +256,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     let out =
       if not admitted then begin
         Atomic.decr st.pending;
-        Atomic.incr ws.shed_adm_w;
+        Atomic.incr ws.own.shed_adm;
         `Timeout
       end
       else
@@ -292,19 +268,19 @@ module Make (D : Deque.Deque_intf.S) = struct
         in
         match S.push ?deadline:cfg.deadline ~urgent st.service ~key item with
         | `Okay ->
-            Atomic.incr ws.ok_w;
+            Atomic.incr ws.own.ok;
             `Okay
         | `Full ->
             Atomic.decr st.pending;
-            Atomic.decr ws.spawned_w;
-            Atomic.incr ws.full_w;
+            Atomic.decr ws.spawned;
+            Atomic.incr ws.own.full;
             `Full
         | `Timeout ->
             (* the budget died inside the push: shed, keeping the
                spawned unit on the books *)
             Atomic.decr st.pending;
-            Atomic.incr ws.shed_exp_w;
-            Atomic.incr ws.timeout_w;
+            Atomic.incr ws.own.shed_exp;
+            Atomic.incr ws.own.timeout;
             `Timeout
     in
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
@@ -312,7 +288,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     on_push ~tid:ws.slot ~ns out;
     tick_wd st ~tid:ws.slot
 
-  let producer_loop st ws ~on_push =
+  let producer_loop st (ws : worker) ~on_push =
     let cfg = st.cfg in
     let rng =
       Dcas.Splitmix.create ~seed:(cfg.seed + (ws.slot * 7919) + 1)
@@ -351,7 +327,7 @@ module Make (D : Deque.Deque_intf.S) = struct
 
   (* --- consumer --- *)
 
-  let consumer_loop st ws ~on_pop =
+  let consumer_loop st (ws : worker) ~on_pop =
     let cfg = st.cfg in
     let home = consumer_shard cfg ~slot:ws.slot in
     let key = key_for st.service ~shard:home in
@@ -364,7 +340,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     let idle = ref 0 in
     let rec loop () =
       if Atomic.get ws.fenced then ()  (* replaced: retire quietly *)
-      else if Atomic.get st.drained then ()
+      else if drained st then ()
       else if Harness.Stall.Zombie.active ~tid:ws.slot then begin
         (* zombified: the heartbeat ticks, the watchdog is fed, and no
            work happens — indistinguishable from healthy by every
@@ -407,12 +383,12 @@ module Make (D : Deque.Deque_intf.S) = struct
               if now >= it.expiry then begin
                 (* expired in queue: shed at dequeue — the op resolves
                    as a first-class timeout, its unit stays spawned *)
-                Atomic.incr ws.shed_exp_w;
+                Atomic.incr ws.own.shed_exp;
                 Atomic.decr st.pending;
                 `Timeout
               end
               else begin
-                Atomic.incr ws.executed_w;
+                Atomic.incr ws.executed;
                 Atomic.decr st.pending;
                 (* overshoot is judged at completion, on a fresh clock
                    read: the gap between the expiry check above and
@@ -420,21 +396,21 @@ module Make (D : Deque.Deque_intf.S) = struct
                 let late_ns =
                   int_of_float ((Unix.gettimeofday () -. it.expiry) *. 1e9)
                 in
-                if late_ns > Atomic.get ws.late_ns_w then
-                  Atomic.set ws.late_ns_w late_ns;
+                if late_ns > Atomic.get ws.own.late_ns then
+                  Atomic.set ws.own.late_ns late_ns;
                 `Value it.v
               end
           | `Empty ->
               Atomic.incr ws.scans;
               `Empty
           | `Timeout ->
-              Atomic.incr ws.timeout_w;
+              Atomic.incr ws.own.timeout;
               `Timeout
         in
         Atomic.set ws.busy false;
         on_pop ~tid:ws.slot ~ns out';
         tick_wd st ~tid:ws.slot;
-        if Atomic.get st.drained then ()
+        if drained st then ()
         else begin
           (match out with
           | `Value _ -> idle := 0
@@ -455,224 +431,31 @@ module Make (D : Deque.Deque_intf.S) = struct
     in
     loop ()
 
-  (* --- domain bodies --- *)
+  (* A worker's loop by role.  A producer leaves [producers_running]
+     on any exit, death included, so the monitor can tell when no new
+     request can arrive. *)
+  let worker_loop st (w : worker) ~on_push ~on_pop () =
+    if w.certifies then consumer_loop st w ~on_pop
+    else
+      Fun.protect
+        ~finally:(fun () -> Atomic.decr st.producers_running)
+        (fun () -> producer_loop st w ~on_push)
 
-  let body st ws ~on_push ~on_pop () =
-    if ws.slot < Harness.Crash.max_slots then
-      Harness.Crash.enroll ~tid:ws.slot;
-    if ws.slot < Harness.Stall.Freezer.max_slots then
-      Harness.Stall.Freezer.enroll ~tid:ws.slot;
-    (match ws.role with
-    | `Producer -> (
-        try producer_loop st ws ~on_push
-        with Harness.Crash.Died ->
-          Atomic.set ws.died true)
-    | `Consumer -> (
-        try consumer_loop st ws ~on_pop
-        with Harness.Crash.Died -> Atomic.set ws.died true));
-    (match ws.role with
-    | `Producer -> Atomic.decr st.producers_running
-    | `Consumer -> ());
-    Atomic.set ws.retired true
-
-  (* --- monitor --- *)
-
-  type tracked = {
-    ws : wstate;
-    domain : unit Domain.t option;  (* None for initial workers *)
-    mutable last_ticks : int;
-    mutable last_move : float;
-    mutable last_progress : int;
-    mutable last_progress_move : float;
-  }
-
-  let sum field tracked =
-    List.fold_left (fun n t -> n + Atomic.get (field t.ws)) 0 tracked
-
-  (* Replace the dead/silent owner of [slot].  Consumers additionally
-     get their home shard quarantined, drained into the survivors and
-     revived for the replacement — the adoption path under test. *)
-  let replace st ~on_push ~on_pop ~slot ~role =
-    let moved =
-      match role with
-      | `Producer -> 0
-      | `Consumer ->
-          let shard = consumer_shard st.cfg ~slot in
-          S.quarantine st.service ~shard;
-          let n = S.adopt st.service ~shard in
-          S.revive st.service ~shard;
-          n
-    in
-    let ws = make_wstate ~slot ~role in
-    (match role with
-    | `Producer -> Atomic.incr st.producers_running
-    | `Consumer -> ());
-    let d = Domain.spawn (body st ws ~on_push ~on_pop) in
-    (moved, ws, d)
-
-  let supervise st ~on_push ~on_pop ~initial =
-    let cfg = st.cfg in
-    let tracked = ref initial in
-    let owners = Array.of_list initial in
-    let adoptions = ref 0 in
-    let adopted_items = ref 0 in
-    let reconciled = ref 0 in
-    let replacements = ref 0 in
-    let presumed = ref 0 in
-    let zombies = ref 0 in
-    let recoveries = ref [] in
-    let q = Supervisor.quiescence () in
-    let debug = Sys.getenv_opt "SHARD_SERVICE_DEBUG" <> None in
-    let finished () =
-      Atomic.get st.drained
-      && List.for_all
-           (fun t ->
-             Atomic.get t.ws.retired || Atomic.get t.ws.died)
-           !tracked
-    in
-    while not (finished ()) do
-      let now = Unix.gettimeofday () in
-      Array.iteri
-        (fun slot t ->
-          let dead = Atomic.get t.ws.died in
-          let gone = dead || Atomic.get t.ws.retired in
-          (* heartbeat sampling is shared by both detectors, so it is
-             tracked unconditionally (not inside the silence guard):
-             zombie detection must know the ticks are MOVING even when
-             silence detection is disabled *)
-          let ticks_moving =
-            let ticks = Atomic.get t.ws.ticks in
-            if ticks <> t.last_ticks then begin
-              t.last_ticks <- ticks;
-              t.last_move <- now;
-              true
-            end
-            else false
-          in
-          (* ticks frozen too long: dead without a certificate, or
-             frozen mid-operation.  The deliberate idle-backoff sleep
-             is excluded ([idling]) — an idle consumer descheduled
-             inside its park is healthy, not silent. *)
-          let silent =
-            cfg.sup.silence_after > 0. && (not gone) && (not ticks_moving)
-            && (not (Atomic.get t.ws.idling))
-            && now -. t.last_move >= cfg.sup.silence_after
-          in
-          (* ticks moving, progress frozen: a zombie.  Consumers only —
-             an open-loop producer between token-bucket refills is
-             legitimately not progressing.  [ticks_moving] is required
-             on the very sweep that crosses the threshold: a healthy
-             consumer descheduled for a long spell (oversubscribed
-             box) freezes ticks and progress together, and must not
-             read as a zombie — only a demonstrably beating heart with
-             frozen progress is one.  Disjoint from [silent] by
-             construction, so one worker can only ever be claimed by
-             one detector per sweep, and the fence below makes the
-             claim final. *)
-          let zombie =
-            cfg.sup.zombie_after > 0. && (not gone) && (not silent)
-            && t.ws.role = `Consumer
-            &&
-            let p = progress t.ws in
-            if p <> t.last_progress then begin
-              t.last_progress <- p;
-              t.last_progress_move <- now;
-              false
-            end
-            else
-              ticks_moving
-              && (not (Atomic.get t.ws.idling))
-              && now -. t.last_progress_move >= cfg.sup.zombie_after
-          in
-          if dead || silent || zombie then begin
-            if silent then incr presumed;
-            if zombie then incr zombies;
-            (* fence before replacing: the old worker retires at its
-               next loop check, so a silent worker that wakes up or a
-               zombie that gets cured never runs beside its
-               replacement — and since the owners table now points at
-               the replacement, this slot's failure is acted on
-               exactly once (no double-adoption) *)
-            Atomic.set t.ws.fenced true;
-            let role = t.ws.role in
-            let moved, ws, d = replace st ~on_push ~on_pop ~slot ~role in
-            (match role with
-            | `Consumer ->
-                incr adoptions;
-                adopted_items := !adopted_items + moved
-            | `Producer -> ());
-            incr replacements;
-            recoveries := (Unix.gettimeofday () -. now) :: !recoveries;
-            let t' =
-              {
-                ws;
-                domain = Some d;
-                last_ticks = Atomic.get ws.ticks;
-                last_move = Unix.gettimeofday ();
-                last_progress = progress ws;
-                last_progress_move = Unix.gettimeofday ();
-              }
-            in
-            owners.(slot) <- t';
-            tracked := t' :: !tracked
-          end)
-        owners;
-      (* producers gone + pending drained => consumers may leave *)
-      if
-        Atomic.get st.stop
-        && Atomic.get st.producers_running = 0
-        && Atomic.get st.pending = 0
-      then Atomic.set st.drained true;
-      (* quiescence: write off units stranded by deaths.  Only
-         consumer scans certify — their no-find scan walks every
-         shard of the service. *)
-      let live t =
-        (not (Atomic.get t.ws.died)) && not (Atomic.get t.ws.retired)
-      in
-      let live_consumers =
-        List.filter (fun t -> live t && t.ws.role = `Consumer) !tracked
-      in
-      let busy =
-        List.exists (fun t -> live t && Atomic.get t.ws.busy) !tracked
-      in
-      let scans =
-        Array.of_list
-          (List.map (fun t -> Atomic.get t.ws.scans) live_consumers)
-      in
-      let pending = Atomic.get st.pending in
-      let safe =
-        Atomic.get st.stop
-        && Atomic.get st.producers_running = 0
-        && Supervisor.observe q ~pending
-             ~executed:(sum (fun w -> w.executed_w) !tracked)
-             ~spawned:(sum (fun w -> w.spawned_w) !tracked)
-             ~busy ~scans ~quiet_sweeps:cfg.sup.quiet_sweeps
-      in
-      if safe && Atomic.compare_and_set st.pending pending 0 then
-        reconciled := !reconciled + pending;
-      (* monitor-eye view of the drain, for diagnosing stuck soaks
-         (notably: busy never sampling false on few cores) *)
-      if debug then
-        Printf.eprintf
-            "[mon] stop=%b pr=%d pending=%d drained=%b busy=%b scans=[%s] \
-             tracked=%d retired=%d died=%d\n%!"
-            (Atomic.get st.stop)
-            (Atomic.get st.producers_running)
-            pending (Atomic.get st.drained) busy
-            (String.concat ","
-               (List.map string_of_int (Array.to_list scans)))
-            (List.length !tracked)
-            (List.length
-               (List.filter (fun t -> Atomic.get t.ws.retired) !tracked))
-            (List.length
-               (List.filter (fun t -> Atomic.get t.ws.died) !tracked));
-      Unix.sleepf cfg.sup.interval
-    done;
-    List.iter
-      (fun t -> match t.domain with None -> () | Some d -> Domain.join d)
-      !tracked;
-    (!tracked, !adoptions, !adopted_items, !reconciled, !replacements,
-     !presumed, !zombies, !recoveries)
+  (* Replace a fenced worker.  A consumer's home shard is quarantined,
+     drained into the survivors and revived for the replacement — the
+     adoption path under test. *)
+  let replace st ~adoptions ~adopted_items ~on_push ~on_pop (old : worker) =
+    let slot = old.slot in
+    if old.certifies then begin
+      let shard = consumer_shard st.cfg ~slot in
+      S.quarantine st.service ~shard;
+      adopted_items := !adopted_items + S.adopt st.service ~shard;
+      S.revive st.service ~shard;
+      incr adoptions
+    end
+    else Atomic.incr st.producers_running;
+    let w = make_worker st.cfg ~slot in
+    (w, worker_loop st w ~on_push ~on_pop)
 
   (* --- entry point --- *)
 
@@ -700,49 +483,27 @@ module Make (D : Deque.Deque_intf.S) = struct
         pending = Dcas.Padding.make_atomic 0;
         stop = Dcas.Padding.make_atomic false;
         producers_running = Dcas.Padding.make_atomic config.producers;
-        drained = Dcas.Padding.make_atomic false;
         wd = watchdog;
       }
     in
-    let workers = config.producers + config.consumers in
-    let wss =
-      Array.init workers (fun slot ->
-          let role =
-            if slot < config.producers then `Producer else `Consumer
-          in
-          make_wstate ~slot ~role)
+    let workers =
+      List.init (config.producers + config.consumers) (fun slot ->
+          let w = make_worker config ~slot in
+          (w, worker_loop st w ~on_push ~on_pop))
     in
     Option.iter Harness.Watchdog.start watchdog;
     let t0 = Unix.gettimeofday () in
-    let initial =
-      Array.to_list
-        (Array.map
-           (fun ws ->
-             let d = Domain.spawn (body st ws ~on_push ~on_pop) in
-             ( d,
-               {
-                 ws;
-                 domain = None;
-                 last_ticks = 0;
-                 last_move = t0;
-                 last_progress = 0;
-                 last_progress_move = t0;
-               } ))
-           wss)
+    let adoptions = ref 0 and adopted_items = ref 0 in
+    let driver () =
+      (match driver with Some f -> f () | None -> Unix.sleepf duration);
+      Atomic.set st.stop true
     in
-    let sup =
-      Domain.spawn (fun () ->
-          supervise st ~on_push ~on_pop
-            ~initial:(List.map snd initial))
-    in
-    (match driver with
-    | Some f -> f ()
-    | None -> Unix.sleepf duration);
-    Atomic.set st.stop true;
-    List.iter (fun (d, _) -> Domain.join d) initial;
-    let ( tracked, adoptions, adopted_items, reconciled, replacements,
-          presumed, zombies, recoveries ) =
-      Domain.join sup
+    let o =
+      Supervisor.run config.sup ~pending:st.pending
+        ~quiet:(fun () -> quiet st)
+        ~progress
+        ~replace:(replace st ~adoptions ~adopted_items ~on_push ~on_pop)
+        ~driver workers
     in
     Option.iter (fun w -> ignore (Harness.Watchdog.stop w)) watchdog;
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -750,35 +511,31 @@ module Make (D : Deque.Deque_intf.S) = struct
        undecided before the quiescent drain reads past them *)
     let orphans_helped = Dcas.Mem_lockfree.help_orphans () in
     let leftover = List.length (S.drain service) in
-    let killed =
-      List.fold_left
-        (fun n t -> if Atomic.get t.ws.died then n + 1 else n)
-        0 tracked
-    in
     let stats = S.stats service in
+    let sum = Supervisor.sum o in
     {
-      spawned = sum (fun w -> w.spawned_w) tracked;
-      executed = sum (fun w -> w.executed_w) tracked;
-      reconciled;
-      shed_admission = sum (fun w -> w.shed_adm_w) tracked;
-      shed_expired = sum (fun w -> w.shed_exp_w) tracked;
+      spawned = sum (fun w -> w.spawned);
+      executed = sum (fun w -> w.executed);
+      reconciled = o.reconciled;
+      shed_admission = sum (fun w -> w.own.shed_adm);
+      shed_expired = sum (fun w -> w.own.shed_exp);
       leftover;
-      pushed_ok = sum (fun w -> w.ok_w) tracked;
-      push_full = sum (fun w -> w.full_w) tracked;
-      timeouts = sum (fun w -> w.timeout_w) tracked;
-      empty_scans = sum (fun w -> w.scans) tracked;
+      pushed_ok = sum (fun w -> w.own.ok);
+      push_full = sum (fun w -> w.own.full);
+      timeouts = sum (fun w -> w.own.timeout);
+      empty_scans = sum (fun w -> w.scans);
       overshoot_max_ns =
         List.fold_left
-          (fun m t -> max m (Atomic.get t.ws.late_ns_w))
-          0 tracked;
-      killed;
-      presumed_dead = presumed;
-      zombies_fenced = zombies;
-      replacements;
-      adoptions;
-      adopted_items;
+          (fun m (w : worker) -> max m (Atomic.get w.own.late_ns))
+          0 o.workers;
+      killed = o.killed;
+      presumed_dead = o.presumed_dead;
+      zombies_fenced = o.zombies_fenced;
+      replacements = o.replacements;
+      adoptions = !adoptions;
+      adopted_items = !adopted_items;
       orphans_helped;
-      recoveries = List.rev recoveries;
+      recoveries = o.recoveries;
       per_shard_pushed = stats.Deque.Sharded.per_shard_pushed;
       per_shard_popped = stats.Deque.Sharded.per_shard_popped;
       elapsed;

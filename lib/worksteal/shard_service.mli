@@ -1,10 +1,12 @@
 (** A supervised producer/consumer service over {!Deque.Sharded}
-    (ROADMAP item 3, experiment E24): M producer domains inject keyed
-    traffic over K policy-wrapped shards, N consumer domains drain
-    them, and an immortal monitor domain replaces dead or silent
-    workers, adopting a dead consumer's home shard (quarantine, drain
-    into survivors, revive for the replacement) and reconciling the
-    pending counter under the {!Supervisor} quiescence certificate.
+    (experiment E24): M producer domains inject keyed traffic over K
+    policy-wrapped shards, N consumer domains drain them, and the
+    {!Supervisor} monitor — the loop that also supervises
+    {!Scheduler.Make.run_supervised} — fences dead, silent and zombie
+    workers and has them replaced, adopting a dead consumer's home
+    shard (quarantine, drain into survivors, revive for the
+    replacement), and reconciles the pending counter under its
+    quiescence certificate.
 
     The acceptance law, service-wide and fault-storm-proof:
 
@@ -19,16 +21,13 @@
     stamped expiry resolve their unit as first-class timed-out
     outcomes that stay on the books.
 
-    Failure detection is two disjoint detectors: tick-based silence
-    ([silence_after]) for frozen heartbeats, and progress-based zombie
-    detection ([zombie_after]) for consumers whose heartbeat ticks
-    while their progress counters are frozen
-    ({!Harness.Stall.Zombie}).  Idle consumers trip neither — their
-    empty scans advance progress, and their idle-backoff parks are
-    flagged so they cannot read as silence.  Either detector fences
-    the old worker before replacing it, so a woken or cured worker
-    never runs beside its replacement and no slot is adopted twice
-    for one failure. *)
+    Zombie detection ([zombie_after]) watches consumers only: an
+    open-loop producer between refills legitimately makes no
+    progress.  Idle consumers trip neither detector — their empty
+    scans advance progress, and their idle-backoff parks are flagged
+    so they cannot read as silence.  A fenced worker retires at its
+    next loop check, so a woken or cured worker never runs beside its
+    replacement and no slot is replaced twice for one failure. *)
 
 type config = {
   shards : int;

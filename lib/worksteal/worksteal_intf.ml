@@ -74,19 +74,23 @@ module type SCHEDULER = sig
     capacity:int ->
     (ctx -> unit) ->
     Supervisor.report
-  (** Like [run], but crash-fault tolerant: workers enroll with
-      {!Harness.Crash} (slot = worker index) and a supervisor domain —
-      never enrolled, hence immortal — monitors them.  When a worker
-      dies ({!Harness.Crash.Died}) or goes silent past
-      [config.silence_after], the supervisor bumps the slot's epoch
-      (fencing any zombie: its stale pushes run inline), drains the
-      abandoned deque from the thief end, and spawns a replacement
-      that adopts the drained tasks on a fresh deque.  Pending units
-      irrecoverably lost with a death — the task it was executing, a
-      child mid-push, a stolen batch in hand; at most
-      [steal_batch + 2] per death — are written off ([reconciled])
-      once the {!Supervisor} quiescence tracker certifies no live task
-      remains anywhere.  Every terminating run satisfies
+  (** Like [run], but crash-fault tolerant: workers run under the
+      {!Supervisor} monitor, enrolled with {!Harness.Crash} and
+      {!Harness.Stall.Freezer} under their worker index.  When a
+      worker dies ({!Harness.Crash.Died}), goes silent past
+      [config.silence_after] or turns zombie past
+      [config.zombie_after], the monitor fences it, this scheduler
+      drains its deque from the thief end, and a replacement adopts
+      the drained tasks on a fresh deque.  A fenced worker that is
+      still alive never touches the replacement's deque: it pushes
+      only to its own, re-checks the fence after every spawn's push,
+      and once fenced pops its deque dry, runs what it finds inline and
+      retires — so a push that raced the drain is either drained or
+      taken back.  Pending units irrecoverably lost with a death — the
+      task it was executing, a child mid-push, a stolen batch in hand;
+      at most [steal_batch + 2] per death — are written off
+      ([reconciled]) once the monitor's quiescence certificate shows
+      no live task remains anywhere.  Every terminating run satisfies
       {!Supervisor.conserved}: [spawned = executed + reconciled].
 
       [watchdog], when given, must cover [workers] threads and not yet

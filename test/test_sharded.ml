@@ -262,6 +262,42 @@ let test_service_frozen_shard () =
   Alcotest.(check bool) "survivor served during the freeze" true
     (Atomic.get served_in_freeze >= 1)
 
+(* Silence -> fence -> replace on the service, the twin of the
+   scheduler case in test_crash.ml: after about 200 serves the first
+   consumer arms a stall inside its next pop and sleeps there for six
+   times [silence_after].  The monitor presumes it dead, fences it and
+   adopts its home shard; when it wakes it finishes that pop (serving
+   what it took) and retires at its fence check.  Nothing is lost, so
+   nothing may be written off. *)
+let test_silent_consumer_fenced () =
+  let cfg =
+    {
+      base_config with
+      Svc.producers = 1;
+      consumers = 2;
+      sup = { Worksteal.Supervisor.default with silence_after = 0.05 };
+    }
+  in
+  let victim = cfg.Svc.producers in
+  let served = Atomic.make 0 and armed = Atomic.make false in
+  let on_pop ~tid ~ns:_ out =
+    match out with
+    | `Value _ when tid = victim ->
+        if
+          Atomic.fetch_and_add served 1 >= 200
+          && Atomic.compare_and_set armed false true
+        then Harness.Stall.request ~after_ops:3 ~duration:0.3
+    | _ -> ()
+  in
+  let r = Stall_svc.run ~config:cfg ~on_pop ~duration:0.6 () in
+  check_conserved r;
+  Alcotest.(check bool) "the stall was armed" true (Atomic.get armed);
+  Alcotest.(check bool) "the sleeper was presumed dead" true
+    (r.Svc.presumed_dead >= 1);
+  Alcotest.(check bool) "its home shard was adopted" true
+    (r.Svc.adoptions >= 1);
+  Alcotest.(check int) "nothing written off" 0 r.Svc.reconciled
+
 (* False-silence / false-zombie regression (the supervisor
    misclassification hazard): a near-idle service — producers rate-
    limited to a trickle — leaves the consumers parked in their idle
@@ -427,6 +463,8 @@ let () =
             test_service_crash_storm;
           tiered "frozen shard: survivors progress (E19 mirror)" `Slow
             test_service_frozen_shard;
+          tiered "silent consumer fenced, nothing written off" `Slow
+            test_silent_consumer_fenced;
           tiered "idle consumers are never misclassified" `Slow
             test_idle_not_misclassified;
           tiered "zombie consumer fenced and replaced" `Slow
