@@ -534,8 +534,10 @@ let e8 ~quick =
 (* E9: resilience to stalls (non-blocking claim)                       *)
 (* ------------------------------------------------------------------ *)
 
-module Stalling_mem = Harness.Stall.Mem_stalling (Dcas.Mem_lockfree)
-module Stalling_array = Deque.Array_deque.Make (Stalling_mem)
+(* The fault-instrumented lock-free substrate: E9's stalls, E22's
+   crashes and E23's frozen-peer probe all run over it. *)
+module Fault_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
+module Stalling_array = Deque.Array_deque.Make (Fault_mem)
 
 let e9 ~quick =
   header "E9  throughput while one thread stalls mid-operation";
@@ -1482,8 +1484,7 @@ let e21 ~quick =
 (* E22: crash-fault tolerance — kill k of n supervised workers         *)
 (* ------------------------------------------------------------------ *)
 
-module Crash_mem = Harness.Crash.Mem_crashing_casn (Dcas.Mem_lockfree)
-module Crash_array = Deque.Array_deque.Make_batched (Crash_mem)
+module Crash_array = Deque.Array_deque.Make_batched (Fault_mem)
 
 module Crash_adapter : Worksteal.Worksteal_intf.WORKSTEAL_DEQUE = struct
   type 'a t = 'a Crash_array.t
@@ -1516,7 +1517,7 @@ let e22 ~quick =
      caller arms the deaths (targeted tickets or a probabilistic
      storm) via [arm], which receives the worker count. *)
   let supervised_run ~section ~label ~workers ~arm =
-    Harness.Crash.reset ();
+    Harness.Fault.reset ();
     Dcas.Mem_lockfree.reset_stats ();
     let counter = Atomic.make 0 in
     let claim = arm ~workers in
@@ -1796,11 +1797,10 @@ let e23_shooters : shooter list =
    over the freezer-instrumented memory (via the one-entry-casn shim),
    two of three domains parked mid-operation, the survivor must still
    complete its quota. *)
-module Probe_mem = Harness.Stall.Mem_stalling_casn (Dcas.Mem_lockfree)
-module Probe_st = Baselines.St_deque.Make (Baselines.St_deque.Of_casn (Probe_mem))
+module Probe_st = Baselines.St_deque.Make (Baselines.St_deque.Of_casn (Fault_mem))
 
 let e23_frozen_probe () =
-  Harness.Stall.Freezer.reset ();
+  Harness.Fault.reset ();
   let d = Probe_st.make () in
   for i = 1 to 16 do
     ignore (Probe_st.push_right d i)
@@ -1810,7 +1810,7 @@ let e23_frozen_probe () =
   let stop = Atomic.make false in
   let counts = Array.init threads (fun _ -> Dcas.Padding.make_atomic 0) in
   let worker tid () =
-    Harness.Stall.Freezer.enroll ~tid;
+    Harness.Fault.enroll ~tid;
     let rng = Dcas.Splitmix.create ~seed:(0xE23 + tid) in
     while not (Atomic.get stop) do
       (match Harness.Workload.draw Harness.Workload.balanced rng with
@@ -1852,7 +1852,7 @@ let e23_frozen_probe () =
   Harness.Stall.Freezer.thaw_all ();
   Atomic.set stop true;
   List.iter Domain.join domains;
-  Harness.Stall.Freezer.reset ();
+  Harness.Fault.reset ();
   let completed = survivor_ops >= target_ops in
   let tp = if dt > 0. then float_of_int survivor_ops /. dt else 0. in
   emit_json
@@ -1986,28 +1986,25 @@ let e23 ~quick =
      parked mid-operation at a shared-memory access point"
 
 (* ------------------------------------------------------------------ *)
-(* E24: sharded service soak — SLO-gated latency under live fault      *)
-(* storms                                                              *)
+(* E24/E25: the sharded-service soak under live fault storms           *)
 (* ------------------------------------------------------------------ *)
 
 (* The full fault-storm substrate under the sharded service: seeded
-   chaos (spurious DCAS failures) at the bottom, fail-stop crash
-   injection above it, adversarial freezes on top — the layers E9 and
-   E22 exercise separately, composed.  Crash's mid-CASN detection keys
-   off Mem_lockfree's global publish hook, so it keeps working through
-   the chaos wrapper. *)
+   chaos (spurious DCAS failures) at the bottom, the fault injectors
+   (freezes and fail-stop crashes) above it — the layers E9 and E22
+   exercise separately, composed.  Crash's mid-CASN detection keys off
+   Mem_lockfree's global publish hook, so it keeps working through the
+   chaos wrapper. *)
 module Soak_chaos = Dcas.Mem_chaos.Make (Dcas.Mem_lockfree)
-
-module Soak_mem =
-  Harness.Stall.Mem_stalling_casn (Harness.Crash.Mem_crashing_casn (Soak_chaos))
+module Soak_mem = Harness.Fault.Mem (Soak_chaos)
 
 module Soak_service =
   Worksteal.Shard_service.Make (Deque.Array_deque.Make (Soak_mem))
 
-(* Phase-tagged service-time histograms for the soaks: successful
-   operations only — the SLO is on served requests, not on consumers'
-   empty scans — split calm/fault by a flag the storm driver flips.
-   Every worker domain records into the same two histograms. *)
+(* Phase-tagged service-time histograms: successful operations only —
+   the SLO is on served requests, not on consumers' empty scans —
+   split calm/fault by a flag the storm driver flips.  Every worker
+   domain records into the same two histograms. *)
 type soak_latency = {
   fault_phase : bool Atomic.t;
   calm_h : Dcas.Histogram.t;
@@ -2034,6 +2031,164 @@ let on_served_pop l ~tid:_ ~ns = function
   | `Value _ -> record_served l ~ns
   | `Empty | `Timeout -> ()
 
+(* recovery-latency quantiles over the per-event list *)
+let recovery_q rs p =
+  match List.sort compare rs with
+  | [] -> 0.
+  | sorted ->
+      let n = List.length sorted in
+      let i = Float.to_int ((p *. float_of_int (n - 1)) +. 0.5) in
+      List.nth sorted (min (n - 1) (max 0 i))
+
+(* One soak cell.  The driver runs [windows] (none in the calm cell)
+   on the calling domain while traffic flows, with seeded chaos behind
+   every Chaos window, then a calm recovery tail of a third of
+   [duration].  Emits the JSON row and returns the table row. *)
+let soak_cell ~id ~label ~duration ~(cfg : Worksteal.Shard_service.config)
+    windows =
+  Harness.Fault.reset ();
+  Soak_chaos.disarm ();
+  let lat = soak_latency () in
+  let third = duration /. 3. in
+  let chaos_hits () = (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious in
+  let landings = ref [] in
+  let driver () =
+    match windows with
+    | [] -> Unix.sleepf duration
+    | _ ->
+        landings :=
+          Harness.Storm.run
+            ~arm_chaos:(fun () ->
+              Soak_chaos.configure ~fail_prob:0.002 ~seed:0xC4A05 ())
+            ~disarm_chaos:Soak_chaos.disarm ~chaos_hits
+            ~on_active:(fun n -> Atomic.set lat.fault_phase (n > 0))
+            ~settle:(Float.min 0.1 third) windows;
+        Atomic.set lat.fault_phase false;
+        Unix.sleepf third
+  in
+  let spurious0 = chaos_hits () in
+  let bites0 = Harness.Stall.Zombie.bites () in
+  let r =
+    Soak_service.run ~config:cfg ~on_push:(on_served_push lat)
+      ~on_pop:(on_served_pop lat) ~driver ~duration ()
+  in
+  let freezes = Harness.Stall.Freezer.freeze_hits () in
+  let spurious = chaos_hits () - spurious0 in
+  let zombie_bites = Harness.Stall.Zombie.bites () - bites0 in
+  let landed =
+    List.length (List.filter (fun l -> l.Harness.Storm.landed) !landings)
+  in
+  Harness.Fault.reset ();
+  let open Worksteal.Shard_service in
+  let q = Dcas.Histogram.quantile in
+  let ch = lat.calm_h and fh = lat.fault_h in
+  let conserved = if conserved r then 1 else 0 in
+  let tp =
+    if r.elapsed > 0. then float_of_int (r.pushed_ok + r.executed) /. r.elapsed
+    else 0.
+  in
+  let imbalance =
+    (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
+  in
+  let shed_total = shed r in
+  let shed_rate =
+    if r.spawned > 0 then float_of_int shed_total /. float_of_int r.spawned
+    else 0.
+  in
+  let recovery_max = List.fold_left Float.max 0. r.recoveries in
+  let open Harness.Json in
+  emit_json
+    (Obj
+       [
+         ("experiment", String id);
+         ("section", String "soak");
+         ("cell", String label);
+         ("shards", Int cfg.shards);
+         ("producers", Int cfg.producers);
+         ("consumers", Int cfg.consumers);
+         ("rate", Float cfg.rate);
+         ("deadline_s", Float (Option.value ~default:0. cfg.deadline));
+         ("elapsed_s", Float r.elapsed);
+         ("ops_per_sec", Float tp);
+         ("spawned", Int r.spawned);
+         ("executed", Int r.executed);
+         ("reconciled", Int r.reconciled);
+         ("shed_admission", Int r.shed_admission);
+         ("shed_expired", Int r.shed_expired);
+         ("shed_rate", Float shed_rate);
+         ("leftover", Int r.leftover);
+         ("conserved", Int conserved);
+         ("pushed_ok", Int r.pushed_ok);
+         ("push_full", Int r.push_full);
+         ("timeouts", Int r.timeouts);
+         ("overshoot_max_ns", Int r.overshoot_max_ns);
+         ("killed", Int r.killed);
+         ("zombies_fenced", Int r.zombies_fenced);
+         ("zombie_bites", Int zombie_bites);
+         ("replacements", Int r.replacements);
+         ("adoptions", Int r.adoptions);
+         ("adopted_items", Int r.adopted_items);
+         ("orphans_helped", Int r.orphans_helped);
+         ("freezes", Int freezes);
+         ("chaos_spurious", Int spurious);
+         ("storm_windows", Int (List.length windows));
+         ("storm_landed", Int landed);
+         ("recoveries", Int (List.length r.recoveries));
+         ("recovery_p50_s", Float (recovery_q r.recoveries 0.5));
+         ("recovery_p90_s", Float (recovery_q r.recoveries 0.9));
+         ("recovery_max_s", Float recovery_max);
+         ("calm_p50_ns", Float (q ch 0.5));
+         ("calm_p99_ns", Float (q ch 0.99));
+         ("calm_p999_ns", Float (q ch 0.999));
+         ("fault_p50_ns", Float (q fh 0.5));
+         ("fault_p99_ns", Float (q fh 0.99));
+         ("fault_p999_ns", Float (q fh 0.999));
+         ("imbalance", Float imbalance);
+       ]);
+  [
+    label;
+    fmt_tp tp;
+    fmt_q (q ch 0.99);
+    fmt_q (q fh 0.99);
+    Printf.sprintf "%.1f%%" (shed_rate *. 100.);
+    string_of_int r.overshoot_max_ns;
+    string_of_int r.killed;
+    string_of_int r.zombies_fenced;
+    string_of_int freezes;
+    Printf.sprintf "%d/%d" landed (List.length windows);
+    (if recovery_max = 0. then "-" else Printf.sprintf "%.3fs" recovery_max);
+    (if conserved = 1 then "ok"
+     else
+       Printf.sprintf "VIOLATED %d<>%d+%d+%d (+%d left)" r.spawned r.executed
+         r.reconciled shed_total r.leftover);
+  ]
+
+(* A soak: a calm cell, then a storm cell running [windows], one row
+   each, in one table. *)
+let soak ~id ~duration ~(cfg : Worksteal.Shard_service.config) ~windows
+    ~about =
+  (* bind in sequence: list literals evaluate right-to-left, and the
+     calm cell must run first (its row is the storm's baseline) *)
+  let calm_row = soak_cell ~id ~label:"calm" ~duration ~cfg [] in
+  let storm_row = soak_cell ~id ~label:"storm" ~duration ~cfg windows in
+  Harness.Table.print
+    ~headers:
+      [
+        "cell"; "ops/s"; "calm p99"; "fault p99"; "shed"; "overshoot ns";
+        "killed"; "zfenced"; "freezes"; "landed"; "recovery"; "conserved";
+      ]
+    [ calm_row; storm_row ];
+  note
+    "%d shards (%d producers + %d consumers + monitor) over the chaos+fault\n\
+     substrate, %.0f arrivals/s per producer in bursts of %d, %.1fs per cell;\n\
+     %s;\n\
+     latencies are successful operations only, split calm/fault by storm\n\
+     phase; conserved means spawned = executed + reconciled + shed and a\n\
+     zero-leftover drain"
+    cfg.shards cfg.producers cfg.consumers cfg.rate cfg.burst duration about
+
+(* E24: the storm cell's middle third runs seeded chaos, freezes
+   producer 0 briefly and then kills the first consumer mid-CASN. *)
 let e24 ~quick =
   header "E24 sharded service soak: SLO-gated latency under live fault storms";
   let duration = dur ~quick 2.0 in
@@ -2056,148 +2211,32 @@ let e24 ~quick =
       sup = { Worksteal.Supervisor.default with silence_after = 0. };
     }
   in
-  let cell ~label ~storm =
-    Harness.Crash.reset ();
-    Harness.Stall.Freezer.reset ();
-    Soak_chaos.disarm ();
-    let lat = soak_latency () in
-    (* The storm driver runs on the calling domain while traffic flows:
-       a calm lead-in, then — inside the fault window — seeded chaos, a
-       freeze/thaw episode on producer 0 and a targeted mid-CASN kill
-       of consumer slot [producers], then a calm recovery tail. *)
-    let third = duration /. 3. in
-    let driver () =
-      if storm then begin
-        Unix.sleepf third;
-        Atomic.set lat.fault_phase true;
-        Soak_chaos.configure ~fail_prob:0.002 ~seed:0xC4A05 ();
-        Harness.Stall.Freezer.freeze ~tid:0;
-        Unix.sleepf (Float.min 0.05 (third /. 4.));
-        Harness.Stall.Freezer.thaw ~tid:0;
-        Harness.Crash.kill ~mode:`Mid_casn
-          ~tid:cfg.Worksteal.Shard_service.producers ();
-        Unix.sleepf third;
-        Soak_chaos.disarm ();
-        Atomic.set lat.fault_phase false;
-        Unix.sleepf third
-      end
-      else Unix.sleepf duration
-    in
-    let spurious0 = (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious in
-    let r =
-      Soak_service.run ~config:cfg ~on_push:(on_served_push lat)
-        ~on_pop:(on_served_pop lat) ~driver ~duration ()
-    in
-    let freezes = Harness.Stall.Freezer.freeze_hits () in
-    let spurious =
-      (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious - spurious0
-    in
-    Harness.Crash.reset ();
-    Harness.Stall.Freezer.reset ();
-    let open Worksteal.Shard_service in
-    let q = Dcas.Histogram.quantile in
-    let ch = lat.calm_h and fh = lat.fault_h in
-    let conserved = if conserved r then 1 else 0 in
-    let tp =
-      if r.elapsed > 0. then
-        float_of_int (r.pushed_ok + r.executed) /. r.elapsed
-      else 0.
-    in
-    let imbalance =
-      (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
-    in
-    let recovery_max = List.fold_left Float.max 0. r.recoveries in
-    emit_json
-      (Harness.Json.Obj
-         [
-           ("experiment", Harness.Json.String "e24");
-           ("section", Harness.Json.String "soak");
-           ("cell", Harness.Json.String label);
-           ("shards", Harness.Json.Int cfg.shards);
-           ("producers", Harness.Json.Int cfg.producers);
-           ("consumers", Harness.Json.Int cfg.consumers);
-           ("rate", Harness.Json.Float cfg.rate);
-           ("elapsed_s", Harness.Json.Float r.elapsed);
-           ("ops_per_sec", Harness.Json.Float tp);
-           ("spawned", Harness.Json.Int r.spawned);
-           ("executed", Harness.Json.Int r.executed);
-           ("reconciled", Harness.Json.Int r.reconciled);
-           ("leftover", Harness.Json.Int r.leftover);
-           ("conserved", Harness.Json.Int conserved);
-           ("pushed_ok", Harness.Json.Int r.pushed_ok);
-           ("push_full", Harness.Json.Int r.push_full);
-           ("timeouts", Harness.Json.Int r.timeouts);
-           ("killed", Harness.Json.Int r.killed);
-           ("replacements", Harness.Json.Int r.replacements);
-           ("adoptions", Harness.Json.Int r.adoptions);
-           ("adopted_items", Harness.Json.Int r.adopted_items);
-           ("orphans_helped", Harness.Json.Int r.orphans_helped);
-           ("freezes", Harness.Json.Int freezes);
-           ("chaos_spurious", Harness.Json.Int spurious);
-           ("recoveries", Harness.Json.Int (List.length r.recoveries));
-           ("recovery_max_s", Harness.Json.Float recovery_max);
-           ("calm_p50_ns", Harness.Json.Float (q ch 0.5));
-           ("calm_p99_ns", Harness.Json.Float (q ch 0.99));
-           ("calm_p999_ns", Harness.Json.Float (q ch 0.999));
-           ("fault_p50_ns", Harness.Json.Float (q fh 0.5));
-           ("fault_p99_ns", Harness.Json.Float (q fh 0.99));
-           ("fault_p999_ns", Harness.Json.Float (q fh 0.999));
-           ("imbalance", Harness.Json.Float imbalance);
-         ]);
-    [
-      label;
-      fmt_tp tp;
-      fmt_q (q ch 0.5);
-      fmt_q (q ch 0.99);
-      fmt_q (q ch 0.999);
-      fmt_q (q fh 0.99);
-      string_of_int r.killed;
-      string_of_int r.replacements;
-      string_of_int r.adoptions;
-      (if recovery_max = 0. then "-" else Printf.sprintf "%.3fs" recovery_max);
-      Printf.sprintf "%.2f" imbalance;
-      (if conserved = 1 then "ok"
-       else
-         Printf.sprintf "VIOLATED %d<>%d+%d (+%d left)" r.spawned r.executed
-           r.reconciled r.leftover);
-    ]
-  in
-  (* bind in sequence: list literals evaluate right-to-left, and the
-     calm cell must run first (its row is the storm's baseline) *)
-  let calm_row = cell ~label:"calm" ~storm:false in
-  let storm_row = cell ~label:"storm" ~storm:true in
-  let rows = [ calm_row; storm_row ] in
-  Harness.Table.print
-    ~headers:
-      [
-        "cell"; "ops/s"; "calm p50"; "calm p99"; "calm p999"; "fault p99";
-        "killed"; "repl"; "adopt"; "recovery"; "imbal"; "conserved";
-      ]
-    rows;
-  note
-    "%d shards (%d producers + %d consumers + monitor) over the chaos+\n\
-     crash+freeze substrate, %.0f arrivals/s per producer in bursts of\n\
-     %d, %.1fs per cell; the storm cell freezes producer 0 mid-soak,\n\
-     kills one consumer mid-CASN (its shard is quarantined, drained\n\
-     into survivors and revived for the replacement) and runs seeded\n\
-     spurious-DCAS chaos for the middle third; latencies are successful\n\
-     operations only, split calm/fault by storm phase; conserved means\n\
-     spawned = executed + reconciled and a zero leftover drain"
-    cfg.Worksteal.Shard_service.shards cfg.Worksteal.Shard_service.producers
-    cfg.Worksteal.Shard_service.consumers cfg.Worksteal.Shard_service.rate
-    cfg.Worksteal.Shard_service.burst duration
+  let third = duration /. 3. in
+  let freeze = Float.min 0.05 (third /. 4.) in
+  soak ~id:"e24" ~duration ~cfg
+    ~windows:
+      Harness.Storm.
+        [
+          { at = third; hold = third; fault = Chaos };
+          { at = third; hold = freeze; fault = Freeze { tid = 0 } };
+          {
+            at = third +. freeze;
+            hold = 0.;
+            fault = Kill { tid = cfg.producers; mid_casn = true };
+          };
+        ]
+    ~about:
+      "the storm cell freezes producer 0, then kills one consumer mid-CASN\n\
+       (its shard is quarantined, drained into survivors and revived for the\n\
+       replacement), under seeded spurious-DCAS chaos for the middle third"
 
-(* ------------------------------------------------------------------ *)
-(* E25: multi-storm survival soak — deadlines, zombies, fencing        *)
-(* ------------------------------------------------------------------ *)
-
-(* E24 with every remaining failure mode armed at once: per-request
-   deadlines with admission control (sheds enter the conservation law
-   as first-class timed-out outcomes), a zombified consumer that keeps
-   ticking its heartbeat while doing no work (progress-based fencing
-   must catch it — silence detection cannot), and a declarative
-   multi-storm schedule overlapping kill, freeze, zombie and chaos
-   windows with seeded jitter.  Reuses E24's composed substrate. *)
+(* E25: E24 with every remaining failure mode armed at once:
+   per-request deadlines with admission control (sheds enter the
+   conservation law as first-class timed-out outcomes), a zombified
+   consumer that keeps ticking its heartbeat while doing no work
+   (progress-based fencing must catch it — silence detection cannot),
+   and overlapping kill, freeze, zombie and chaos windows with seeded
+   jitter. *)
 let e25 ~quick =
   header "E25 multi-storm survival soak: deadlines, zombies, fencing";
   let duration = dur ~quick 2.4 in
@@ -2227,206 +2266,36 @@ let e25 ~quick =
         };
     }
   in
-  let slots =
-    cfg.Worksteal.Shard_service.producers
-    + cfg.Worksteal.Shard_service.consumers
-  in
-  (* recovery-latency quantiles over the per-event list *)
-  let lat_q rs p =
-    match List.sort compare rs with
-    | [] -> 0.
-    | sorted ->
-        let n = List.length sorted in
-        let i = Float.to_int (p *. float_of_int (n - 1) +. 0.5) in
-        List.nth sorted (min (n - 1) (max 0 i))
-  in
-  let cell ~label ~storm =
-    Harness.Crash.reset ();
-    Harness.Stall.Freezer.reset ();
-    Harness.Stall.Zombie.reset ();
-    Soak_chaos.disarm ();
-    let lat = soak_latency () in
-    (* The storm schedule occupies the middle third: a zombie window on
-       the last consumer, a mid-CASN kill of the first consumer, a
-       short freeze of producer 0 and a chaos window, overlapping, with
-       seeded jitter so repeated soaks sample different alignments. *)
-    let third = duration /. 3. in
-    let windows =
-      if not storm then []
-      else
-        Harness.Storm.jittered ~seed:0xE25 ~jitter:(third /. 20.)
-          [
-            {
-              Harness.Storm.at = third;
-              hold = third;
-              fault = Harness.Storm.Chaos;
-            };
-            {
-              Harness.Storm.at = third *. 1.1;
-              hold = third *. 0.8;
-              fault =
-                Harness.Storm.Zombie { tid = slots - 1 };
-            };
-            {
-              Harness.Storm.at = third *. 1.3;
-              hold = Float.min 0.05 (third /. 4.);
-              fault = Harness.Storm.Freeze { tid = 0 };
-            };
-            {
-              Harness.Storm.at = third *. 1.5;
-              hold = third *. 0.2;
-              fault =
-                Harness.Storm.Kill
-                  {
-                    tid = cfg.Worksteal.Shard_service.producers;
-                    mid_casn = true;
-                  };
-            };
-          ]
-    in
-    let landings = ref [] in
-    let driver () =
-      if storm then begin
-        landings :=
-          Harness.Storm.run
-            ~arm_chaos:(fun () ->
-              Soak_chaos.configure ~fail_prob:0.002 ~seed:0xC4A05 ())
-            ~disarm_chaos:Soak_chaos.disarm
-            ~chaos_hits:(fun () ->
-              (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious)
-            ~on_active:(fun n -> Atomic.set lat.fault_phase (n > 0))
-            ~settle:(Float.min 0.1 third) windows;
-        Atomic.set lat.fault_phase false;
-        (* calm recovery tail *)
-        Unix.sleepf third
-      end
-      else Unix.sleepf duration
-    in
-    let spurious0 = (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious in
-    let bites0 = Harness.Stall.Zombie.bites () in
-    let r =
-      Soak_service.run ~config:cfg ~on_push:(on_served_push lat)
-        ~on_pop:(on_served_pop lat) ~driver ~duration ()
-    in
-    let freezes = Harness.Stall.Freezer.freeze_hits () in
-    let spurious =
-      (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious - spurious0
-    in
-    let zombie_bites = Harness.Stall.Zombie.bites () - bites0 in
-    let landed =
-      List.length (List.filter (fun l -> l.Harness.Storm.landed) !landings)
-    in
-    Harness.Crash.reset ();
-    Harness.Stall.Freezer.reset ();
-    Harness.Stall.Zombie.reset ();
-    let open Worksteal.Shard_service in
-    let q = Dcas.Histogram.quantile in
-    let ch = lat.calm_h and fh = lat.fault_h in
-    let conserved = if conserved r then 1 else 0 in
-    let tp =
-      if r.elapsed > 0. then
-        float_of_int (r.pushed_ok + r.executed) /. r.elapsed
-      else 0.
-    in
-    let imbalance =
-      (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
-    in
-    let shed_total = shed r in
-    let shed_rate =
-      if r.spawned > 0 then float_of_int shed_total /. float_of_int r.spawned
-      else 0.
-    in
-    emit_json
-      (Harness.Json.Obj
-         [
-           ("experiment", Harness.Json.String "e25");
-           ("section", Harness.Json.String "soak");
-           ("cell", Harness.Json.String label);
-           ("shards", Harness.Json.Int cfg.shards);
-           ("producers", Harness.Json.Int cfg.producers);
-           ("consumers", Harness.Json.Int cfg.consumers);
-           ("rate", Harness.Json.Float cfg.rate);
-           ( "deadline_s",
-             Harness.Json.Float (Option.value ~default:0. cfg.deadline) );
-           ("elapsed_s", Harness.Json.Float r.elapsed);
-           ("ops_per_sec", Harness.Json.Float tp);
-           ("spawned", Harness.Json.Int r.spawned);
-           ("executed", Harness.Json.Int r.executed);
-           ("reconciled", Harness.Json.Int r.reconciled);
-           ("shed_admission", Harness.Json.Int r.shed_admission);
-           ("shed_expired", Harness.Json.Int r.shed_expired);
-           ("shed_rate", Harness.Json.Float shed_rate);
-           ("leftover", Harness.Json.Int r.leftover);
-           ("conserved", Harness.Json.Int conserved);
-           ("pushed_ok", Harness.Json.Int r.pushed_ok);
-           ("push_full", Harness.Json.Int r.push_full);
-           ("timeouts", Harness.Json.Int r.timeouts);
-           ("overshoot_max_ns", Harness.Json.Int r.overshoot_max_ns);
-           ("killed", Harness.Json.Int r.killed);
-           ("zombies_fenced", Harness.Json.Int r.zombies_fenced);
-           ("zombie_bites", Harness.Json.Int zombie_bites);
-           ("replacements", Harness.Json.Int r.replacements);
-           ("adoptions", Harness.Json.Int r.adoptions);
-           ("adopted_items", Harness.Json.Int r.adopted_items);
-           ("orphans_helped", Harness.Json.Int r.orphans_helped);
-           ("freezes", Harness.Json.Int freezes);
-           ("chaos_spurious", Harness.Json.Int spurious);
-           ("storm_windows", Harness.Json.Int (List.length windows));
-           ("storm_landed", Harness.Json.Int landed);
-           ("recoveries", Harness.Json.Int (List.length r.recoveries));
-           ("recovery_p50_s", Harness.Json.Float (lat_q r.recoveries 0.5));
-           ("recovery_p90_s", Harness.Json.Float (lat_q r.recoveries 0.9));
-           ( "recovery_max_s",
-             Harness.Json.Float (List.fold_left Float.max 0. r.recoveries) );
-           ("calm_p50_ns", Harness.Json.Float (q ch 0.5));
-           ("calm_p99_ns", Harness.Json.Float (q ch 0.99));
-           ("calm_p999_ns", Harness.Json.Float (q ch 0.999));
-           ("fault_p50_ns", Harness.Json.Float (q fh 0.5));
-           ("fault_p99_ns", Harness.Json.Float (q fh 0.99));
-           ("fault_p999_ns", Harness.Json.Float (q fh 0.999));
-           ("imbalance", Harness.Json.Float imbalance);
-         ]);
-    [
-      label;
-      fmt_tp tp;
-      fmt_q (q ch 0.99);
-      fmt_q (q fh 0.99);
-      Printf.sprintf "%.1f%%" (shed_rate *. 100.);
-      string_of_int r.overshoot_max_ns;
-      string_of_int r.killed;
-      string_of_int r.zombies_fenced;
-      string_of_int freezes;
-      Printf.sprintf "%d/%d" landed (List.length windows);
-      (if r.recoveries = [] then "-"
-       else Printf.sprintf "%.3fs" (List.fold_left Float.max 0. r.recoveries));
-      (if conserved = 1 then "ok"
-       else
-         Printf.sprintf "VIOLATED %d<>%d+%d+%d (+%d left)" r.spawned
-           r.executed r.reconciled shed_total r.leftover);
-    ]
-  in
-  let calm_row = cell ~label:"calm" ~storm:false in
-  let storm_row = cell ~label:"storm" ~storm:true in
-  let rows = [ calm_row; storm_row ] in
-  Harness.Table.print
-    ~headers:
-      [
-        "cell"; "ops/s"; "calm p99"; "fault p99"; "shed"; "overshoot ns";
-        "killed"; "zfenced"; "freezes"; "landed"; "recovery"; "conserved";
-      ]
-    rows;
-  note
-    "%d shards (%d producers + %d consumers + monitor), 50ms request\n\
-     deadlines with p99-sojourn admission control; the storm cell runs\n\
-     a jittered schedule of four overlapping windows — seeded chaos, a\n\
-     zombified consumer (ticking heartbeat, zero progress: only the\n\
-     progress-based detector can fence it), a frozen producer and a\n\
-     mid-CASN consumer kill — and must land every window, fence the\n\
-     zombie exactly once, and keep the extended conservation law\n\
-     spawned = executed + reconciled + shed with a zero-leftover drain\n\
-     and no served op finishing past its stamped deadline"
-    cfg.Worksteal.Shard_service.shards cfg.Worksteal.Shard_service.producers
-    cfg.Worksteal.Shard_service.consumers
+  let third = duration /. 3. in
+  soak ~id:"e25" ~duration ~cfg
+    ~windows:
+      (Harness.Storm.jittered ~seed:0xE25 ~jitter:(third /. 20.)
+         Harness.Storm.
+           [
+             { at = third; hold = third; fault = Chaos };
+             {
+               at = third *. 1.1;
+               hold = third *. 0.8;
+               fault = Zombie { tid = cfg.producers + cfg.consumers - 1 };
+             };
+             {
+               at = third *. 1.3;
+               hold = Float.min 0.05 (third /. 4.);
+               fault = Freeze { tid = 0 };
+             };
+             {
+               at = third *. 1.5;
+               hold = third *. 0.2;
+               fault = Kill { tid = cfg.producers; mid_casn = true };
+             };
+           ])
+    ~about:
+      "50ms request deadlines with p99-sojourn admission control; the storm\n\
+       cell runs a jittered schedule of four overlapping windows — seeded\n\
+       chaos, a zombified consumer (ticking heartbeat, zero progress: only\n\
+       the progress-based detector can fence it), a frozen producer and a\n\
+       mid-CASN consumer kill — and must land every window, fence the zombie\n\
+       and serve no op past its stamped deadline"
 
 (* ------------------------------------------------------------------ *)
 

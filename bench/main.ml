@@ -302,20 +302,31 @@ let check_e23 rows =
   | l -> fail "expected exactly 1 frozen-probe row, got %d" (List.length l));
   Printf.printf "e23 invariants: ok\n"
 
-(* E24 is the sharded-service soak gate: both cells (calm and storm)
-   must conserve service-wide (spawned = executed + reconciled, zero
-   leftover drain), the storm cell must actually have stormed (>= 1
-   kill, >= 1 freeze park, a recovery latency recorded, a replacement
-   per death), the calm cell must be fault-free, quantiles must be
-   ordered, and the calm p99 must clear a deliberately generous SLO —
-   the bar is "bounded under faults on one oversubscribed core", not a
-   latency contest. *)
-let check_e24 rows =
+(* The E24/E25 soak gate.  Both cells (calm and storm) must conserve
+   service-wide with sheds as first-class outcomes (spawned = executed
+   + reconciled + shed, zero leftover drain), have spawned traffic and
+   served some, keep their calm quantiles ordered and finite, and
+   serve no op more than 50ms past its stamped deadline; the calm cell
+   must shed at most 5% and see no storm at all (no kill, freeze,
+   chaos hit, window, zombie bite or fencing — the false-positive
+   gate), and the storm cell must shed at most 75%, schedule at least
+   one window per fault kind it must show, land every window, show
+   each of [kinds] (a kill, a freeze park, a spurious DCAS failure;
+   for a zombie both a bite and a fencing), replace every death and
+   fencing, record recovery latencies in order, and keep its fault
+   quantiles ordered.  [calm_p99_slo] is a deliberately generous calm
+   p99 ceiling — the bar is "bounded under faults on one
+   oversubscribed core", not a latency contest — for soaks whose pops
+   do not wait out a deadline budget.  Each row is judged on
+   conservation, leftover, throughput, calm quantiles and the SLO
+   before any other field is read, so a row that carries only those
+   fails on them by name. *)
+let check_soak ~experiment ~kinds ?calm_p99_slo rows =
   let open Harness.Json in
   let fail fmt =
     Printf.ksprintf
       (fun m ->
-        Printf.eprintf "e24 invariant violated: %s\n" m;
+        Printf.eprintf "%s invariant violated: %s\n" experiment m;
         exit 1)
       fmt
   in
@@ -326,7 +337,7 @@ let check_e24 rows =
     | None -> fail "row %S lacks numeric %S" (str "cell" r) k
   in
   let int_of k r = int_of_float (num k r) in
-  let q k r = quantile_of ~experiment:"e24" ~row:(str "cell" r) k r in
+  let q k r = quantile_of ~experiment ~row:(str "cell" r) k r in
   let soak = List.filter (fun r -> str "section" r = "soak") rows in
   let cell c =
     match List.find_opt (fun r -> str "cell" r = c) soak with
@@ -339,72 +350,6 @@ let check_e24 rows =
   List.iter
     (fun r ->
       let c = str "cell" r in
-      if int_of "conserved" r <> 1 then
-        fail "%s: spawned %d <> executed %d + reconciled %d" c
-          (int_of "spawned" r) (int_of "executed" r) (int_of "reconciled" r);
-      if int_of "leftover" r <> 0 then
-        fail "%s: %d items left after the final drain" c (int_of "leftover" r);
-      if not (num "ops_per_sec" r > 0.) then fail "%s: no throughput" c;
-      let p50 = q "calm_p50_ns" r and p99 = q "calm_p99_ns" r in
-      let p999 = q "calm_p999_ns" r in
-      if p50 > p99 || p99 > p999 then
-        fail "%s: calm quantiles out of order (%.0f/%.0f/%.0f)" c p50 p99 p999;
-      (* generous 1-core SLO: calm p99 under 50ms *)
-      if p99 > 50e6 then
-        fail "%s: calm p99 %.1fms blows the 50ms SLO" c (p99 /. 1e6))
-    soak;
-  if int_of "killed" calm <> 0 || int_of "freezes" calm <> 0 then
-    fail "calm cell saw faults (%d kills, %d freezes)" (int_of "killed" calm)
-      (int_of "freezes" calm);
-  if int_of "killed" storm < 1 then fail "storm cell killed nobody";
-  if int_of "freezes" storm < 1 then fail "storm cell froze nobody";
-  if int_of "chaos_spurious" storm < 1 then
-    fail "storm cell injected no spurious DCAS failures";
-  if int_of "replacements" storm < int_of "killed" storm then
-    fail "storm: %d replacements for %d deaths" (int_of "replacements" storm)
-      (int_of "killed" storm);
-  if int_of "recoveries" storm < 1 || not (num "recovery_max_s" storm > 0.) then
-    fail "storm cell recorded no recovery latency";
-  if q "fault_p50_ns" storm > q "fault_p99_ns" storm then
-    fail "storm: fault quantiles out of order";
-  Printf.printf "e24 invariants: ok\n"
-
-(* E25 cross-checks: deadline enforcement, zombie fencing and the
-   multi-storm schedule must all demonstrably fire, the extended
-   conservation law spawned = executed + reconciled + shed must hold
-   in every cell with a zero-leftover drain, no served operation may
-   finish past its stamped deadline beyond a scheduling epsilon, and
-   every scheduled storm window must land. *)
-let check_e25 rows =
-  let open Harness.Json in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "e25 invariant violated: %s\n" m;
-        exit 1)
-      fmt
-  in
-  let str k r = Option.value ~default:"?" (string_value (member k r)) in
-  let num k r =
-    match number_value (member k r) with
-    | Some v -> v
-    | None -> fail "row %S lacks numeric %S" (str "cell" r) k
-  in
-  let int_of k r = int_of_float (num k r) in
-  let q k r = quantile_of ~experiment:"e25" ~row:(str "cell" r) k r in
-  let soak = List.filter (fun r -> str "section" r = "soak") rows in
-  let cell c =
-    match List.find_opt (fun r -> str "cell" r = c) soak with
-    | Some r -> r
-    | None -> fail "missing %s cell" c
-  in
-  if List.length soak <> 2 then
-    fail "expected 2 soak rows, got %d" (List.length soak);
-  let calm = cell "calm" and storm = cell "storm" in
-  List.iter
-    (fun r ->
-      let c = str "cell" r in
-      if int_of "spawned" r <= 0 then fail "%s: spawned nothing" c;
       if int_of "conserved" r <> 1 then
         fail "%s: spawned %d <> executed %d + reconciled %d + shed %d+%d" c
           (int_of "spawned" r) (int_of "executed" r) (int_of "reconciled" r)
@@ -412,16 +357,23 @@ let check_e25 rows =
       if int_of "leftover" r <> 0 then
         fail "%s: %d items left after the final drain" c (int_of "leftover" r);
       if not (num "ops_per_sec" r > 0.) then fail "%s: no throughput" c;
+      let p50 = q "calm_p50_ns" r and p99 = q "calm_p99_ns" r in
+      let p999 = q "calm_p999_ns" r in
+      if p50 > p99 || p99 > p999 then
+        fail "%s: calm quantiles out of order (%.0f/%.0f/%.0f)" c p50 p99 p999;
+      Option.iter
+        (fun slo ->
+          if p99 > slo then
+            fail "%s: calm p99 %.1fms blows the %.0fms SLO" c (p99 /. 1e6)
+              (slo /. 1e6))
+        calm_p99_slo;
+      if int_of "spawned" r <= 0 then fail "%s: spawned nothing" c;
       (* deadline enforcement: expired items are shed at dequeue, so a
          served op finishing past its stamped expiry beyond a
          scheduling epsilon is an enforcement bug *)
       if num "overshoot_max_ns" r > 50e6 then
         fail "%s: served op finished %.1fms past its deadline" c
-          (num "overshoot_max_ns" r /. 1e6);
-      let p50 = q "calm_p50_ns" r and p99 = q "calm_p99_ns" r in
-      let p999 = q "calm_p999_ns" r in
-      if p50 > p99 || p99 > p999 then
-        fail "%s: calm quantiles out of order (%.0f/%.0f/%.0f)" c p50 p99 p999)
+          (num "overshoot_max_ns" r /. 1e6))
     soak;
   (* shed-rate ceilings: a calm cell shedding visibly means admission
      or expiry fires without cause; a storm cell may shed heavily but
@@ -436,28 +388,39 @@ let check_e25 rows =
     || int_of "freezes" calm <> 0
     || int_of "chaos_spurious" calm <> 0
     || int_of "storm_windows" calm <> 0
-  then fail "calm cell saw storm faults";
-  (* the false-positive gates: no zombie bites without a zombie window,
-     and — the satellite regression — no fencing of healthy consumers
-     (an idle or merely descheduled consumer must trip neither
-     detector) *)
+  then
+    fail "calm cell saw storm faults (%d kills, %d freezes, %d chaos hits, \
+          %d windows)"
+      (int_of "killed" calm) (int_of "freezes" calm)
+      (int_of "chaos_spurious" calm)
+      (int_of "storm_windows" calm);
+  (* no zombie bites without a zombie window, and no fencing of
+     healthy consumers (an idle or merely descheduled consumer must
+     trip neither detector) *)
   if int_of "zombie_bites" calm <> 0 then fail "calm cell saw zombie bites";
   if int_of "zombies_fenced" calm <> 0 then
     fail "calm cell fenced %d healthy consumers as zombies"
       (int_of "zombies_fenced" calm);
-  if int_of "storm_windows" storm < 4 then
+  if int_of "storm_windows" storm < List.length kinds then
     fail "storm cell scheduled only %d windows" (int_of "storm_windows" storm);
   if int_of "storm_landed" storm <> int_of "storm_windows" storm then
     fail "only %d of %d storm windows landed" (int_of "storm_landed" storm)
       (int_of "storm_windows" storm);
-  if int_of "killed" storm < 1 then fail "storm cell killed nobody";
-  if int_of "freezes" storm < 1 then fail "storm cell froze nobody";
-  if int_of "chaos_spurious" storm < 1 then
-    fail "storm cell injected no spurious DCAS failures";
-  if int_of "zombie_bites" storm < 1 then
-    fail "storm cell's zombie never bit (suppressed no operations)";
-  if int_of "zombies_fenced" storm < 1 then
-    fail "storm cell fenced no zombie (progress-based detection failed)";
+  List.iter
+    (function
+      | `Kill -> if int_of "killed" storm < 1 then fail "storm cell killed nobody"
+      | `Freeze ->
+          if int_of "freezes" storm < 1 then fail "storm cell froze nobody"
+      | `Chaos ->
+          if int_of "chaos_spurious" storm < 1 then
+            fail "storm cell injected no spurious DCAS failures"
+      | `Zombie ->
+          if int_of "zombie_bites" storm < 1 then
+            fail "storm cell's zombie never bit (suppressed no operations)";
+          if int_of "zombies_fenced" storm < 1 then
+            fail
+              "storm cell fenced no zombie (progress-based detection failed)")
+    kinds;
   if
     int_of "replacements" storm
     < int_of "killed" storm + int_of "zombies_fenced" storm
@@ -476,7 +439,7 @@ let check_e25 rows =
       (num "recovery_max_s" storm);
   if q "fault_p50_ns" storm > q "fault_p99_ns" storm then
     fail "storm: fault quantiles out of order";
-  Printf.printf "e25 invariants: ok\n"
+  Printf.printf "%s invariants: ok\n" experiment
 
 (* Parse a --json document back and print a deterministic summary; the
    cram test uses this as the round-trip check. *)
@@ -521,8 +484,13 @@ let check_json file =
               if id = "e21" then check_e21 rows;
               if id = "e22" then check_e22 rows;
               if id = "e23" then check_e23 rows;
-              if id = "e24" then check_e24 rows;
-              if id = "e25" then check_e25 rows)
+              if id = "e24" then
+                check_soak ~experiment:"e24" ~kinds:[ `Kill; `Freeze; `Chaos ]
+                  ~calm_p99_slo:50e6 rows;
+              if id = "e25" then
+                check_soak ~experiment:"e25"
+                  ~kinds:[ `Kill; `Freeze; `Chaos; `Zombie ]
+                  rows)
         (to_list (member "experiments" doc))
 
 (* --- Baseline comparison: bench --compare OLD.json NEW.json ---

@@ -59,8 +59,8 @@ let make_impl (type t) ?(enroll = false) name
           | `Full -> invalid_arg "prefill exceeds capacity"
         done;
         Harness.Runner.run ?watchdog ~threads ~duration (fun ~tid ~rng ->
-            if enroll && tid < Harness.Crash.max_slots then
-              Harness.Crash.enroll ~tid;
+            if enroll && tid < Harness.Fault.max_slots then
+              Harness.Fault.enroll ~tid;
             ignore
               (Harness.Workload.apply
                  ~push_right:(fun v -> push_right d v)
@@ -167,11 +167,11 @@ let impls : impl list =
   ]
 
 (* Crash-instrumented variants of the lock-free implementations: same
-   algorithms over [Mem_lockfree] behind [Crash.Mem_crashing_casn], so
+   algorithms over [Mem_lockfree] behind [Harness.Fault.Mem], so
    an armed worker dies at a shared-memory point and the others keep
    going.  Selected (by the same --impl names) when --crash-prob is
    positive. *)
-module Crash_mem = Harness.Crash.Mem_crashing_casn (Dcas.Mem_lockfree)
+module Crash_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
 module Crash_array = Deque.Array_deque.Make (Crash_mem)
 module Crash_list = Deque.List_deque.Make (Crash_mem)
 module Crash_dummy = Deque.List_deque_dummy.Make (Crash_mem)
@@ -246,7 +246,7 @@ let run impl_name threads duration mix_name capacity prefill watchdog_s
          orphans and keep the watchdog ticking *)
       let max_kills = min crash_workers (threads - 1) in
       if crashing then begin
-        Harness.Crash.reset ();
+        Harness.Fault.reset ();
         Harness.Crash.configure ~prob:crash_prob ~mid_casn_prob:0.5
           ~max_kills ~seed:crash_seed ()
       end;

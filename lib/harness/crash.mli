@@ -1,15 +1,15 @@
-(** Fail-stop crash injection: enrolled victim domains die for good at
-    an instrumented shared-memory point — including {e mid-CASN}, with
-    a published undecided descriptor that survivors must help to
-    completion.  The permanent sibling of {!Stall.Freezer}'s freezes,
-    for experiment E22 and the supervised scheduler
-    ({!Worksteal.Supervisor}). *)
+(** Fail-stop crash injection: enrolled victim domains ({!Fault.enroll})
+    die for good at an instrumented shared-memory point of {!Fault.Mem}
+    — including {e mid-CASN}, with a published undecided descriptor
+    that survivors must help to completion.  The permanent sibling of
+    {!Stall.Freezer}'s freezes, for experiment E22, the supervised
+    scheduler and service ({!Worksteal.Supervisor}) and the soaks. *)
 
 exception Died
 (** Raised on the victim domain at its death point.  Anything driving
     crash-injected workers must treat a worker raising [Died] as a
     fail-stop fault, not an error (see {!Runner} and
-    [Worksteal.Scheduler]'s supervised mode). *)
+    [Worksteal.Supervisor]). *)
 
 type mode = [ `At_point | `Mid_casn ]
 (** Where a targeted death lands: [`At_point] at the next instrumented
@@ -19,24 +19,13 @@ type mode = [ `At_point | `Mid_casn ]
     fast-fail pre-validation, or when the bottom substrate is not
     {!Dcas.Mem_lockfree}). *)
 
-val max_slots : int
-(** Capacity of the tid table (matches {!Stall.Freezer}). *)
-
-val enroll : tid:int -> unit
-(** Make the calling domain eligible to die, under worker id [tid].
-    Un-enrolled domains (supervisors, monitors, the main domain) are
-    never victims.
-
-    @raise Invalid_argument if [tid] is outside [\[0, max_slots)]. *)
-
-val leave : unit -> unit
-(** The calling domain is no longer eligible. *)
-
 val kill : ?mode:mode -> tid:int -> unit -> unit
-(** Request a targeted death: the enrolled domain running as [tid]
-    dies at its next eligible instrumented point (default mode
-    [`Mid_casn]: its next DCAS-shaped operation).  Deterministic —
-    used by the orphaned-descriptor tests. *)
+(** Request a targeted death: the domain enrolled as [tid] dies at its
+    next eligible instrumented point (default mode [`Mid_casn]: its
+    next DCAS-shaped operation).  Deterministic — used by the
+    orphaned-descriptor tests and the storm schedules.
+
+    @raise Invalid_argument if [tid] is outside [\[0, Fault.max_slots)]. *)
 
 val configure :
   ?prob:float -> ?mid_casn_prob:float -> ?max_kills:int -> seed:int -> unit -> unit
@@ -51,8 +40,6 @@ val configure :
 val disarm : unit -> unit
 (** Stop drawing probabilistic deaths (targeted requests survive). *)
 
-val armed : unit -> bool
-
 val kills : unit -> int
 (** Domains killed so far (targeted and probabilistic). *)
 
@@ -62,24 +49,3 @@ val mid_casn_kills : unit -> int
     every orphan ({!Dcas.Mem_lockfree.help_orphans}). *)
 
 val killed : tid:int -> bool
-val killed_tids : unit -> int list
-
-val reset : unit -> unit
-(** Disarm, forget all deaths and requests, and clear the substrate's
-    dead set ({!Dcas.Mem_lockfree.clear_dead}) — between tests. *)
-
-val point : casn:bool -> unit
-(** The victim-side check, called by {!Mem_crashing_casn} before every
-    shared operation; [casn] marks DCAS-shaped operations that can
-    host a mid-CASN death.  Exposed for custom instrumentation. *)
-
-val boundary : unit -> unit
-(** Post-operation fallback for an armed mid-CASN death that never
-    reached a publish (see {!mode}).  Exposed for custom
-    instrumentation; call after the operation returns. *)
-
-module Mem_crashing_casn (M : Dcas.Memory_intf.MEMORY_CASN) :
-  Dcas.Memory_intf.MEMORY_CASN with type 'a loc = 'a M.loc
-(** [M] with a death check in front of every shared operation.  Same
-    [loc] type, so structures are otherwise identical; composes with
-    {!Dcas.Mem_chaos} and {!Stall.Mem_stalling_casn}. *)

@@ -1,8 +1,7 @@
 (* Stall injection for the resilience and liveness experiments (E9,
-   E14, E19).
-
-   Two mechanisms share the same instrumentation point (a check before
-   every shared-memory operation):
+   E14, E19) and the soaks, controller side.  Every mechanism here is
+   delivered through {!Fault}: its slot table holds the flags, and its
+   instrumented memory is where a victim notices them.
 
    - {e cooperative self-stalls} ([request]): a thread arranges to go
      to sleep just before its [after_ops]-th subsequent shared-memory
@@ -11,27 +10,35 @@
      The request is domain-local, so a staller only ever stalls itself.
 
    - {e adversarial cross-domain freezes} ([Freezer]): a controller
-     thread suspends enrolled victim domains at their next
-     shared-memory access point and releases them later.  Unlike
-     [Mem_chaos]'s bounded freezes, a frozen domain stays parked until
-     it is thawed, which is exactly the paper's Section 1 "stopped
-     process": with up to [threads - 1] domains frozen mid-operation, a
-     lock-free structure must let the survivors keep completing
-     operations, while anything blocking (a lock holder, a turn-passing
-     protocol) stalls system-wide.  The controller chooses {e when} to
-     set the flag; the victim parks at whatever access point it reaches
-     next, so repeated freeze/thaw cycles sample random points inside
-     operations.
+     suspends an enrolled victim at its next shared-memory access point
+     and releases it later.  Unlike [Mem_chaos]'s bounded freezes, a
+     frozen domain stays parked until it is thawed, which is exactly
+     the paper's Section 1 "stopped process": with up to [threads - 1]
+     domains frozen mid-operation, a lock-free structure must let the
+     survivors keep completing operations, while anything blocking (a
+     lock holder, a turn-passing protocol) stalls system-wide.  The
+     controller chooses {e when} to set the flag; the victim parks at
+     whatever access point it reaches next, so repeated freeze/thaw
+     cycles sample random points inside operations.
 
-   For the DCAS deques both mechanisms are harmless by design (any
+   - {e zombies} ([Zombie]): the failure mode neither of the above
+     produces — the victim stays scheduled and keeps ticking its
+     liveness heartbeat, but does no useful work (a worker wedged in a
+     retry loop, spinning on a poisoned connection, live-locked).
+     Crash detection never fires (it is not dead) and tick-based
+     silence detection never fires (it is not silent); only
+     progress-based detection ({!Worksteal.Supervisor}'s
+     [zombie_after]) can tell it from a healthy idle worker.  A parked
+     victim would stop ticking and look merely silent, so zombies are
+     not delivered at shared-memory points: the victim's work loop
+     polls [active] each iteration and, while the flag is up, skips the
+     operation, keeps its heartbeat ticking and counts one [bite] — the
+     counter a storm schedule reads to verify the window landed.
+
+   For the DCAS deques stalls and freezes are harmless by design (any
    other thread helps or works around); for the lock-based baseline the
    equivalent experiment holds the deque's mutex across the same sleep,
    stopping the world. *)
-
-type pending = { mutable countdown : int; mutable duration : float }
-
-let key : pending Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { countdown = -1; duration = 0. })
 
 (* A new request overwrites any pending one: requests do not nest or
    queue, each domain has at most one armed stall at a time.  See the
@@ -40,197 +47,49 @@ let request ~after_ops ~duration =
   if after_ops < 1 then invalid_arg "Stall.request: after_ops must be >= 1";
   if not (duration >= 0.) (* also rejects NaN *) then
     invalid_arg "Stall.request: duration must be >= 0";
-  let p = Domain.DLS.get key in
-  p.countdown <- after_ops;
-  p.duration <- duration
+  Fault.set_stall ~countdown:after_ops ~duration
 
 (* Idempotent: cancelling with nothing pending is a no-op. *)
-let cancel () =
-  let p = Domain.DLS.get key in
-  p.countdown <- -1
+let cancel () = Fault.set_stall ~countdown:(-1) ~duration:0.
+let pending () = Fault.stall_countdown () > 0
 
-let pending () = (Domain.DLS.get key).countdown > 0
-
-(* --- Cross-domain freezer --- *)
+let sum field =
+  Array.fold_left (fun n s -> n + Atomic.get (field s)) 0 Fault.slots
 
 module Freezer = struct
-  (* Slots are dense worker ids (the runner's [tid]), not domain ids:
-     tests freeze "worker 1 and 2 of 3".  Fixed capacity keeps the
-     check on the hot path an array load; 64 comfortably exceeds any
-     worker count the harness spawns. *)
-  let max_slots = 64
-
-  let flags = Array.init max_slots (fun _ -> Dcas.Padding.make_atomic false)
-  let parked = Array.init max_slots (fun _ -> Dcas.Padding.make_atomic false)
-  let hits = Array.init max_slots (fun _ -> Dcas.Padding.make_atomic 0)
-
-  let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
-
-  let check_tid ~who tid =
-    if tid < 0 || tid >= max_slots then
-      invalid_arg
-        (Printf.sprintf "Stall.Freezer.%s: tid must be in [0, %d)" who
-           max_slots)
-
-  let enroll ~tid =
-    check_tid ~who:"enroll" tid;
-    Domain.DLS.set slot_key tid
-
-  let leave () = Domain.DLS.set slot_key (-1)
-
   let freeze ~tid =
-    check_tid ~who:"freeze" tid;
-    Atomic.set flags.(tid) true
+    Atomic.set (Fault.slot ~who:"Stall.Freezer.freeze" tid).frozen true
 
   let thaw ~tid =
-    check_tid ~who:"thaw" tid;
-    Atomic.set flags.(tid) false
+    Atomic.set (Fault.slot ~who:"Stall.Freezer.thaw" tid).frozen false
 
-  let thaw_all () = Array.iter (fun f -> Atomic.set f false) flags
+  let thaw_all () =
+    Array.iter (fun (s : Fault.slot) -> Atomic.set s.frozen false) Fault.slots
 
   let frozen_now () =
-    Array.fold_left (fun n p -> if Atomic.get p then n + 1 else n) 0 parked
+    Array.fold_left
+      (fun n (s : Fault.slot) -> if Atomic.get s.parked then n + 1 else n)
+      0 Fault.slots
 
-  let freeze_hits () =
-    Array.fold_left (fun n h -> n + Atomic.get h) 0 hits
+  let freeze_hits () = sum (fun s -> s.Fault.parks)
 
   let freeze_hits_of ~tid =
-    check_tid ~who:"freeze_hits_of" tid;
-    Atomic.get hits.(tid)
-
-  let reset () =
-    thaw_all ();
-    Array.iter (fun h -> Atomic.set h 0) hits;
-    Array.iter (fun p -> Atomic.set p false) parked
-
-  (* The victim side: park while this domain's flag is up.  Checked at
-     every instrumented shared-memory access, so the park lands inside
-     whatever operation the victim is executing. *)
-  let point () =
-    let tid = Domain.DLS.get slot_key in
-    if tid >= 0 && Atomic.get flags.(tid) then begin
-      Atomic.incr hits.(tid);
-      Atomic.set parked.(tid) true;
-      while Atomic.get flags.(tid) do
-        Domain.cpu_relax ()
-      done;
-      Atomic.set parked.(tid) false
-    end
+    Atomic.get (Fault.slot ~who:"Stall.Freezer.freeze_hits_of" tid).parks
 end
 
-(* --- Zombie injection ---
-
-   A zombie is the failure mode neither of the above produces: the
-   victim stays scheduled and keeps ticking its liveness heartbeat,
-   but does no useful work — a worker wedged in a retry loop, spinning
-   on a poisoned connection, or live-locked.  Crash detection never
-   fires (it is not dead) and tick-based silence detection never fires
-   (it is not silent); only progress-based detection
-   ({!Worksteal.Supervisor}'s [zombie_after]) can tell it from a
-   healthy idle worker.
-
-   Unlike the freezer, zombification is not delivered at shared-memory
-   points — a parked victim would stop ticking and look merely silent.
-   Instead the victim's WORK LOOP cooperates: it polls [active] each
-   iteration and, while the flag is up, skips the operation, keeps its
-   heartbeat ticking, and counts one [bite].  The bite counter is how
-   a storm schedule verifies the window actually landed. *)
 module Zombie = struct
-  let max_slots = 64
-
-  let flags = Array.init max_slots (fun _ -> Dcas.Padding.make_atomic false)
-  let bitten = Array.init max_slots (fun _ -> Dcas.Padding.make_atomic 0)
-
-  let check_tid ~who tid =
-    if tid < 0 || tid >= max_slots then
-      invalid_arg
-        (Printf.sprintf "Stall.Zombie.%s: tid must be in [0, %d)" who
-           max_slots)
-
   let zombify ~tid =
-    check_tid ~who:"zombify" tid;
-    Atomic.set flags.(tid) true
+    Atomic.set (Fault.slot ~who:"Stall.Zombie.zombify" tid).zombie true
 
   let cure ~tid =
-    check_tid ~who:"cure" tid;
-    Atomic.set flags.(tid) false
-
-  let cure_all () = Array.iter (fun f -> Atomic.set f false) flags
+    Atomic.set (Fault.slot ~who:"Stall.Zombie.cure" tid).zombie false
 
   let active ~tid =
-    tid >= 0 && tid < max_slots && Atomic.get flags.(tid)
+    tid >= 0 && tid < Fault.max_slots && Atomic.get Fault.slots.(tid).zombie
 
-  let bite ~tid =
-    check_tid ~who:"bite" tid;
-    Atomic.incr bitten.(tid)
-
-  let bites () =
-    Array.fold_left (fun n b -> n + Atomic.get b) 0 bitten
+  let bite ~tid = Atomic.incr (Fault.slot ~who:"Stall.Zombie.bite" tid).bites
+  let bites () = sum (fun s -> s.Fault.bites)
 
   let bites_of ~tid =
-    check_tid ~who:"bites_of" tid;
-    Atomic.get bitten.(tid)
-
-  let reset () =
-    cure_all ();
-    Array.iter (fun b -> Atomic.set b 0) bitten
-end
-
-(* Called by the instrumented memory before every shared operation. *)
-let point () =
-  let p = Domain.DLS.get key in
-  if p.countdown > 0 then begin
-    p.countdown <- p.countdown - 1;
-    if p.countdown = 0 then begin
-      p.countdown <- -1;
-      Unix.sleepf p.duration
-    end
-  end;
-  Freezer.point ()
-
-(* A memory model that checks for a pending stall or freeze before each
-   shared operation, then delegates.  Same loc type as the wrapped
-   model, so structures built over it are otherwise identical. *)
-module Mem_stalling (M : Dcas.Memory_intf.MEMORY) :
-  Dcas.Memory_intf.MEMORY with type 'a loc = 'a M.loc = struct
-  type 'a loc = 'a M.loc
-
-  let name = M.name ^ "+stall"
-  let make = M.make
-  let make_padded = M.make_padded
-
-  let get l =
-    point ();
-    M.get l
-
-  let set l v =
-    point ();
-    M.set l v
-
-  let set_private = M.set_private
-
-  let dcas l1 l2 o1 o2 n1 n2 =
-    point ();
-    M.dcas l1 l2 o1 o2 n1 n2
-
-  let dcas_strong l1 l2 o1 o2 n1 n2 =
-    point ();
-    M.dcas_strong l1 l2 o1 o2 n1 n2
-
-  let stats = M.stats
-  let reset_stats = M.reset_stats
-end
-
-(* CASN-capable variant, so the 3CAS deque (and anything composed with
-   Mem_chaos, which is CASN-shaped) runs under the same
-   instrumentation. *)
-module Mem_stalling_casn (M : Dcas.Memory_intf.MEMORY_CASN) :
-  Dcas.Memory_intf.MEMORY_CASN with type 'a loc = 'a M.loc = struct
-  include Mem_stalling (M)
-
-  type cass = M.cass = Cass : 'a M.loc * 'a * 'a -> cass
-
-  let casn cs =
-    point ();
-    M.casn cs
+    Atomic.get (Fault.slot ~who:"Stall.Zombie.bites_of" tid).bites
 end

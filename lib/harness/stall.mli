@@ -1,10 +1,12 @@
 (** Stall injection for the resilience and liveness experiments (E9,
-    E14, E19): cooperative self-stalls (a thread arranges to fall
-    asleep in the middle of its own next operation) and adversarial
-    cross-domain freezes (a controller suspends victim domains at their
-    next shared-memory access point until thawed), both delivered
-    through the {!Mem_stalling} / {!Mem_stalling_casn} instrumented
-    memories. *)
+    E14, E19) and the soaks: cooperative self-stalls (a thread arranges
+    to fall asleep in the middle of its own next operation),
+    adversarial cross-domain freezes (a controller suspends victim
+    domains at their next shared-memory access point until thawed) and
+    zombies (a victim keeps ticking while doing no work).  Stalls and
+    freezes are delivered through {!Fault.Mem}; victims enroll with
+    {!Fault.enroll}, and {!Fault.reset} thaws, cures and zeroes every
+    counter here. *)
 
 val request : after_ops:int -> duration:float -> unit
 (** Arrange for the calling domain to sleep [duration] seconds just
@@ -25,33 +27,16 @@ val cancel : unit -> unit
 val pending : unit -> bool
 (** Whether the calling domain has an armed stall request. *)
 
-val point : unit -> unit
-(** Called by the instrumented memory before every shared operation;
-    sleeps if this domain's pending request has counted down, then
-    parks while this domain is frozen by the {!Freezer}. *)
-
 (** Adversarial cross-domain freezing: the empirical form of the
-    paper's "stopped process".  Victim domains [enroll] under a dense
-    worker id; a controller [freeze]s a victim, which then parks at its
-    next instrumented shared-memory access — i.e. mid-operation,
-    holding whatever intermediate state the algorithm has published —
-    until [thaw]ed.  Lock-free structures must let the surviving
-    domains keep completing operations with up to [threads - 1]
-    victims frozen; blocking ones stall system-wide (see E19 and
-    [test_lockfree.ml]). *)
+    paper's "stopped process".  A controller [freeze]s victim [tid],
+    which then parks at its next instrumented shared-memory access —
+    i.e. mid-operation, holding whatever intermediate state the
+    algorithm has published — until [thaw]ed.  Lock-free structures
+    must let the surviving domains keep completing operations with up
+    to [threads - 1] victims frozen; blocking ones stall system-wide
+    (see E19 and [test_lockfree.ml]).  Every [tid] argument must be in
+    [\[0, Fault.max_slots)], or [Invalid_argument] is raised. *)
 module Freezer : sig
-  val max_slots : int
-  (** Capacity of the worker-id space (ids are [0 .. max_slots - 1]). *)
-
-  val enroll : tid:int -> unit
-  (** Register the calling domain as victim [tid].  Freezes are
-      per-id: only enrolled domains ever park.
-
-      @raise Invalid_argument if [tid] is outside [0, max_slots). *)
-
-  val leave : unit -> unit
-  (** Un-enroll the calling domain (it will no longer park). *)
-
   val freeze : tid:int -> unit
   (** Raise victim [tid]'s freeze flag; it parks at its next
       instrumented shared-memory access and stays parked until thawed. *)
@@ -65,17 +50,11 @@ module Freezer : sig
   (** Number of domains currently parked at a freeze point. *)
 
   val freeze_hits : unit -> int
-  (** Total number of park events since the last {!reset}. *)
+  (** Total number of park events since the last {!Fault.reset}. *)
 
   val freeze_hits_of : tid:int -> int
   (** Park events of victim [tid] alone — lets a storm schedule verify
-      that a specific freeze window landed even when windows overlap.
-
-      @raise Invalid_argument if [tid] is outside [0, max_slots). *)
-
-  val reset : unit -> unit
-  (** Thaw everyone and zero the counters.  Call between experiments;
-      does not un-enroll domains. *)
+      that a specific freeze window landed even when windows overlap. *)
 end
 
 (** Zombie injection: the victim stays alive {e and keeps ticking its
@@ -90,21 +69,17 @@ end
     polls {!active} each iteration and, while the flag is up, skips
     the operation, keeps its heartbeat ticking, and records one
     {!bite} — the counter a storm schedule reads to verify the window
-    landed.  Slots are the same dense worker ids the {!Freezer} and
-    {!Crash} use. *)
+    landed.  Slots are the {!Fault} slots the {!Freezer} and {!Crash}
+    use. *)
 module Zombie : sig
-  val max_slots : int
-
   val zombify : tid:int -> unit
   (** Raise victim [tid]'s zombie flag.
 
-      @raise Invalid_argument if [tid] is outside [0, max_slots). *)
+      @raise Invalid_argument if [tid] is outside [\[0, Fault.max_slots)]. *)
 
   val cure : tid:int -> unit
   (** Lower victim [tid]'s zombie flag; it resumes useful work at its
       next loop iteration (unless it was fenced meanwhile). *)
-
-  val cure_all : unit -> unit
 
   val active : tid:int -> bool
   (** Whether [tid]'s flag is up ([false] for out-of-range ids, so
@@ -114,20 +89,7 @@ module Zombie : sig
   (** Victim-side: record one operation suppressed while zombified. *)
 
   val bites : unit -> int
-  (** Total suppressed operations since the last {!reset}. *)
+  (** Total suppressed operations since the last {!Fault.reset}. *)
 
   val bites_of : tid:int -> int
-
-  val reset : unit -> unit
-  (** Cure everyone and zero the bite counters. *)
 end
-
-module Mem_stalling (M : Dcas.Memory_intf.MEMORY) :
-  Dcas.Memory_intf.MEMORY with type 'a loc = 'a M.loc
-(** [M] with a {!point} check before every shared operation. *)
-
-module Mem_stalling_casn (M : Dcas.Memory_intf.MEMORY_CASN) :
-  Dcas.Memory_intf.MEMORY_CASN with type 'a loc = 'a M.loc
-(** Like {!Mem_stalling} but preserving [casn], so the 3CAS deque and
-    {!Dcas.Mem_chaos}-composed substrates run under the same
-    instrumentation. *)

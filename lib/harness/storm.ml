@@ -1,19 +1,20 @@
-(* A declarative multi-storm schedule (experiment E25).
+(* A declarative multi-storm schedule: the one storm driver of the
+   E24/E25 soak.
 
-   E24's storm was imperative: a driver thread slept, killed one
-   domain, slept, froze another.  That shape cannot express what the
-   Chase-Lev verification literature says actually breaks services —
-   OVERLAPPING faults (a kill landing while another worker is frozen
-   and a third is a zombie, all under spurious-failure chaos) — and it
-   cannot tell the experiment whether each injection actually landed.
+   A sleep-kill-sleep-freeze driver cannot express what the Chase-Lev
+   verification literature says actually breaks services — OVERLAPPING
+   faults (a kill landing while another worker is frozen and a third
+   is a zombie, all under spurious-failure chaos) — and it cannot tell
+   the experiment whether each injection actually landed.
 
    A [window] declares one fault, an offset and a hold time; [run]
-   executes a whole schedule on the calling domain (E25 passes it as
-   the service's [driver]), overlapping windows freely, and returns a
-   per-window [landing] verdict read back from the injectors' own
-   per-victim counters ({!Crash.killed}, {!Stall.Freezer.freeze_hits_of},
-   {!Stall.Zombie.bites_of}, and a caller-supplied chaos counter) — so
-   a soak can GATE on "every scheduled fault landed" instead of hoping.
+   executes a whole schedule on the calling domain (the soak runs it
+   inside the service's [driver]), overlapping windows freely, and
+   returns a per-window [landing] verdict read back from the
+   injectors' own per-victim counters ({!Crash.killed},
+   {!Stall.Freezer.freeze_hits_of}, {!Stall.Zombie.bites_of}, and a
+   caller-supplied chaos counter) — so a soak can GATE on "every
+   scheduled fault landed" instead of hoping.
 
    [jittered] perturbs the offsets with a seeded uniform shift so
    repeated soaks sample different alignments of the same storm

@@ -47,11 +47,9 @@ type config = {
   consumers : int;
   capacity : int;  (* per-shard primary capacity *)
   full : Deque.Policy.full_policy;  (* per-shard full policy *)
-  steal_batch : int;  (* rebalancing transfer bound *)
   rate : float;  (* per-producer arrivals/s; <= 0 = closed loop *)
   burst : int;  (* arrivals released per token-bucket refill *)
   urgent_share : float;  (* fraction of pushes entering the left end *)
-  key_space : int;  (* routing keys drawn uniformly from [0,key_space) *)
   deadline : float option;
   (* per-request budget, seconds: bounds the push, stamps the item
      with an absolute expiry, and sheds it at dequeue if exceeded *)
@@ -69,11 +67,9 @@ let default =
     consumers = 2;
     capacity = 1024;
     full = Deque.Policy.Spill;
-    steal_batch = 8;
     rate = 0.;
     burst = 32;
     urgent_share = 0.1;
-    key_space = 1024;
     deadline = None;
     admission = false;
     sup = Supervisor.default;
@@ -85,7 +81,6 @@ let validate c =
   if c.producers < 1 then invalid_arg "Shard_service: producers must be >= 1";
   if c.consumers < 1 then invalid_arg "Shard_service: consumers must be >= 1";
   if c.burst < 1 then invalid_arg "Shard_service: burst must be >= 1";
-  if c.key_space < 1 then invalid_arg "Shard_service: key_space must be >= 1";
   if not (c.urgent_share >= 0. && c.urgent_share <= 1.) then
     invalid_arg "Shard_service: urgent_share must be in [0,1]";
   Supervisor.validate c.sup
@@ -191,7 +186,6 @@ module Make (D : Deque.Deque_intf.S) = struct
     pending : int Atomic.t;
     stop : bool Atomic.t;  (* producers: stop injecting *)
     producers_running : int Atomic.t;
-    wd : Harness.Watchdog.t option;
   }
 
   (* No new request can arrive: producers told to stop, and all gone. *)
@@ -216,10 +210,8 @@ module Make (D : Deque.Deque_intf.S) = struct
     in
     go 0
 
-  let tick_wd st ~tid =
-    match st.wd with
-    | None -> ()
-    | Some w -> Harness.Watchdog.tick w ~tid
+  (* Routing keys are drawn uniformly from [0, key_space). *)
+  let key_space = 1024
 
   (* --- producer --- *)
 
@@ -237,7 +229,7 @@ module Make (D : Deque.Deque_intf.S) = struct
      [`Timeout] outcome. *)
   let produce st (ws : worker) ~on_push ~rng value =
     let cfg = st.cfg in
-    let key = Dcas.Splitmix.int rng ~bound:cfg.key_space in
+    let key = Dcas.Splitmix.int rng ~bound:key_space in
     let urgent =
       cfg.urgent_share > 0.
       && Dcas.Splitmix.int rng ~bound:10_000
@@ -285,8 +277,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     in
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
     Atomic.set ws.busy false;
-    on_push ~tid:ws.slot ~ns out;
-    tick_wd st ~tid:ws.slot
+    on_push ~tid:ws.slot ~ns out
 
   let producer_loop st (ws : worker) ~on_push =
     let cfg = st.cfg in
@@ -300,7 +291,6 @@ module Make (D : Deque.Deque_intf.S) = struct
       if Harness.Stall.Zombie.active ~tid:ws.slot then begin
         (* zombified: alive and ticking, injecting nothing *)
         Harness.Stall.Zombie.bite ~tid:ws.slot;
-        tick_wd st ~tid:ws.slot;
         Unix.sleepf 0.0001
       end
       else if cfg.rate <= 0. then begin
@@ -342,13 +332,12 @@ module Make (D : Deque.Deque_intf.S) = struct
       if Atomic.get ws.fenced then ()  (* replaced: retire quietly *)
       else if drained st then ()
       else if Harness.Stall.Zombie.active ~tid:ws.slot then begin
-        (* zombified: the heartbeat ticks, the watchdog is fed, and no
-           work happens — indistinguishable from healthy by every
-           liveness signal, which is the point; only the frozen
-           progress counters give it away *)
+        (* zombified: the heartbeat ticks and no work happens —
+           indistinguishable from healthy by every liveness signal,
+           which is the point; only the frozen progress counters give
+           it away *)
         Atomic.incr ws.ticks;
         Harness.Stall.Zombie.bite ~tid:ws.slot;
-        tick_wd st ~tid:ws.slot;
         Unix.sleepf 0.0001;
         loop ()
       end
@@ -392,12 +381,15 @@ module Make (D : Deque.Deque_intf.S) = struct
                 Atomic.decr st.pending;
                 (* overshoot is judged at completion, on a fresh clock
                    read: the gap between the expiry check above and
-                   here is exactly the scheduling epsilon E25 allows *)
-                let late_ns =
-                  int_of_float ((Unix.gettimeofday () -. it.expiry) *. 1e9)
-                in
-                if late_ns > Atomic.get ws.own.late_ns then
-                  Atomic.set ws.own.late_ns late_ns;
+                   here is exactly the scheduling epsilon E25 allows.
+                   An item without a deadline cannot overshoot. *)
+                if it.expiry < infinity then begin
+                  let late_ns =
+                    int_of_float ((Unix.gettimeofday () -. it.expiry) *. 1e9)
+                  in
+                  if late_ns > Atomic.get ws.own.late_ns then
+                    Atomic.set ws.own.late_ns late_ns
+                end;
                 `Value it.v
               end
           | `Empty ->
@@ -409,7 +401,6 @@ module Make (D : Deque.Deque_intf.S) = struct
         in
         Atomic.set ws.busy false;
         on_pop ~tid:ws.slot ~ns out';
-        tick_wd st ~tid:ws.slot;
         if drained st then ()
         else begin
           (match out with
@@ -463,18 +454,16 @@ module Make (D : Deque.Deque_intf.S) = struct
   let null_pop ~tid:_ ~ns:_ _ = ()
 
   (* Run the service.  [driver] executes on the calling domain while
-     traffic flows — E24 uses it to fire crash/stall/chaos storms
-     mid-soak — and its return asks the producers to stop; the run
-     then drains, reconciles and joins.  Default driver: sleep
-     [duration] seconds. *)
-  let run ?(config = default) ?watchdog
-      ?(on_push = null_push) ?(on_pop = null_pop)
+     traffic flows — the E24/E25 soak runs its storm schedule there —
+     and its return asks the producers to stop; the run then drains,
+     reconciles and joins.  Default driver: sleep [duration] seconds. *)
+  let run ?(config = default) ?(on_push = null_push) ?(on_pop = null_pop)
       ?driver ~duration () =
     validate config;
     if duration < 0. then invalid_arg "Shard_service.run: duration < 0";
     let service =
-      S.create ~full:config.full ~steal_batch:config.steal_batch
-        ~shards:config.shards ~capacity:config.capacity ()
+      S.create ~full:config.full ~shards:config.shards
+        ~capacity:config.capacity ()
     in
     let st =
       {
@@ -483,7 +472,6 @@ module Make (D : Deque.Deque_intf.S) = struct
         pending = Dcas.Padding.make_atomic 0;
         stop = Dcas.Padding.make_atomic false;
         producers_running = Dcas.Padding.make_atomic config.producers;
-        wd = watchdog;
       }
     in
     let workers =
@@ -491,7 +479,6 @@ module Make (D : Deque.Deque_intf.S) = struct
           let w = make_worker config ~slot in
           (w, worker_loop st w ~on_push ~on_pop))
     in
-    Option.iter Harness.Watchdog.start watchdog;
     let t0 = Unix.gettimeofday () in
     let adoptions = ref 0 and adopted_items = ref 0 in
     let driver () =
@@ -505,7 +492,6 @@ module Make (D : Deque.Deque_intf.S) = struct
         ~replace:(replace st ~adoptions ~adopted_items ~on_push ~on_pop)
         ~driver workers
     in
-    Option.iter (fun w -> ignore (Harness.Watchdog.stop w)) watchdog;
     let elapsed = Unix.gettimeofday () -. t0 in
     (* survivors must decide every descriptor a dead domain left
        undecided before the quiescent drain reads past them *)
@@ -543,4 +529,3 @@ module Make (D : Deque.Deque_intf.S) = struct
 end
 
 module Array_service = Make (Deque.Array_deque.Lockfree)
-module List_service = Make (Deque.List_deque.Lockfree)

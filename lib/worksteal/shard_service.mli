@@ -35,13 +35,11 @@ type config = {
   consumers : int;
   capacity : int;  (** per-shard primary capacity *)
   full : Deque.Policy.full_policy;  (** per-shard full policy *)
-  steal_batch : int;  (** rebalancing transfer bound *)
   rate : float;
       (** per-producer open-loop arrivals per second; [<= 0.] = closed
           loop (inject as fast as the service absorbs) *)
   burst : int;  (** arrivals released per token-bucket refill *)
   urgent_share : float;  (** fraction of pushes entering the left end *)
-  key_space : int;  (** routing keys drawn uniformly from [0,key_space) *)
   deadline : float option;
       (** per-request budget, seconds: bounds the push call, stamps
           the item with an absolute expiry, and sheds it at dequeue
@@ -55,7 +53,9 @@ type config = {
 }
 
 val default : config
-(** 4 shards, 2+2 workers, Spill shards, closed loop, 10% urgent. *)
+(** 4 shards, 2+2 workers, Spill shards, closed loop, 10% urgent.
+    Routing keys are drawn from [\[0, 1024)], and rebalancing moves at
+    most {!Deque.Sharded.Make.create}'s default batch of 8 items. *)
 
 val validate : config -> unit
 (** @raise Invalid_argument on non-positive counts, [urgent_share]
@@ -111,7 +111,6 @@ module Make (D : Deque.Deque_intf.S) : sig
 
   val run :
     ?config:config ->
-    ?watchdog:Harness.Watchdog.t ->
     ?on_push:(tid:int -> ns:float -> Deque.Policy.push_outcome -> unit) ->
     ?on_pop:(tid:int -> ns:float -> int Deque.Policy.pop_outcome -> unit) ->
     ?driver:(unit -> unit) ->
@@ -121,19 +120,19 @@ module Make (D : Deque.Deque_intf.S) : sig
   (** Run the service for [duration] seconds of injection (values are
       ints: each producer pushes its own send counter).  [on_push] /
       [on_pop] observe every operation with its wall-clock latency in
-      nanoseconds — E24's histogram feed; they run on the worker
+      nanoseconds — the soaks' histogram feed; they run on the worker
       domains, so they must be thread-safe and cheap.  [driver], when
       given, runs on the calling domain {e while traffic flows} and
-      replaces the default [sleepf duration] — E24 uses it to fire
-      crash, stall and chaos storms mid-soak; its return stops the
-      producers, after which the run drains, reconciles and joins.
+      replaces the default [sleepf duration] — the E24/E25 soak runs a
+      {!Harness.Storm} schedule there; its return stops the producers,
+      after which the run drains, reconciles and joins.
 
-      Workers enroll with {!Harness.Crash} and
-      {!Harness.Stall.Freezer} under their slot id (producers first,
-      then consumers) and poll {!Harness.Stall.Zombie} under the same
-      id, so callers can target kills, freezes and zombifications at
-      specific roles. *)
+      Workers {!Harness.Fault.enroll} under their slot id (producers
+      first, then consumers) and poll {!Harness.Stall.Zombie} under the
+      same id, so callers can target kills, freezes and zombifications
+      at specific roles; they reach the injectors only when [D] runs
+      over {!Harness.Fault.Mem}.  Stalled workers are caught by the
+      supervisor's silence detector ([config.sup]). *)
 end
 
 module Array_service : module type of Make (Deque.Array_deque.Lockfree)
-module List_service : module type of Make (Deque.List_deque.Lockfree)

@@ -115,14 +115,12 @@ let worker ~slot ~certifies own =
 
 let live w = not (Atomic.get w.died || Atomic.get w.retired)
 
-(* A worker domain's body.  Each crash tid dies at most once, so a
+(* A worker domain's body.  Each slot dies at most once, so a
    replacement enrolled under its predecessor's slot is never killed
-   again.  [Crash.point] fires only at instrumented memory operations,
-   so the handler runs in a crash-free zone. *)
+   again.  Deaths fire only at instrumented memory operations, so the
+   handler runs in a crash-free zone. *)
 let body w loop () =
-  if w.slot < Harness.Crash.max_slots then Harness.Crash.enroll ~tid:w.slot;
-  if w.slot < Harness.Stall.Freezer.max_slots then
-    Harness.Stall.Freezer.enroll ~tid:w.slot;
+  if w.slot < Harness.Fault.max_slots then Harness.Fault.enroll ~tid:w.slot;
   (try loop () with Harness.Crash.Died -> Atomic.set w.died true);
   Atomic.set w.retired true
 

@@ -187,13 +187,13 @@ let merge_completeness_tests =
         (* helped_orphans: a crash-injected victim dies mid-CASN with a
            published descriptor and the surviving (main) domain helps
            it to completion *)
-        let module CM = Harness.Crash.Mem_crashing_casn (Dcas.Mem_lockfree) in
-        Harness.Crash.reset ();
+        let module CM = Harness.Fault.Mem (Dcas.Mem_lockfree) in
+        Harness.Fault.reset ();
         let x = CM.make 0 and y = CM.make 0 in
         let warm = Atomic.make false in
         let victim =
           Domain.spawn (fun () ->
-              Harness.Crash.enroll ~tid:0;
+              Harness.Fault.enroll ~tid:0;
               try
                 let i = ref 0 in
                 while true do
@@ -211,7 +211,7 @@ let merge_completeness_tests =
         Alcotest.(check int)
           "victim left one orphan" 1
           (Dcas.Mem_lockfree.help_orphans ());
-        Harness.Crash.reset ();
+        Harness.Fault.reset ();
         let counts = Dcas.Memory_intf.to_counts (CW.stats ()) in
         let assoc = Dcas.Memory_intf.stats_to_assoc (CW.stats ()) in
         Array.iteri

@@ -19,14 +19,14 @@
      a task. *)
 
 module Crash = Harness.Crash
-module C_mem = Harness.Crash.Mem_crashing_casn (Dcas.Mem_lockfree)
+module C_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
 module C_array = Deque.Array_deque.Make_batched (C_mem)
 module C_list = Deque.List_deque.Make (C_mem)
 module C_dummy = Deque.List_deque_dummy.Make (C_mem)
 module C_casn = Deque.List_deque_casn.Make (C_mem)
 
 let fresh () =
-  Crash.reset ();
+  Harness.Fault.reset ();
   Dcas.Mem_lockfree.reset_stats ()
 
 let lf_stats () = Dcas.Mem_lockfree.stats ()
@@ -48,7 +48,7 @@ let orphan_case ~name ~push ~pop ~pop_drain () =
   let warmed = Atomic.make false in
   let victim =
     Domain.spawn (fun () ->
-        Crash.enroll ~tid:0;
+        Harness.Fault.enroll ~tid:0;
         try
           let i = ref 0 in
           while true do
@@ -148,7 +148,7 @@ let storm () =
   let r =
     Harness.Runner.run ~seed:0xE22 ~watchdog:wd ~threads ~duration:0.3
       (fun ~tid ~rng ->
-        Crash.enroll ~tid;
+        Harness.Fault.enroll ~tid;
         if Dcas.Splitmix.int rng ~bound:2 = 0 then begin
           match C_array.push_right d tid with
           | `Okay -> pushes.(tid) <- pushes.(tid) + 1
@@ -331,12 +331,6 @@ let supervised_storm () =
    task back and run it: nothing may be written off as phantom, and
    every leaf runs.  (Without the fence the task is stranded, and
    reconciliation writes off a live depth-2 subtree: 9 leaves lost.) *)
-module S_array =
-  Deque.Array_deque.Make_batched
-    (Harness.Stall.Mem_stalling_casn (Dcas.Mem_lockfree))
-
-module S_sched = Worksteal.Scheduler.Make (Array_adapter (S_array))
-
 let supervised_silent_push () =
   fresh ();
   let counter = Atomic.make 0 in
@@ -347,11 +341,11 @@ let supervised_silent_push () =
       for i = 1 to 3 do
         if i = 2 && d = 3 && Atomic.compare_and_set armed false true then
           Harness.Stall.request ~after_ops:1 ~duration:0.3;
-        S_sched.spawn ctx (node (d - 1))
+        C_sched.spawn ctx (node (d - 1))
       done
   in
   let config = { Worksteal.Supervisor.default with silence_after = 0.05 } in
-  let r = S_sched.run_supervised ~config ~workers:3 ~capacity:256 (node 5) in
+  let r = C_sched.run_supervised ~config ~workers:3 ~capacity:256 (node 5) in
   Alcotest.(check int) "no deaths" 0 r.Worksteal.Supervisor.killed;
   Alcotest.(check bool) "the sleeper was presumed dead" true
     (r.Worksteal.Supervisor.presumed_dead >= 1);

@@ -216,6 +216,8 @@ let test_runner_fixed () =
 
 (* --- Stall request validation --- *)
 
+module Fault_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
+
 let test_stall_validation () =
   List.iter
     (fun f ->
@@ -244,13 +246,140 @@ let test_stall_cancel_idempotent () =
 
 let test_stall_request_overwrites () =
   (* a second request replaces the first countdown, it does not queue:
-     one point () call later the (new) 1-op request fires, and nothing
-     remains pending *)
+     one instrumented read later the (new) 1-op request fires, and
+     nothing remains pending *)
   Harness.Stall.request ~after_ops:1_000_000 ~duration:60.;
   Harness.Stall.request ~after_ops:1 ~duration:0.;
-  Harness.Stall.point ();
+  ignore (Fault_mem.get (Fault_mem.make 0));
   Alcotest.(check bool) "single armed slot consumed" false
     (Harness.Stall.pending ())
+
+(* --- Storm schedules over the shared slot table --- *)
+
+let window ?(at = 0.) ?(hold = 0.) fault = { Harness.Storm.at; hold; fault }
+
+let test_storm_jittered () =
+  let ws =
+    [
+      window ~at:0.5 ~hold:0.25 Harness.Storm.Chaos;
+      window ~at:1.0 ~hold:0.1 (Harness.Storm.Freeze { tid = 3 });
+    ]
+  in
+  let a = Harness.Storm.jittered ~seed:7 ~jitter:0.1 ws in
+  Alcotest.(check bool) "same seed, same schedule" true
+    (a = Harness.Storm.jittered ~seed:7 ~jitter:0.1 ws);
+  List.iter2
+    (fun (w : Harness.Storm.window) (j : Harness.Storm.window) ->
+      Alcotest.(check (float 0.)) "hold untouched" w.hold j.hold;
+      Alcotest.(check bool) "shift within the jitter" true
+        (Float.abs (j.at -. w.at) <= 0.1 +. 1e-9))
+    ws a;
+  (* an offset of 0 shifted by a uniform draw in [-1, 1] goes negative
+     about half the time: every such draw must clamp to exactly 0 *)
+  let ats =
+    List.init 20 (fun seed ->
+        match
+          Harness.Storm.jittered ~seed ~jitter:1.
+            [ window Harness.Storm.Chaos ]
+        with
+        | [ j ] -> j.Harness.Storm.at
+        | _ -> Alcotest.fail "one window in, one out")
+  in
+  Alcotest.(check bool) "never negative" true (List.for_all (( <= ) 0.) ats);
+  Alcotest.(check bool) "some clamped to 0" true (List.mem 0. ats);
+  Alcotest.check_raises "negative jitter"
+    (Invalid_argument "Storm.jittered: jitter must be >= 0") (fun () ->
+      ignore (Harness.Storm.jittered ~seed:1 ~jitter:(-0.1) ws))
+
+let test_storm_validation () =
+  Alcotest.check_raises "negative offset"
+    (Invalid_argument "Storm: window offsets must be >= 0") (fun () ->
+      ignore (Harness.Storm.run [ window ~at:(-0.1) Harness.Storm.Chaos ]));
+  Alcotest.check_raises "negative hold"
+    (Invalid_argument "Storm: window holds must be >= 0") (fun () ->
+      ignore (Harness.Storm.run [ window ~hold:(-0.1) Harness.Storm.Chaos ]))
+
+(* An enrolled domain that keeps reading through the instrumented
+   memory until [stop]; [Died] ends it early.  Returns once the reader
+   has made its first read. *)
+let spawn_reader ~tid stop =
+  let cell = Fault_mem.make 0 and reading = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        Harness.Fault.enroll ~tid;
+        try
+          while not (Atomic.get stop) do
+            ignore (Fault_mem.get cell);
+            Atomic.set reading true
+          done;
+          false
+        with Harness.Crash.Died -> true)
+  in
+  while not (Atomic.get reading) do
+    Unix.sleepf 0.001
+  done;
+  reader
+
+let landed_of = function
+  | [ l ] -> l.Harness.Storm.landed
+  | _ -> Alcotest.fail "one window in, one landing out"
+
+let test_storm_freeze_lands () =
+  Harness.Fault.reset ();
+  let stop = Atomic.make false in
+  let reader = spawn_reader ~tid:3 stop in
+  let landings =
+    Harness.Storm.run
+      [ window ~at:0.01 ~hold:0.1 (Harness.Storm.Freeze { tid = 3 }) ]
+  in
+  Atomic.set stop true;
+  Alcotest.(check bool) "reader survived" false (Domain.join reader);
+  Harness.Fault.reset ();
+  Alcotest.(check bool) "freeze landed" true (landed_of landings)
+
+let test_storm_zombie_unpolled () =
+  Harness.Fault.reset ();
+  let landings =
+    Harness.Storm.run [ window ~hold:0.01 (Harness.Storm.Zombie { tid = 5 }) ]
+  in
+  Alcotest.(check bool) "nothing polled: not landed" false
+    (landed_of landings);
+  Alcotest.(check bool) "cured on close" false
+    (Harness.Stall.Zombie.active ~tid:5)
+
+let test_storm_on_active () =
+  let seen = ref [] in
+  ignore
+    (Harness.Storm.run
+       ~on_active:(fun n -> seen := n :: !seen)
+       [
+         window ~hold:0.02 Harness.Storm.Chaos;
+         window ~at:0.005 ~hold:0.005 Harness.Storm.Chaos;
+       ]);
+  Alcotest.(check (list int)) "open windows after each edge" [ 1; 2; 1; 0 ]
+    (List.rev !seen)
+
+(* The injectors share one slot table: a single enroll makes the
+   domain both freezable and killable under the same id. *)
+let test_one_enroll_freezes_and_kills () =
+  Harness.Fault.reset ();
+  let tid = 7 in
+  let reader = spawn_reader ~tid (Atomic.make false) in
+  Harness.Stall.Freezer.freeze ~tid;
+  let deadline = Unix.gettimeofday () +. 10. in
+  while
+    Harness.Stall.Freezer.frozen_now () = 0 && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.001
+  done;
+  Harness.Crash.kill ~mode:`At_point ~tid ();
+  Harness.Stall.Freezer.thaw ~tid;
+  Alcotest.(check bool) "died after the thaw" true (Domain.join reader);
+  Alcotest.(check int) "parked once" 1
+    (Harness.Stall.Freezer.freeze_hits_of ~tid);
+  Alcotest.(check bool) "killed under the same id" true
+    (Harness.Crash.killed ~tid);
+  Harness.Fault.reset ()
 
 (* --- Watchdog --- *)
 
@@ -579,6 +708,19 @@ let () =
             test_stall_cancel_idempotent;
           Alcotest.test_case "request overwrites" `Quick
             test_stall_request_overwrites;
+        ] );
+      ( "storm",
+        [
+          Alcotest.test_case "jittered" `Quick test_storm_jittered;
+          Alcotest.test_case "run validation" `Quick test_storm_validation;
+          Alcotest.test_case "freeze lands on a reader" `Quick
+            test_storm_freeze_lands;
+          Alcotest.test_case "unpolled zombie does not land" `Quick
+            test_storm_zombie_unpolled;
+          Alcotest.test_case "on_active counts open windows" `Quick
+            test_storm_on_active;
+          Alcotest.test_case "one enroll: freezable and killable" `Quick
+            test_one_enroll_freezes_and_kills;
         ] );
       ( "watchdog",
         [

@@ -133,7 +133,7 @@ let test_st_crash_recovery () =
 
 (* The lock-free deque over the stall-instrumented memory: a victim
    sleeping mid-operation must not prevent others from completing. *)
-module Stalling_mem = Harness.Stall.Mem_stalling (Dcas.Mem_lockfree)
+module Stalling_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
 module Stalling_deque = Deque.Array_deque.Make (Stalling_mem)
 
 let test_real_stall_lockfree () =
@@ -212,7 +212,7 @@ let test_real_stall_lock () =
    diagnostic instead of a hang. *)
 
 module Freeze_chaos = Dcas.Mem_chaos.Make (Dcas.Mem_lockfree)
-module Freeze_mem = Harness.Stall.Mem_stalling_casn (Freeze_chaos)
+module Freeze_mem = Harness.Fault.Mem (Freeze_chaos)
 module F_array = Deque.Array_deque.Make (Freeze_mem)
 module F_list = Deque.List_deque.Make (Freeze_mem)
 module F_dummy = Deque.List_deque_dummy.Make (Freeze_mem)
@@ -229,13 +229,13 @@ let survivor_ops = 1_000
    [survivor_ops] more operations within [time_budget] seconds.
    Returns (survivor progressed?, park events, watchdog stalls). *)
 let run_frozen ?watchdog ~threads ~time_budget op =
-  Harness.Stall.Freezer.reset ();
+  Harness.Fault.reset ();
   let stop = Atomic.make false in
   let counts = Array.init threads (fun _ -> Atomic.make 0) in
   let master = Dcas.Splitmix.create ~seed:0xF0E1 in
   let rngs = Array.init threads (fun _ -> Dcas.Splitmix.split master) in
   let worker tid () =
-    Harness.Stall.Freezer.enroll ~tid;
+    Harness.Fault.enroll ~tid;
     let rng = rngs.(tid) in
     while not (Atomic.get stop) do
       op ~tid ~rng;
@@ -284,7 +284,7 @@ let run_frozen ?watchdog ~threads ~time_budget op =
   let stalls =
     match watchdog with Some w -> Harness.Watchdog.stop w | None -> 0
   in
-  Harness.Stall.Freezer.reset ();
+  Harness.Fault.reset ();
   (progressed, parks, stalls)
 
 (* A balanced op mix over both ends, from the worker's own stream. *)

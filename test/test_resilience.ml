@@ -12,7 +12,7 @@
 
 (* chaos + self-stall + freezer instrumentation under every deque *)
 module Chaos = Dcas.Mem_chaos.Make (Dcas.Mem_lockfree)
-module Mem = Harness.Stall.Mem_stalling_casn (Chaos)
+module Mem = Harness.Fault.Mem (Chaos)
 module R_array = Deque.Array_deque.Make (Mem)
 module R_list = Deque.List_deque.Make (Mem)
 module R_dummy = Deque.List_deque_dummy.Make (Mem)

@@ -187,15 +187,17 @@ let test_service_smoke () =
   let r = Svc.Array_service.run ~config:base_config ~duration:0.2 () in
   check_conserved r;
   Alcotest.(check bool) "traffic flowed" true (r.Svc.executed > 0);
-  Alcotest.(check int) "no deaths uninjected" 0 r.Svc.killed
+  Alcotest.(check int) "no deaths uninjected" 0 r.Svc.killed;
+  Alcotest.(check int) "no overshoot without a deadline" 0
+    r.Svc.overshoot_max_ns
 
 (* Multi-domain conservation under a crash storm: probabilistic
    fail-stop deaths land mid-traffic (some mid-CASN); the monitor
    adopts the dead consumers' shards and spawns replacements, and the
    books still balance: spawned = executed + reconciled, drain empty. *)
-module Crash_mem = Harness.Crash.Mem_crashing_casn (Dcas.Mem_lockfree)
-module Crash_array = Deque.Array_deque.Make (Crash_mem)
-module Crash_svc = Worksteal.Shard_service.Make (Crash_array)
+module Fault_svc =
+  Worksteal.Shard_service.Make
+    (Deque.Array_deque.Make (Harness.Fault.Mem (Dcas.Mem_lockfree)))
 
 let storm_config =
   {
@@ -206,13 +208,13 @@ let storm_config =
   }
 
 let test_service_crash_storm () =
-  Harness.Crash.reset ();
+  Harness.Fault.reset ();
   Dcas.Mem_lockfree.reset_stats ();
   Harness.Crash.configure ~prob:0.0005 ~mid_casn_prob:0.5 ~max_kills:2
     ~seed:0xE24 ();
   let r =
     Fun.protect ~finally:Harness.Crash.disarm (fun () ->
-        Crash_svc.run ~config:storm_config ~duration:0.6 ())
+        Fault_svc.run ~config:storm_config ~duration:0.6 ())
   in
   check_conserved r;
   Alcotest.(check bool) "the storm landed" true (r.Svc.killed >= 1);
@@ -225,12 +227,8 @@ let test_service_crash_storm () =
    is parked mid-operation at an instrumented memory point; the other
    consumer keeps serving the whole service (steal scan included), and
    after the thaw the books balance. *)
-module Stall_mem = Harness.Stall.Mem_stalling_casn (Dcas.Mem_lockfree)
-module Stall_array = Deque.Array_deque.Make (Stall_mem)
-module Stall_svc = Worksteal.Shard_service.Make (Stall_array)
-
 let test_service_frozen_shard () =
-  Harness.Stall.Freezer.reset ();
+  Harness.Fault.reset ();
   let cfg = { base_config with Svc.producers = 1; consumers = 2 } in
   let frozen_tid = cfg.Svc.producers in
   let served_in_freeze = Atomic.make 0 in
@@ -252,9 +250,9 @@ let test_service_frozen_shard () =
   in
   let r, hits =
     Fun.protect
-      ~finally:Harness.Stall.Freezer.reset
+      ~finally:Harness.Fault.reset
       (fun () ->
-        let r = Stall_svc.run ~config:cfg ~on_pop ~driver ~duration:0.4 () in
+        let r = Fault_svc.run ~config:cfg ~on_pop ~driver ~duration:0.4 () in
         (r, Harness.Stall.Freezer.freeze_hits ()))
   in
   check_conserved r;
@@ -289,7 +287,7 @@ let test_silent_consumer_fenced () =
         then Harness.Stall.request ~after_ops:3 ~duration:0.3
     | _ -> ()
   in
-  let r = Stall_svc.run ~config:cfg ~on_pop ~duration:0.6 () in
+  let r = Fault_svc.run ~config:cfg ~on_pop ~duration:0.6 () in
   check_conserved r;
   Alcotest.(check bool) "the stall was armed" true (Atomic.get armed);
   Alcotest.(check bool) "the sleeper was presumed dead" true
@@ -337,7 +335,7 @@ let test_idle_not_misclassified () =
    progress-based detector, fenced, and replaced — and the books must
    still balance. *)
 let test_zombie_fenced () =
-  Harness.Stall.Zombie.reset ();
+  Harness.Fault.reset ();
   let cfg =
     {
       base_config with
@@ -361,7 +359,7 @@ let test_zombie_fenced () =
   in
   let r, bites =
     Fun.protect
-      ~finally:Harness.Stall.Zombie.reset
+      ~finally:Harness.Fault.reset
       (fun () ->
         let r = Svc.Array_service.run ~config:cfg ~driver ~duration:0.4 () in
         (r, Harness.Stall.Zombie.bites ()))
