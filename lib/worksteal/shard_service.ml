@@ -32,14 +32,22 @@
    no-find scan (the certificate's ingredient) walks every shard,
    quarantined ones included, primary and overflow both.
 
+   An idle consumer parks for at most 0.5ms, and a push that lands
+   meanwhile wakes it: at once when its pop found nothing and no
+   request is pending, else after 32 consecutive no-finds.  The bound
+   keeps the loop's fence checks, zombie polling, drained exit and
+   certificate scans on their cadence; the wake only cuts the wait.
+   It rings on a self-pipe the run holds while it runs, because
+   OCaml 5.1's [Condition] has no timed wait.
+
    Failure detection is the supervisor's: tick-based silence
    ([silence_after]) and progress-based zombie detection
    ([zombie_after], consumers only — an open-loop producer between
    refills legitimately makes no progress).  A consumer flags its
-   idle-backoff sleeps ([idling]) so a long park between scans can
-   never be mistaken for silence, and checks its [fenced] flag every
-   loop, so a worker that wakes up after being replaced retires
-   instead of running beside its replacement. *)
+   parks ([idling]) so a long park between scans can never be
+   mistaken for silence, and checks its [fenced] flag every loop, so
+   a worker that wakes up after being replaced retires instead of
+   running beside its replacement. *)
 
 type config = {
   shards : int;
@@ -186,6 +194,9 @@ module Make (D : Deque.Deque_intf.S) = struct
     pending : int Atomic.t;
     stop : bool Atomic.t;  (* producers: stop injecting *)
     producers_running : int Atomic.t;
+    sleepers : int Atomic.t;  (* consumers registered for a wake *)
+    bell_r : Unix.file_descr;  (* the wake pipe's ends, both nonblocking *)
+    bell_w : Unix.file_descr;
   }
 
   (* No new request can arrive: producers told to stop, and all gone. *)
@@ -212,6 +223,45 @@ module Make (D : Deque.Deque_intf.S) = struct
 
   (* Routing keys are drawn uniformly from [0, key_space). *)
   let key_space = 1024
+
+  (* --- the idle park --- *)
+
+  let park_s = 0.0005
+  let one_byte = Bytes.make 1 '\000'
+
+  (* A landed push wakes the parked consumers.  A full pipe already
+     holds a wake, so its [EAGAIN] is dropped. *)
+  let ring st =
+    if Atomic.get st.sleepers > 0 then
+      try ignore (Unix.single_write st.bell_w one_byte 0 1)
+      with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+
+  (* Park until a push rings or [park_s] passes, then drain up to 64
+     rings ([buf] is the consumer's own) so the next park waits
+     afresh; any left over end that park at once.  [idling] flags the
+     deliberate park: a consumer descheduled inside it must read as
+     idling, never as silent (the false-silence hazard).  A [starved]
+     park — entered because no request was pending — registers in
+     [sleepers] BEFORE it reads [pending] again, so it cannot sleep
+     through the push that ends it: either that read sees the push's
+     unit, or the push sees the registration and rings.  A park after
+     32 no-finds waits without that re-read, so a push that landed
+     just before it registered goes unrung; that costs at most
+     [park_s], and no correctness property depends on the wake. *)
+  let park st (ws : worker) ~buf ~starved =
+    Atomic.set ws.idling true;
+    Atomic.incr st.sleepers;
+    if (not starved) || Atomic.get st.pending = 0 then begin
+      match Unix.select [ st.bell_r ] [] [] park_s with
+      | [], _, _ -> ()
+      | _ :: _, _, _ -> (
+          (* another parked consumer may have drained it first *)
+          try ignore (Unix.read st.bell_r buf 0 (Bytes.length buf))
+          with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    end;
+    Atomic.decr st.sleepers;
+    Atomic.set ws.idling false
 
   (* --- producer --- *)
 
@@ -261,6 +311,7 @@ module Make (D : Deque.Deque_intf.S) = struct
         match S.push ?deadline:cfg.deadline ~urgent st.service ~key item with
         | `Okay ->
             Atomic.incr ws.own.ok;
+            ring st;
             `Okay
         | `Full ->
             Atomic.decr st.pending;
@@ -321,13 +372,13 @@ module Make (D : Deque.Deque_intf.S) = struct
     let cfg = st.cfg in
     let home = consumer_shard cfg ~slot:ws.slot in
     let key = key_for st.service ~shard:home in
-    (* Park briefly (busy=false) after a run of consecutive no-finds.
-       Besides not burning a core on an idle service, this is what
-       makes quiescence certification live on few cores: the monitor
-       needs to sample an instant where no consumer is inside a pop,
-       and a consumer that never sleeps is inside a pop almost
-       always. *)
-    let idle = ref 0 in
+    (* Park (busy=false) when nothing is pending, or after a run of 32
+       consecutive no-finds.  Besides not burning a core on an idle
+       service, the park is what makes quiescence certification live
+       on few cores: the monitor needs to sample an instant where no
+       consumer is inside a pop, and a consumer that never parks is
+       inside a pop almost always. *)
+    let idle = ref 0 and buf = Bytes.create 64 in
     let rec loop () =
       if Atomic.get ws.fenced then ()  (* replaced: retire quietly *)
       else if drained st then ()
@@ -405,16 +456,13 @@ module Make (D : Deque.Deque_intf.S) = struct
         else begin
           (match out with
           | `Value _ -> idle := 0
+          | `Empty when Atomic.get st.pending = 0 ->
+              (* no scan could find anything until the next push *)
+              incr idle;
+              park st ws ~buf ~starved:true
           | `Empty | `Timeout ->
               incr idle;
-              if !idle >= 32 then begin
-                (* flag the deliberate park: an idle consumer
-                   descheduled inside this sleep must read as idling,
-                   never as silent (the false-silence hazard) *)
-                Atomic.set ws.idling true;
-                Unix.sleepf 0.0005;
-                Atomic.set ws.idling false
-              end
+              if !idle >= 32 then park st ws ~buf ~starved:false
               else Domain.cpu_relax ());
           loop ()
         end
@@ -455,8 +503,10 @@ module Make (D : Deque.Deque_intf.S) = struct
 
   (* Run the service.  [driver] executes on the calling domain while
      traffic flows — the E24/E25 soak runs its storm schedule there —
-     and its return asks the producers to stop; the run then drains,
-     reconciles and joins.  Default driver: sleep [duration] seconds. *)
+     and its return, or its exception, asks the producers to stop; the
+     run then drains, reconciles and joins, and closes the wake pipe
+     (re-raising the driver's exception, if any).  Default driver:
+     sleep [duration] seconds. *)
   let run ?(config = default) ?(on_push = null_push) ?(on_pop = null_pop)
       ?driver ~duration () =
     validate config;
@@ -465,6 +515,9 @@ module Make (D : Deque.Deque_intf.S) = struct
       S.create ~full:config.full ~shards:config.shards
         ~capacity:config.capacity ()
     in
+    let bell_r, bell_w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock bell_r;
+    Unix.set_nonblock bell_w;
     let st =
       {
         service;
@@ -472,6 +525,9 @@ module Make (D : Deque.Deque_intf.S) = struct
         pending = Dcas.Padding.make_atomic 0;
         stop = Dcas.Padding.make_atomic false;
         producers_running = Dcas.Padding.make_atomic config.producers;
+        sleepers = Dcas.Padding.make_atomic 0;
+        bell_r;
+        bell_w;
       }
     in
     let workers =
@@ -482,15 +538,22 @@ module Make (D : Deque.Deque_intf.S) = struct
     let t0 = Unix.gettimeofday () in
     let adoptions = ref 0 and adopted_items = ref 0 in
     let driver () =
-      (match driver with Some f -> f () | None -> Unix.sleepf duration);
-      Atomic.set st.stop true
+      Fun.protect
+        ~finally:(fun () -> Atomic.set st.stop true)
+        (fun () ->
+          match driver with Some f -> f () | None -> Unix.sleepf duration)
     in
     let o =
-      Supervisor.run config.sup ~pending:st.pending
-        ~quiet:(fun () -> quiet st)
-        ~progress
-        ~replace:(replace st ~adoptions ~adopted_items ~on_push ~on_pop)
-        ~driver workers
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close bell_r;
+          Unix.close bell_w)
+        (fun () ->
+          Supervisor.run config.sup ~pending:st.pending
+            ~quiet:(fun () -> quiet st)
+            ~progress
+            ~replace:(replace st ~adoptions ~adopted_items ~on_push ~on_pop)
+            ~driver workers)
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     (* survivors must decide every descriptor a dead domain left

@@ -21,12 +21,16 @@
     stamped expiry resolve their unit as first-class timed-out
     outcomes that stay on the books.
 
+    An idle consumer parks for at most 0.5ms, and a push that lands
+    meanwhile wakes it: it parks at once when its pop found nothing
+    and no request is pending, else after 32 consecutive no-finds.
+
     Zombie detection ([zombie_after]) watches consumers only: an
     open-loop producer between refills legitimately makes no
     progress.  Idle consumers trip neither detector — their empty
-    scans advance progress, and their idle-backoff parks are flagged
-    so they cannot read as silence.  A fenced worker retires at its
-    next loop check, so a woken or cured worker never runs beside its
+    scans advance progress, and their parks are flagged so they
+    cannot read as silence.  A fenced worker retires at its next loop
+    check, so a woken or cured worker never runs beside its
     replacement and no slot is replaced twice for one failure. *)
 
 type config = {
@@ -125,7 +129,12 @@ module Make (D : Deque.Deque_intf.S) : sig
       given, runs on the calling domain {e while traffic flows} and
       replaces the default [sleepf duration] — the E24/E25 soak runs a
       {!Harness.Storm} schedule there; its return stops the producers,
-      after which the run drains, reconciles and joins.
+      after which the run drains, reconciles and joins.  If [driver]
+      raises, the producers stop just the same and [run] re-raises
+      once every worker and the monitor have been joined.
+
+      A run holds one pipe (two file descriptors) while it runs, the
+      consumers' wake path; it is closed on every exit.
 
       Workers {!Harness.Fault.enroll} under their slot id (producers
       first, then consumers) and poll {!Harness.Stall.Zombie} under the

@@ -282,6 +282,14 @@ let run cfg ~pending ~quiet ~progress ~replace ~driver workers =
     Domain.spawn (fun () ->
         monitor cfg ~pending ~quiet ~progress ~replace workers)
   in
-  driver ();
-  List.iter Domain.join domains;
-  Domain.join monitor
+  let join () =
+    List.iter Domain.join domains;
+    Domain.join monitor
+  in
+  (* a raising driver must not leave the run's domains behind *)
+  match driver () with
+  | () -> join ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (join ());
+      Printexc.raise_with_backtrace e bt

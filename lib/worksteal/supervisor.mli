@@ -144,4 +144,7 @@ val run :
       (no new work can arrive), write the leftover [pending] off.
 
     It stops when [pending] is zero, [quiet ()] holds and every worker
-    has retired, then joins every replacement. *)
+    has retired, then joins every replacement.  When [driver] raises,
+    [run] still joins every worker and the monitor before it re-raises,
+    so the caller must let its workers finish on that path too (the
+    service sets its stop flag in a [Fun.protect ~finally]). *)
