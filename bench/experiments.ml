@@ -1989,14 +1989,11 @@ let e23 ~quick =
 (* E24/E25: the sharded-service soak under live fault storms           *)
 (* ------------------------------------------------------------------ *)
 
-(* The full fault-storm substrate under the sharded service: seeded
-   chaos (spurious DCAS failures) at the bottom, the fault injectors
-   (freezes and fail-stop crashes) above it — the layers E9 and E22
-   exercise separately, composed.  Crash's mid-CASN detection keys off
-   Mem_lockfree's global publish hook, so it keeps working through the
-   chaos wrapper. *)
-module Soak_chaos = Dcas.Mem_chaos.Make (Dcas.Mem_lockfree)
-module Soak_mem = Harness.Fault.Mem (Soak_chaos)
+(* The full fault-storm substrate under the sharded service: one
+   fault-injecting memory carrying seeded chaos (spurious DCAS
+   failures), freezes and fail-stop crashes — the injectors E9, E18
+   and E22 exercise separately, composed. *)
+module Soak_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
 
 module Soak_service =
   Worksteal.Shard_service.Make (Deque.Array_deque.Make (Soak_mem))
@@ -2040,17 +2037,19 @@ let recovery_q rs p =
       let i = Float.to_int ((p *. float_of_int (n - 1)) +. 0.5) in
       List.nth sorted (min (n - 1) (max 0 i))
 
+(* E24's and E25's storm cells arm the same chaos. *)
+let soak_chaos = Harness.Storm.Chaos { fail_prob = 0.002; seed = 0xC4A05 }
+
 (* One soak cell.  The driver runs [windows] (none in the calm cell)
-   on the calling domain while traffic flows, with seeded chaos behind
-   every Chaos window, then a calm recovery tail of a third of
-   [duration].  Emits the JSON row and returns the table row. *)
+   on the calling domain while traffic flows, then a calm recovery
+   tail of a third of [duration].  The cell starts from a
+   [Fault.reset], so every fault counter it reads is its own.  Emits
+   the JSON row and returns the table row. *)
 let soak_cell ~id ~label ~duration ~(cfg : Worksteal.Shard_service.config)
     windows =
   Harness.Fault.reset ();
-  Soak_chaos.disarm ();
   let lat = soak_latency () in
   let third = duration /. 3. in
-  let chaos_hits () = (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious in
   let landings = ref [] in
   let driver () =
     match windows with
@@ -2058,23 +2057,18 @@ let soak_cell ~id ~label ~duration ~(cfg : Worksteal.Shard_service.config)
     | _ ->
         landings :=
           Harness.Storm.run
-            ~arm_chaos:(fun () ->
-              Soak_chaos.configure ~fail_prob:0.002 ~seed:0xC4A05 ())
-            ~disarm_chaos:Soak_chaos.disarm ~chaos_hits
             ~on_active:(fun n -> Atomic.set lat.fault_phase (n > 0))
             ~settle:(Float.min 0.1 third) windows;
         Atomic.set lat.fault_phase false;
         Unix.sleepf third
   in
-  let spurious0 = chaos_hits () in
-  let bites0 = Harness.Stall.Zombie.bites () in
   let r =
     Soak_service.run ~config:cfg ~on_push:(on_served_push lat)
       ~on_pop:(on_served_pop lat) ~driver ~duration ()
   in
   let freezes = Harness.Stall.Freezer.freeze_hits () in
-  let spurious = chaos_hits () - spurious0 in
-  let zombie_bites = Harness.Stall.Zombie.bites () - bites0 in
+  let spurious = Harness.Chaos.spurious () in
+  let zombie_bites = Harness.Stall.Zombie.bites () in
   let landed =
     List.length (List.filter (fun l -> l.Harness.Storm.landed) !landings)
   in
@@ -2179,8 +2173,9 @@ let soak ~id ~duration ~(cfg : Worksteal.Shard_service.config) ~windows
       ]
     [ calm_row; storm_row ];
   note
-    "%d shards (%d producers + %d consumers + monitor) over the chaos+fault\n\
-     substrate, %.0f arrivals/s per producer in bursts of %d, %.1fs per cell;\n\
+    "%d shards (%d producers + %d consumers + monitor) over the\n\
+     fault-injecting substrate, %.0f arrivals/s per producer in bursts\n\
+     of %d, %.1fs per cell;\n\
      %s;\n\
      latencies are successful operations only, split calm/fault by storm\n\
      phase; conserved means spawned = executed + reconciled + shed and a\n\
@@ -2217,7 +2212,7 @@ let e24 ~quick =
     ~windows:
       Harness.Storm.
         [
-          { at = third; hold = third; fault = Chaos };
+          { at = third; hold = third; fault = soak_chaos };
           { at = third; hold = freeze; fault = Freeze { tid = 0 } };
           {
             at = third +. freeze;
@@ -2272,7 +2267,7 @@ let e25 ~quick =
       (Harness.Storm.jittered ~seed:0xE25 ~jitter:(third /. 20.)
          Harness.Storm.
            [
-             { at = third; hold = third; fault = Chaos };
+             { at = third; hold = third; fault = soak_chaos };
              {
                at = third *. 1.1;
                hold = third *. 0.8;

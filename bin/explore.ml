@@ -132,15 +132,13 @@ let scenario_of ~algo ~length ~prefill ~setup ~chaos_fail ~chaos_freeze
              ~name:"cli" ~prefill threads)
   | other -> Error ("unknown algorithm: " ^ other)
 
-(* Injected-fault counters for the run summary (list-chaos only; the
-   other algorithms never touch the chaos substrate). *)
+(* Injected-fault counters for the run summary (list-chaos and
+   st-chaos only; the other algorithms never arm chaos). *)
 let print_chaos_summary ~algo =
-  if algo = "list-chaos" || algo = "st-chaos" then begin
-    let s = Modelcheck.Scenario.chaos_stats () in
+  if algo = "list-chaos" || algo = "st-chaos" then
     Printf.printf "chaos: spurious=%d delays=%d frozen-ops=%d\n%!"
-      s.Dcas.Memory_intf.chaos_spurious s.Dcas.Memory_intf.chaos_delays
-      s.Dcas.Memory_intf.chaos_freezes
-  end
+      (Harness.Chaos.spurious ()) (Harness.Chaos.delays ())
+      (Harness.Chaos.freezes ())
 
 let run_fuzz scenario ~runs ~seed ~strategy ~shrink ~max_steps =
   (* The watchdog converts a hung schedule (e.g. a planted livelock
@@ -374,27 +372,27 @@ let chaos_fail =
   Arg.(
     value & opt float 0.1
     & info [ "chaos-fail" ] ~docv:"P"
-        ~doc:"list-chaos: spurious DCAS failure probability.")
+        ~doc:"list-chaos, st-chaos: spurious DCAS/CAS failure probability.")
 
 let chaos_freeze =
   Arg.(
     value & opt float 0.
     & info [ "chaos-freeze" ] ~docv:"P"
         ~doc:
-          "list-chaos: probability of a bounded freeze at each \
-           shared-memory access point.")
+          "list-chaos, st-chaos: probability of a bounded freeze at \
+           each shared-memory access point.")
 
 let chaos_freeze_spins =
   Arg.(
     value & opt int 8
     & info [ "chaos-freeze-spins" ] ~docv:"N"
-        ~doc:"list-chaos: spins burned by each injected freeze.")
+        ~doc:"list-chaos, st-chaos: spins burned by each injected freeze.")
 
 let chaos_seed =
   Arg.(
     value & opt int 0xC0FFEE
     & info [ "chaos-seed" ] ~docv:"SEED"
-        ~doc:"list-chaos: fault-injection seed.")
+        ~doc:"list-chaos, st-chaos: fault-injection seed.")
 
 let victim =
   Arg.(

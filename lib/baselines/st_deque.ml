@@ -26,9 +26,9 @@
    {!Atomic_cas} instantiates it directly on [Atomic] (the production
    build — no MEMORY_CASN emulation in the hot path), and {!Of_casn}
    shims any {!Dcas.Memory_intf.MEMORY_CASN} (the model checker's
-   yielding memory, the chaos injector, the stall/crash harnesses) in
-   via one-entry [casn], so the explorer, fuzzer, freezer and crash
-   layers all drive the identical code.
+   yielding memory, the fault harness with its chaos, stalls and
+   crashes) in via one-entry [casn], so the explorer, fuzzer, freezer
+   and crash layers all drive the identical code.
 
    Adaptations from the paper: OCaml's GC replaces the reference
    counting (no [ReleaseRef]/[CopyRef]); the sentinels carry self links

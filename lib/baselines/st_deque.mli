@@ -37,9 +37,9 @@ module Atomic_cas : CAS
 module Of_casn (M : Dcas.Memory_intf.MEMORY_CASN) : CAS
 (** Any CASN-capable memory model as a single-word-CAS substrate, via
     one-entry [casn].  This is how the deque runs over the model
-    checker's yielding memory ({!Modelcheck.Mem_model}), the chaos
-    injector, and the stall/crash harnesses: the instrumentation sees
-    every shared access of the identical algorithm text. *)
+    checker's yielding memory ({!Modelcheck.Mem_model}) and the fault
+    harness (chaos, stalls, crashes): the instrumentation sees every
+    shared access of the identical algorithm text. *)
 
 module type S = sig
   include Deque.Deque_intf.S

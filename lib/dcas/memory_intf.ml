@@ -16,16 +16,6 @@ type stats = {
           [Mem_lockfree]: without allocating a descriptor).  Included
           in [dcas_attempts]; always 0 for substrates with no slow
           path to avoid. *)
-  chaos_spurious : int;
-      (** injected spurious DCAS/CASN failures ({!Mem_chaos}): the
-          attempt returned [false] without consulting memory, as a weak
-          compare-and-swap may.  Included in [dcas_attempts]; always 0
-          outside a chaos wrapper. *)
-  chaos_delays : int;
-      (** injected bounded operation delays ({!Mem_chaos}). *)
-  chaos_freezes : int;
-      (** injected long domain stalls ({!Mem_chaos}) — the empirical
-          "thread stops making progress" of the lock-freedom claims. *)
   dcas2_hits : int;
       (** how many DCAS/2-entry-CASN slow paths took the specialized
           flat [Dcas2] descriptor instead of the generic entry-array
@@ -48,43 +38,10 @@ type stats = {
           when no domain has been marked dead. *)
 }
 
-(* Conversions to a flat count array, in the order of the field list
-   above (= the Opstats bucket layout).  [to_counts] destructures every
-   field, so forgetting to extend it — or any function below built on
-   the pair — when a counter is added is a compile-time error; this is
-   what keeps wrappers like Mem_chaos's stats pass-through from
-   silently dropping new counters. *)
-let stats_fields = 12
-
-let to_counts
-    {
-      reads;
-      writes;
-      dcas_attempts;
-      dcas_successes;
-      dcas_fastfails;
-      chaos_spurious;
-      chaos_delays;
-      chaos_freezes;
-      dcas2_hits;
-      descriptor_allocs;
-      value_allocs;
-      helped_orphans;
-    } =
-  [|
-    reads;
-    writes;
-    dcas_attempts;
-    dcas_successes;
-    dcas_fastfails;
-    chaos_spurious;
-    chaos_delays;
-    chaos_freezes;
-    dcas2_hits;
-    descriptor_allocs;
-    value_allocs;
-    helped_orphans;
-  |]
+(* The Opstats bucket layout is the field order of the record above:
+   [of_counts] builds the record from a flat count array, so a counter
+   added to the record without extending it is a compile-time error. *)
+let stats_fields = 9
 
 let of_counts a =
   if Array.length a <> stats_fields then
@@ -95,13 +52,10 @@ let of_counts a =
     dcas_attempts = a.(2);
     dcas_successes = a.(3);
     dcas_fastfails = a.(4);
-    chaos_spurious = a.(5);
-    chaos_delays = a.(6);
-    chaos_freezes = a.(7);
-    dcas2_hits = a.(8);
-    descriptor_allocs = a.(9);
-    value_allocs = a.(10);
-    helped_orphans = a.(11);
+    dcas2_hits = a.(5);
+    descriptor_allocs = a.(6);
+    value_allocs = a.(7);
+    helped_orphans = a.(8);
   }
 
 let stats_to_assoc s =
@@ -111,9 +65,6 @@ let stats_to_assoc s =
     ("dcas_attempts", s.dcas_attempts);
     ("dcas_successes", s.dcas_successes);
     ("dcas_fastfails", s.dcas_fastfails);
-    ("chaos_spurious", s.chaos_spurious);
-    ("chaos_delays", s.chaos_delays);
-    ("chaos_freezes", s.chaos_freezes);
     ("dcas2_hits", s.dcas2_hits);
     ("descriptor_allocs", s.descriptor_allocs);
     ("value_allocs", s.value_allocs);
@@ -121,18 +72,12 @@ let stats_to_assoc s =
   ]
 
 let empty_stats = of_counts (Array.make stats_fields 0)
-let add_stats a b = of_counts (Array.map2 ( + ) (to_counts a) (to_counts b))
 
 let pp_stats ppf s =
   Format.fprintf ppf "reads=%d writes=%d dcas=%d/%d fastfail=%d" s.reads
     s.writes s.dcas_successes s.dcas_attempts s.dcas_fastfails;
-  (* chaos counters only appear when a fault injector is in play, so
-     the uninjected substrates' reports stay unchanged *)
-  if s.chaos_spurious > 0 || s.chaos_delays > 0 || s.chaos_freezes > 0 then
-    Format.fprintf ppf " chaos=spurious:%d,delay:%d,freeze:%d" s.chaos_spurious
-      s.chaos_delays s.chaos_freezes;
-  (* likewise the allocation counters appear only on substrates that
-     track them, so the other models' reports stay unchanged *)
+  (* the allocation counters appear only on substrates that track
+     them, so the other models' reports stay unchanged *)
   if s.dcas2_hits > 0 || s.descriptor_allocs > 0 || s.value_allocs > 0 then
     Format.fprintf ppf " alloc=dcas2:%d,desc:%d,value:%d" s.dcas2_hits
       s.descriptor_allocs s.value_allocs;

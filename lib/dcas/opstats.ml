@@ -14,11 +14,10 @@
 
 type bucket = int Atomic.t array
 (* indices: 0 = reads, 1 = writes, 2 = dcas attempts, 3 = dcas
-   successes, 4 = dcas fast-fails, 5 = injected spurious failures,
-   6 = injected delays, 7 = injected freezes (5-7 used by Mem_chaos),
-   8 = Dcas2 fast-path hits, 9 = descriptor allocations, 10 = Value
-   block allocations (8-10 used by Mem_lockfree), 11 = orphaned
-   descriptors helped to completion by survivors (crash injection).
+   successes, 4 = dcas fast-fails, 5 = Dcas2 fast-path hits,
+   6 = descriptor allocations, 7 = Value block allocations (5-7 used
+   by Mem_lockfree), 8 = orphaned descriptors helped to completion by
+   survivors (crash injection).
    The layout is the field order of Memory_intf.stats: snapshot
    converts through Memory_intf.of_counts, so the two can never drift
    apart silently. *)
@@ -57,13 +56,10 @@ let incr_write t = incr (bucket t) 1
 let incr_attempt t = incr (bucket t) 2
 let incr_success t = incr (bucket t) 3
 let incr_fastfail t = incr (bucket t) 4
-let incr_spurious t = incr (bucket t) 5
-let incr_delay t = incr (bucket t) 6
-let incr_freeze t = incr (bucket t) 7
-let incr_dcas2 t = incr (bucket t) 8
-let incr_desc_alloc t = incr (bucket t) 9
-let incr_value_alloc t = incr (bucket t) 10
-let incr_orphan t = incr (bucket t) 11
+let incr_dcas2 t = incr (bucket t) 5
+let incr_desc_alloc t = incr (bucket t) 6
+let incr_value_alloc t = incr (bucket t) 7
+let incr_orphan t = incr (bucket t) 8
 
 let snapshot t : Memory_intf.stats =
   Mutex.lock t.mutex;

@@ -19,15 +19,6 @@ val incr_fastfail : t -> unit
 (** Count a DCAS/CASN attempt rejected by pre-validation (see
     {!Memory_intf.stats.dcas_fastfails}). *)
 
-val incr_spurious : t -> unit
-(** Count an injected spurious DCAS/CASN failure ({!Mem_chaos}). *)
-
-val incr_delay : t -> unit
-(** Count an injected bounded operation delay ({!Mem_chaos}). *)
-
-val incr_freeze : t -> unit
-(** Count an injected long domain stall ({!Mem_chaos}). *)
-
 val incr_dcas2 : t -> unit
 (** Count a slow path taken through the specialized flat [Dcas2]
     descriptor ({!Mem_lockfree}). *)

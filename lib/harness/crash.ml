@@ -17,14 +17,10 @@ let kill ?(mode = (`Mid_casn : mode)) ~tid () =
   Atomic.set s.kill_mid_casn (mode = `Mid_casn);
   Atomic.set s.kill true
 
-let ppm_of_prob ~what p =
-  if not (p >= 0. && p <= 1.) then
-    invalid_arg (Printf.sprintf "Crash.configure: %s must be in [0, 1]" what);
-  int_of_float (p *. 1_000_000.)
-
 let configure ?(prob = 0.) ?(mid_casn_prob = 1.) ?(max_kills = max_int) ~seed
     () =
   if max_kills < 0 then invalid_arg "Crash.configure: max_kills must be >= 0";
+  let ppm_of_prob = Fault.ppm_of_prob ~who:"Crash.configure" in
   Fault.arm_deaths
     ~prob_ppm:(ppm_of_prob ~what:"prob" prob)
     ~mid_casn_ppm:(ppm_of_prob ~what:"mid_casn_prob" mid_casn_prob)

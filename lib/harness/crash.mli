@@ -32,7 +32,7 @@ val configure :
 (** Arm probabilistic deaths: each enrolled domain draws a kill
     verdict with probability [prob] at every instrumented point, from
     a per-domain SplitMix stream derived from [seed] (replayable, as
-    in {!Dcas.Mem_chaos}).  A kill landing on a DCAS-shaped operation
+    in {!Chaos}).  A kill landing on a DCAS-shaped operation
     dies mid-CASN with probability [mid_casn_prob] (default 1), at the
     point otherwise.  At most [max_kills] probabilistic deaths occur
     in total, and each [tid] dies at most once either way. *)

@@ -11,7 +11,7 @@
 
    - {e adversarial cross-domain freezes} ([Freezer]): a controller
      suspends an enrolled victim at its next shared-memory access point
-     and releases it later.  Unlike [Mem_chaos]'s bounded freezes, a
+     and releases it later.  Unlike {!Chaos}'s bounded freezes, a
      frozen domain stays parked until it is thawed, which is exactly
      the paper's Section 1 "stopped process": with up to [threads - 1]
      domains frozen mid-operation, a lock-free structure must let the

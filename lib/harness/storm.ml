@@ -11,10 +11,10 @@
    executes a whole schedule on the calling domain (the soak runs it
    inside the service's [driver]), overlapping windows freely, and
    returns a per-window [landing] verdict read back from the
-   injectors' own per-victim counters ({!Crash.killed},
-   {!Stall.Freezer.freeze_hits_of}, {!Stall.Zombie.bites_of}, and a
-   caller-supplied chaos counter) — so a soak can GATE on "every
-   scheduled fault landed" instead of hoping.
+   injectors' own counters ({!Crash.killed},
+   {!Stall.Freezer.freeze_hits_of}, {!Stall.Zombie.bites_of},
+   {!Chaos.spurious}) — so a soak can GATE on "every scheduled fault
+   landed" instead of hoping.
 
    [jittered] perturbs the offsets with a seeded uniform shift so
    repeated soaks sample different alignments of the same storm
@@ -26,7 +26,8 @@ type fault =
          aims inside a CASN with a published descriptor *)
   | Freeze of { tid : int }  (* park at next shared-memory access *)
   | Zombie of { tid : int }  (* alive and ticking, no progress *)
-  | Chaos  (* armed/disarmed through [run]'s callbacks *)
+  | Chaos of { fail_prob : float; seed : int }
+      (* spurious DCAS/CASN failures on every domain *)
 
 type window = { at : float; hold : float; fault : fault }
 
@@ -43,15 +44,27 @@ let pp_fault ppf = function
         (if mid_casn then ",mid-casn" else "")
   | Freeze { tid } -> Format.fprintf ppf "freeze(tid=%d)" tid
   | Zombie { tid } -> Format.fprintf ppf "zombie(tid=%d)" tid
-  | Chaos -> Format.fprintf ppf "chaos"
+  | Chaos { fail_prob; seed } ->
+      Format.fprintf ppf "chaos(fail=%g,seed=%d)" fail_prob seed
 
+(* Everything that could make [run] raise midway is rejected here,
+   before any window opens. *)
 let validate ws =
   List.iter
     (fun w ->
       if not (w.at >= 0.) then
         invalid_arg "Storm: window offsets must be >= 0";
       if not (w.hold >= 0.) then
-        invalid_arg "Storm: window holds must be >= 0")
+        invalid_arg "Storm: window holds must be >= 0";
+      match w.fault with
+      | Kill { tid; _ } | Freeze { tid } | Zombie { tid } ->
+          if tid < 0 || tid >= Fault.max_slots then
+            invalid_arg
+              (Printf.sprintf "Storm: window tid must be in [0, %d)"
+                 Fault.max_slots)
+      | Chaos { fail_prob; _ } ->
+          if not (fail_prob >= 0. && fail_prob <= 1.) then
+            invalid_arg "Storm: chaos fail_prob must be in [0, 1]")
     ws
 
 (* Seeded uniform shift of each window's offset in [-jitter, +jitter],
@@ -71,15 +84,47 @@ let jittered ~seed ~jitter ws =
 
 type event = { time : float; idx : int; phase : [ `Start | `Stop ] }
 
-let run ?(arm_chaos = fun () -> ()) ?(disarm_chaos = fun () -> ())
-    ?(chaos_hits = fun () -> 0) ?(on_active = fun (_ : int) -> ())
-    ?(settle = 0.) windows =
+(* A window's own landing counter; a kill has none — it has landed
+   once its victim is dead ({!Crash.killed}). *)
+let hits = function
+  | Kill _ -> 0
+  | Freeze { tid } -> Stall.Freezer.freeze_hits_of ~tid
+  | Zombie { tid } -> Stall.Zombie.bites_of ~tid
+  | Chaos _ -> Chaos.spurious ()
+
+let run ?(on_active = fun (_ : int) -> ()) ?(settle = 0.) windows =
   validate windows;
   let ws = Array.of_list windows in
   let n = Array.length ws in
   let baseline = Array.make n 0 in
   let started = Array.make n 0. in
   let ended = Array.make n 0. in
+  let live = Array.make n false in
+  (* chaos is one global setting: it stays armed until the last open
+     Chaos window closes *)
+  let chaos_open = ref 0 in
+  let start i =
+    baseline.(i) <- hits ws.(i).fault;
+    live.(i) <- true;
+    match ws.(i).fault with
+    | Kill { tid; mid_casn } ->
+        Crash.kill ~mode:(if mid_casn then `Mid_casn else `At_point) ~tid ()
+    | Freeze { tid } -> Stall.Freezer.freeze ~tid
+    | Zombie { tid } -> Stall.Zombie.zombify ~tid
+    | Chaos { fail_prob; seed } ->
+        incr chaos_open;
+        Chaos.configure ~fail_prob ~seed ()
+  in
+  let stop i =
+    live.(i) <- false;
+    match ws.(i).fault with
+    | Kill _ -> ()
+    | Freeze { tid } -> Stall.Freezer.thaw ~tid
+    | Zombie { tid } -> Stall.Zombie.cure ~tid
+    | Chaos _ ->
+        decr chaos_open;
+        if !chaos_open = 0 then Chaos.disarm ()
+  in
   let events =
     List.sort
       (fun a b ->
@@ -95,38 +140,26 @@ let run ?(arm_chaos = fun () -> ()) ?(disarm_chaos = fun () -> ())
   in
   let t0 = Unix.gettimeofday () in
   let active = ref 0 in
-  List.iter
-    (fun ev ->
-      let slack = t0 +. ev.time -. Unix.gettimeofday () in
-      if slack > 0. then Unix.sleepf slack;
-      let i = ev.idx in
-      (match (ev.phase, ws.(i).fault) with
-      | `Start, Kill { tid; mid_casn } ->
-          Crash.kill
-            ~mode:(if mid_casn then `Mid_casn else `At_point)
-            ~tid ()
-      | `Start, Freeze { tid } ->
-          baseline.(i) <- Stall.Freezer.freeze_hits_of ~tid;
-          Stall.Freezer.freeze ~tid
-      | `Start, Zombie { tid } ->
-          baseline.(i) <- Stall.Zombie.bites_of ~tid;
-          Stall.Zombie.zombify ~tid
-      | `Start, Chaos ->
-          baseline.(i) <- chaos_hits ();
-          arm_chaos ()
-      | `Stop, Kill _ -> ()
-      | `Stop, Freeze { tid } -> Stall.Freezer.thaw ~tid
-      | `Stop, Zombie { tid } -> Stall.Zombie.cure ~tid
-      | `Stop, Chaos -> disarm_chaos ());
-      (match ev.phase with
-      | `Start ->
-          started.(i) <- Unix.gettimeofday () -. t0;
-          incr active
-      | `Stop ->
-          ended.(i) <- Unix.gettimeofday () -. t0;
-          decr active);
-      on_active !active)
-    events;
+  let step ev =
+    let slack = t0 +. ev.time -. Unix.gettimeofday () in
+    if slack > 0. then Unix.sleepf slack;
+    let i = ev.idx in
+    (match ev.phase with
+    | `Start ->
+        start i;
+        started.(i) <- Unix.gettimeofday () -. t0;
+        incr active
+    | `Stop ->
+        stop i;
+        ended.(i) <- Unix.gettimeofday () -. t0;
+        decr active);
+    on_active !active
+  in
+  (* a raising run must not leave a victim parked, a zombie biting or
+     chaos armed behind it *)
+  Fun.protect
+    ~finally:(fun () -> Array.iteri (fun i open_ -> if open_ then stop i) live)
+    (fun () -> List.iter step events);
   (* Let in-flight effects register (a kill lands at the victim's NEXT
      crash point, not synchronously) before reading the verdicts. *)
   if settle > 0. then Unix.sleepf settle;
@@ -134,8 +167,6 @@ let run ?(arm_chaos = fun () -> ()) ?(disarm_chaos = fun () -> ())
       let landed =
         match ws.(i).fault with
         | Kill { tid; _ } -> Crash.killed ~tid
-        | Freeze { tid } -> Stall.Freezer.freeze_hits_of ~tid > baseline.(i)
-        | Zombie { tid } -> Stall.Zombie.bites_of ~tid > baseline.(i)
-        | Chaos -> chaos_hits () > baseline.(i)
+        | f -> hits f > baseline.(i)
       in
       { window = ws.(i); started = started.(i); ended = ended.(i); landed })

@@ -14,11 +14,10 @@ type fault =
       (** {!Stall.Freezer.freeze} on open, [thaw] on close. *)
   | Zombie of { tid : int }
       (** {!Stall.Zombie.zombify} on open, [cure] on close. *)
-  | Chaos
-      (** Delegated: [run]'s [arm_chaos] / [disarm_chaos] callbacks
-          fire on open / close and [chaos_hits] supplies the landing
-          counter (chaos configuration lives with the memory functor
-          instance, which this module cannot see). *)
+  | Chaos of { fail_prob : float; seed : int }
+      (** {!Chaos.configure} with this spurious-failure probability
+          and seed on open; {!Chaos.disarm} once the last open Chaos
+          window closes. *)
 
 type window = {
   at : float;  (** start offset from schedule start, seconds *)
@@ -33,7 +32,7 @@ type landing = {
   landed : bool;
       (** the injector's own counter moved (freeze parked its victim
           at least once, the zombie bit at least once, the kill's
-          victim died, the chaos counter advanced) *)
+          victim died, chaos failed a DCAS spuriously) *)
 }
 
 val pp_fault : Format.formatter -> fault -> unit
@@ -47,13 +46,7 @@ val jittered : seed:int -> jitter:float -> window list -> window list
     @raise Invalid_argument if [jitter < 0] (or NaN). *)
 
 val run :
-  ?arm_chaos:(unit -> unit) ->
-  ?disarm_chaos:(unit -> unit) ->
-  ?chaos_hits:(unit -> int) ->
-  ?on_active:(int -> unit) ->
-  ?settle:float ->
-  window list ->
-  landing list
+  ?on_active:(int -> unit) -> ?settle:float -> window list -> landing list
 (** Execute the schedule on the calling domain (the E24/E25 soak runs
     it inside the service's [driver]), sleeping between events;
     overlapping windows are fine.  [on_active] is called after every
@@ -61,6 +54,10 @@ val run :
     fault-phase flag on [> 0].  After the last event, sleep [settle]
     (default 0) so in-flight effects (a kill lands at the victim's
     {e next} crash point) register, then return one {!landing} per
-    window, in input order.
+    window, in input order.  If the run raises anyway (say, from
+    [on_active]), it first closes every window it opened: thaws,
+    cures and disarms chaos.
 
-    @raise Invalid_argument on a negative offset or hold. *)
+    @raise Invalid_argument before opening any window on a negative
+    offset or hold, a [tid] outside [\[0, Fault.max_slots)], or a
+    chaos [fail_prob] outside [\[0, 1\]]. *)

@@ -6,8 +6,8 @@
    The watchdog never unblocks anything — OCaml domains cannot be
    interrupted — it makes a global stall *observable*: per-thread op
    counts, the last-known operation of each thread, and the memory
-   substrate's counters (including chaos and fast-fail, when a stats
-   thunk is supplied).  The caller decides what to do with the report:
+   substrate's counters (including fast-fail, when a stats thunk is
+   supplied).  The caller decides what to do with the report:
    the default handler prints it to stderr; bin/stress exits non-zero;
    the lock-freedom tests assert it fires for the planted-livelock
    deque and stays silent for the paper's deques.

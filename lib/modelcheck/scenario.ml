@@ -43,7 +43,7 @@ module Buggy_model = Buggy_deque.Make (Mem_model)
    between the algorithm and the yielding model cells, so the explorer
    still controls the interleaving while spurious DCAS failures and
    stalls are woven into each schedule. *)
-module Chaos_model = Dcas.Mem_chaos.Make (Mem_model)
+module Chaos_model = Harness.Fault.Mem (Mem_model)
 module List_chaos_model = Deque.List_deque.Make (Chaos_model)
 
 (* The Sundell–Tsigas single-word-CAS deque over the model memory: the
@@ -177,15 +177,13 @@ let list_deque_buggy ?(setup = []) ~name ~prefill threads =
         None,
         Some (dump_ints Buggy_model.unsafe_to_list d) ))
 
-let chaos_stats () = Chaos_model.stats ()
-
 let list_deque_chaos ?(fail_prob = 0.1) ?(freeze_prob = 0.) ?(freeze_spins = 8)
     ?(chaos_seed = 0xC0FFEE) ?(setup = []) ~name ~prefill threads =
   build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
       (* re-arming per instance restarts the fault streams, so every
          schedule the explorer replays sees the same fault sequence
          for the same interleaving prefix — exploration stays sound *)
-      Chaos_model.configure ~fail_prob ~freeze_prob ~freeze_spins
+      Harness.Chaos.configure ~fail_prob ~freeze_prob ~freeze_spins
         ~seed:chaos_seed ();
       let d = List_chaos_model.make () in
       ( apply_via List_chaos_model.push_right List_chaos_model.push_left
@@ -204,7 +202,7 @@ let st_deque ?(setup = []) ~name ~prefill threads =
 let st_deque_chaos ?(fail_prob = 0.1) ?(freeze_prob = 0.) ?(freeze_spins = 8)
     ?(chaos_seed = 0xC0FFEE) ?(setup = []) ~name ~prefill threads =
   build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      Chaos_model.configure ~fail_prob ~freeze_prob ~freeze_spins
+      Harness.Chaos.configure ~fail_prob ~freeze_prob ~freeze_spins
         ~seed:chaos_seed ();
       let d = St_chaos_model.make () in
       ( apply_via St_chaos_model.push_right St_chaos_model.push_left

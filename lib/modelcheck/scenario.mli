@@ -100,12 +100,15 @@ val list_deque_chaos :
   prefill:int list ->
   int Spec.Op.op list list ->
   t
-(** The (correct) list deque over a {!Dcas.Mem_chaos}-wrapped model
-    memory: every explored schedule additionally sees seeded spurious
-    DCAS failures at rate [fail_prob] and, with [freeze_prob] > 0,
-    bounded freezes of [freeze_spins] spins at shared-memory access
-    points (default 0 / 8).  Fault streams restart from [chaos_seed] at
-    every instantiation, keeping exploration sound. *)
+(** The (correct) list deque over the model memory behind
+    {!Harness.Fault.Mem}, with {!Harness.Chaos} armed: every explored
+    schedule additionally sees seeded spurious DCAS failures at rate
+    [fail_prob] and, with [freeze_prob] > 0, bounded freezes of
+    [freeze_spins] spins at shared-memory access points (default
+    0 / 8).  Fault streams restart from [chaos_seed] at every
+    instantiation, keeping exploration sound.  Chaos is global: it
+    stays armed after the run, and its hits are read from
+    {!Harness.Chaos}. *)
 
 val st_deque :
   ?setup:int Spec.Op.op list ->
@@ -130,9 +133,10 @@ val st_deque_chaos :
   prefill:int list ->
   int Spec.Op.op list list ->
   t
-(** {!st_deque} over the chaos-wrapped model memory: spurious CAS
-    failures (and optional bounded freezes) woven into every explored
-    schedule, exercising the helping paths harder.  Fault streams
+(** {!st_deque} over the same chaos-armed model memory as
+    {!list_deque_chaos}: spurious CAS failures (and optional bounded
+    freezes) woven into every explored schedule through the one-entry
+    [casn], exercising the helping paths harder.  Fault streams
     restart from [chaos_seed] at every instantiation. *)
 
 val st_deque_buggy :
@@ -187,10 +191,6 @@ val sharded :
     conservation face of shedding against steal/adoption races.
 
     Scripts must use distinct non-token values. *)
-
-val chaos_stats : unit -> Dcas.Memory_intf.stats
-(** Cumulative counters of the chaos substrate behind
-    {!list_deque_chaos} ([chaos_spurious], [chaos_freezes], ...). *)
 
 val greenwald_v1 :
   ?setup:int Spec.Op.op list ->

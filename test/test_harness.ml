@@ -257,11 +257,12 @@ let test_stall_request_overwrites () =
 (* --- Storm schedules over the shared slot table --- *)
 
 let window ?(at = 0.) ?(hold = 0.) fault = { Harness.Storm.at; hold; fault }
+let chaos = Harness.Storm.Chaos { fail_prob = 0.1; seed = 1 }
 
 let test_storm_jittered () =
   let ws =
     [
-      window ~at:0.5 ~hold:0.25 Harness.Storm.Chaos;
+      window ~at:0.5 ~hold:0.25 chaos;
       window ~at:1.0 ~hold:0.1 (Harness.Storm.Freeze { tid = 3 });
     ]
   in
@@ -279,8 +280,7 @@ let test_storm_jittered () =
   let ats =
     List.init 20 (fun seed ->
         match
-          Harness.Storm.jittered ~seed ~jitter:1.
-            [ window Harness.Storm.Chaos ]
+          Harness.Storm.jittered ~seed ~jitter:1. [ window chaos ]
         with
         | [ j ] -> j.Harness.Storm.at
         | _ -> Alcotest.fail "one window in, one out")
@@ -294,10 +294,15 @@ let test_storm_jittered () =
 let test_storm_validation () =
   Alcotest.check_raises "negative offset"
     (Invalid_argument "Storm: window offsets must be >= 0") (fun () ->
-      ignore (Harness.Storm.run [ window ~at:(-0.1) Harness.Storm.Chaos ]));
+      ignore (Harness.Storm.run [ window ~at:(-0.1) chaos ]));
   Alcotest.check_raises "negative hold"
     (Invalid_argument "Storm: window holds must be >= 0") (fun () ->
-      ignore (Harness.Storm.run [ window ~hold:(-0.1) Harness.Storm.Chaos ]))
+      ignore (Harness.Storm.run [ window ~hold:(-0.1) chaos ]));
+  Alcotest.check_raises "chaos probability"
+    (Invalid_argument "Storm: chaos fail_prob must be in [0, 1]") (fun () ->
+      ignore
+        (Harness.Storm.run
+           [ window (Harness.Storm.Chaos { fail_prob = 1.5; seed = 1 }) ]))
 
 (* An enrolled domain that keeps reading through the instrumented
    memory until [stop]; [Died] ends it early.  Returns once the reader
@@ -352,12 +357,92 @@ let test_storm_on_active () =
   ignore
     (Harness.Storm.run
        ~on_active:(fun n -> seen := n :: !seen)
-       [
-         window ~hold:0.02 Harness.Storm.Chaos;
-         window ~at:0.005 ~hold:0.005 Harness.Storm.Chaos;
-       ]);
+       [ window ~hold:0.02 chaos; window ~at:0.005 ~hold:0.005 chaos ]);
   Alcotest.(check (list int)) "open windows after each edge" [ 1; 2; 1; 0 ]
-    (List.rev !seen)
+    (List.rev !seen);
+  Alcotest.(check bool) "chaos disarmed with the last window" false
+    (Harness.Chaos.armed ())
+
+(* Poll [p] for up to 5 s; its last value. *)
+let wait_until p =
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (p ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  p ()
+
+(* An out-of-range victim is refused before any window opens: a freeze
+   opened first would stay up when the kill raised, and a service
+   driven by the schedule would wait forever to join its parked
+   producer. *)
+let test_storm_rejects_bad_tid () =
+  Harness.Fault.reset ();
+  let stop = Atomic.make false in
+  let reader = spawn_reader ~tid:3 stop in
+  let error =
+    match
+      Harness.Storm.run
+        [
+          window ~hold:1. (Harness.Storm.Freeze { tid = 3 });
+          window ~at:0.01
+            (Harness.Storm.Kill
+               { tid = Harness.Fault.max_slots; mid_casn = true });
+        ]
+    with
+    | _ -> None
+    | exception Invalid_argument e -> Some e
+  in
+  Unix.sleepf 0.02;
+  let parks = Harness.Stall.Freezer.freeze_hits_of ~tid:3 in
+  Harness.Fault.reset ();
+  Atomic.set stop true;
+  ignore (Domain.join reader);
+  Alcotest.(check (option string))
+    "rejected"
+    (Some
+       (Printf.sprintf "Storm: window tid must be in [0, %d)"
+          Harness.Fault.max_slots))
+    error;
+  Alcotest.(check int) "the freeze never opened" 0 parks
+
+(* A run raising midway closes what it opened: the parked reader is
+   thawed, the zombie cured, chaos disarmed. *)
+let test_storm_raise_closes_windows () =
+  Harness.Fault.reset ();
+  let stop = Atomic.make false in
+  let reader = spawn_reader ~tid:3 stop in
+  let on_active n =
+    if n = 3 then begin
+      ignore (wait_until (fun () -> Harness.Stall.Freezer.frozen_now () = 1));
+      failwith "on_active gave up"
+    end
+  in
+  let raised =
+    match
+      Harness.Storm.run ~on_active
+        [
+          window ~hold:1. (Harness.Storm.Freeze { tid = 3 });
+          window ~hold:1. (Harness.Storm.Zombie { tid = 4 });
+          window ~hold:1. chaos;
+        ]
+    with
+    | _ -> false
+    | exception Failure _ -> true
+  in
+  let thawed =
+    wait_until (fun () -> Harness.Stall.Freezer.frozen_now () = 0)
+  in
+  let parks = Harness.Stall.Freezer.freeze_hits_of ~tid:3 in
+  let zombie = Harness.Stall.Zombie.active ~tid:4 in
+  let armed = Harness.Chaos.armed () in
+  Harness.Fault.reset ();
+  Atomic.set stop true;
+  ignore (Domain.join reader);
+  Alcotest.(check bool) "raised" true raised;
+  Alcotest.(check int) "the reader had parked" 1 parks;
+  Alcotest.(check bool) "thawed" true thawed;
+  Alcotest.(check bool) "cured" false zombie;
+  Alcotest.(check bool) "chaos disarmed" false armed
 
 (* The injectors share one slot table: a single enroll makes the
    domain both freezable and killable under the same id. *)
@@ -719,6 +804,10 @@ let () =
             test_storm_zombie_unpolled;
           Alcotest.test_case "on_active counts open windows" `Quick
             test_storm_on_active;
+          Alcotest.test_case "out-of-range tid rejected up front" `Quick
+            test_storm_rejects_bad_tid;
+          Alcotest.test_case "raising run closes its windows" `Quick
+            test_storm_raise_closes_windows;
           Alcotest.test_case "one enroll: freezable and killable" `Quick
             test_one_enroll_freezes_and_kills;
         ] );

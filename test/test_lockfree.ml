@@ -203,16 +203,15 @@ let test_real_stall_lock () =
 
 (* The adversary made executable on real domains: K = threads-1 worker
    domains are frozen at shared-memory access points mid-operation (via
-   Stall.Freezer through the instrumented memory, composed with
-   Mem_chaos so spurious DCAS failures land on the survivors too), and
+   Stall.Freezer through the instrumented memory, with chaos armed so
+   spurious DCAS failures land on the survivors too), and
    the one surviving domain must keep completing operations — the
    operational content of Theorems 3.1/4.1's non-blocking half.  The
    turn-passing Buggy_spin_deque must fail this test: its survivor
    blocks, and the progress watchdog converts the global stall into a
    diagnostic instead of a hang. *)
 
-module Freeze_chaos = Dcas.Mem_chaos.Make (Dcas.Mem_lockfree)
-module Freeze_mem = Harness.Fault.Mem (Freeze_chaos)
+module Freeze_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
 module F_array = Deque.Array_deque.Make (Freeze_mem)
 module F_list = Deque.List_deque.Make (Freeze_mem)
 module F_dummy = Deque.List_deque_dummy.Make (Freeze_mem)
@@ -226,10 +225,14 @@ let survivor_ops = 1_000
 
 (* Spawn [threads] workers looping [op]; once everyone has warmed up,
    freeze workers 1..threads-1, then watch whether worker 0 completes
-   [survivor_ops] more operations within [time_budget] seconds.
-   Returns (survivor progressed?, park events, watchdog stalls). *)
-let run_frozen ?watchdog ~threads ~time_budget op =
+   [survivor_ops] more operations within [time_budget] seconds.  With
+   [fail_prob] > 0, spurious DCAS/CASN failures land on survivors and
+   victims alike; no chaos delays or freezes — the freezer provides the
+   (unbounded) stalls here.  Returns (survivor progressed?, park
+   events, watchdog stalls). *)
+let run_frozen ?watchdog ?(fail_prob = 0.) ~threads ~time_budget op =
   Harness.Fault.reset ();
+  Harness.Chaos.configure ~fail_prob ~seed:0xF0E2 ();
   let stop = Atomic.make false in
   let counts = Array.init threads (fun _ -> Atomic.make 0) in
   let master = Dcas.Splitmix.create ~seed:0xF0E1 in
@@ -295,13 +298,6 @@ let mixed_op ~push_right ~push_left ~pop_right ~pop_left ~tid ~rng =
   | 2 -> ignore (pop_right ())
   | _ -> ignore (pop_left ())
 
-let with_chaos f =
-  (* spurious DCAS/CASN failures land on survivors and victims alike;
-     no chaos delays/freezes — the freezer provides the (unbounded)
-     stalls here *)
-  Freeze_chaos.configure ~fail_prob:0.1 ~seed:0xF0E2 ();
-  Fun.protect ~finally:Freeze_chaos.disarm f
-
 let assert_survives name (progressed, parks, _stalls) ~threads =
   Alcotest.(check bool)
     (Printf.sprintf "%s: survivor completed %d ops with %d domains frozen"
@@ -313,83 +309,78 @@ let assert_survives name (progressed, parks, _stalls) ~threads =
     (parks >= threads - 1)
 
 let test_empirical_array () =
-  with_chaos (fun () ->
-      let d = F_array.make ~length:64 () in
-      for i = 1 to 16 do
-        ignore (F_array.push_right d i)
-      done;
-      let threads = 3 in
-      run_frozen ~threads ~time_budget:30. (fun ~tid ~rng ->
-          mixed_op ~tid ~rng
-            ~push_right:(fun v -> F_array.push_right d v)
-            ~push_left:(fun v -> F_array.push_left d v)
-            ~pop_right:(fun () -> F_array.pop_right d)
-            ~pop_left:(fun () -> F_array.pop_left d))
-      |> assert_survives "array" ~threads)
+  let d = F_array.make ~length:64 () in
+  for i = 1 to 16 do
+    ignore (F_array.push_right d i)
+  done;
+  let threads = 3 in
+  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
+      mixed_op ~tid ~rng
+        ~push_right:(fun v -> F_array.push_right d v)
+        ~push_left:(fun v -> F_array.push_left d v)
+        ~pop_right:(fun () -> F_array.pop_right d)
+        ~pop_left:(fun () -> F_array.pop_left d))
+  |> assert_survives "array" ~threads
 
 let test_empirical_list () =
-  with_chaos (fun () ->
-      let d = F_list.make () in
-      for i = 1 to 16 do
-        ignore (F_list.push_right d i)
-      done;
-      let threads = 3 in
-      run_frozen ~threads ~time_budget:30. (fun ~tid ~rng ->
-          mixed_op ~tid ~rng
-            ~push_right:(fun v -> F_list.push_right d v)
-            ~push_left:(fun v -> F_list.push_left d v)
-            ~pop_right:(fun () -> F_list.pop_right d)
-            ~pop_left:(fun () -> F_list.pop_left d))
-      |> assert_survives "list" ~threads)
+  let d = F_list.make () in
+  for i = 1 to 16 do
+    ignore (F_list.push_right d i)
+  done;
+  let threads = 3 in
+  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
+      mixed_op ~tid ~rng
+        ~push_right:(fun v -> F_list.push_right d v)
+        ~push_left:(fun v -> F_list.push_left d v)
+        ~pop_right:(fun () -> F_list.pop_right d)
+        ~pop_left:(fun () -> F_list.pop_left d))
+  |> assert_survives "list" ~threads
 
 let test_empirical_dummy () =
-  with_chaos (fun () ->
-      let d = F_dummy.make () in
-      for i = 1 to 16 do
-        ignore (F_dummy.push_right d i)
-      done;
-      let threads = 3 in
-      run_frozen ~threads ~time_budget:30. (fun ~tid ~rng ->
-          mixed_op ~tid ~rng
-            ~push_right:(fun v -> F_dummy.push_right d v)
-            ~push_left:(fun v -> F_dummy.push_left d v)
-            ~pop_right:(fun () -> F_dummy.pop_right d)
-            ~pop_left:(fun () -> F_dummy.pop_left d))
-      |> assert_survives "3cas" ~threads)
+  let d = F_dummy.make () in
+  for i = 1 to 16 do
+    ignore (F_dummy.push_right d i)
+  done;
+  let threads = 3 in
+  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
+      mixed_op ~tid ~rng
+        ~push_right:(fun v -> F_dummy.push_right d v)
+        ~push_left:(fun v -> F_dummy.push_left d v)
+        ~pop_right:(fun () -> F_dummy.pop_right d)
+        ~pop_left:(fun () -> F_dummy.pop_left d))
+  |> assert_survives "3cas" ~threads
 
 let test_empirical_casn () =
-  with_chaos (fun () ->
-      let d = F_casn.make () in
-      for i = 1 to 16 do
-        ignore (F_casn.push_right d i)
-      done;
-      let threads = 3 in
-      run_frozen ~threads ~time_budget:30. (fun ~tid ~rng ->
-          mixed_op ~tid ~rng
-            ~push_right:(fun v -> F_casn.push_right d v)
-            ~push_left:(fun v -> F_casn.push_left d v)
-            ~pop_right:(fun () -> F_casn.pop_right d)
-            ~pop_left:(fun () -> F_casn.pop_left d))
-      |> assert_survives "3cas" ~threads)
+  let d = F_casn.make () in
+  for i = 1 to 16 do
+    ignore (F_casn.push_right d i)
+  done;
+  let threads = 3 in
+  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
+      mixed_op ~tid ~rng
+        ~push_right:(fun v -> F_casn.push_right d v)
+        ~push_left:(fun v -> F_casn.push_left d v)
+        ~pop_right:(fun () -> F_casn.pop_right d)
+        ~pop_left:(fun () -> F_casn.pop_left d))
+  |> assert_survives "3cas" ~threads
 
 (* The single-word-CAS competitor under the same adversary: a peer
    frozen between the mark and the unlink of a pop leaves a marked
    link the survivor must help past, with spurious CAS failures on
    top. *)
 let test_empirical_st () =
-  with_chaos (fun () ->
-      let d = F_st.make () in
-      for i = 1 to 16 do
-        ignore (F_st.push_right d i)
-      done;
-      let threads = 3 in
-      run_frozen ~threads ~time_budget:30. (fun ~tid ~rng ->
-          mixed_op ~tid ~rng
-            ~push_right:(fun v -> F_st.push_right d v)
-            ~push_left:(fun v -> F_st.push_left d v)
-            ~pop_right:(fun () -> F_st.pop_right d)
-            ~pop_left:(fun () -> F_st.pop_left d))
-      |> assert_survives "st" ~threads)
+  let d = F_st.make () in
+  for i = 1 to 16 do
+    ignore (F_st.push_right d i)
+  done;
+  let threads = 3 in
+  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
+      mixed_op ~tid ~rng
+        ~push_right:(fun v -> F_st.push_right d v)
+        ~push_left:(fun v -> F_st.push_left d v)
+        ~pop_right:(fun () -> F_st.pop_right d)
+        ~pop_left:(fun () -> F_st.pop_left d))
+  |> assert_survives "st" ~threads
 
 (* The planted livelock: freezing any participant of the turn-passing
    deque blocks the survivor, the validator flags it, and the watchdog

@@ -11,8 +11,8 @@
    Spill chain conserves values across primary + overflow. *)
 
 (* chaos + self-stall + freezer instrumentation under every deque *)
-module Chaos = Dcas.Mem_chaos.Make (Dcas.Mem_lockfree)
-module Mem = Harness.Fault.Mem (Chaos)
+module Chaos = Harness.Chaos
+module Mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
 module R_array = Deque.Array_deque.Make (Mem)
 module R_list = Deque.List_deque.Make (Mem)
 module R_dummy = Deque.List_deque_dummy.Make (Mem)
@@ -83,7 +83,7 @@ let casn_impl =
 
 (* Each worker periodically arms a cooperative stall for itself — a
    short sleep in the middle of a later operation — layered on top of
-   the chaos substrate's own spurious failures and bounded freezes,
+   chaos's own spurious failures and bounded freezes,
    with a (generously thresholded) watchdog confirming the system
    never wedges. *)
 let conservation_case impl =
@@ -91,19 +91,18 @@ let conservation_case impl =
     (impl.Test_support.impl_name ^ ": conservation")
     `Slow
     (fun () ->
+      Harness.Fault.reset ();
       Chaos.configure ~fail_prob:0.2 ~delay_prob:0.02 ~max_delay:16
         ~freeze_prob:0.001 ~freeze_spins:1_000 ~seed:0xD15EA5E ();
       Fun.protect ~finally:Chaos.disarm (fun () ->
-          Chaos.reset_stats ();
           let watchdog = Harness.Watchdog.create ~stall_after:30. ~threads:4 () in
           Test_support.stress_conservation ~seed:0xD15EA5E ~watchdog
             ~per_op:(fun ~tid ~i ->
               if i mod 400 = (17 * tid) mod 400 then
                 Harness.Stall.request ~after_ops:3 ~duration:0.0005)
             impl ~threads:4 ~iters:3_000 ~capacity:64 ();
-          let s = Chaos.stats () in
           Alcotest.(check bool) "spurious faults injected" true
-            (s.chaos_spurious > 0);
+            (Chaos.spurious () > 0);
           Alcotest.(check bool) "watchdog stayed quiet" false
             (Harness.Watchdog.fired watchdog)))
 
