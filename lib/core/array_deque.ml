@@ -56,9 +56,10 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
       (* The two end indices are the deque's permanent hot spots — every
          operation on a side reads and DCASes its index — and they are
          allocated back to back, so unpadded they share one cache line
-         and the "independent ends" of E5 ping-pong it anyway. *)
-      l = M.make_padded 0;
-      r = M.make_padded (1 %% length);
+         and the "independent ends" of E5 ping-pong it anyway.  [Int.equal]
+         keeps their DCAS comparisons off the default polymorphic [( = )]. *)
+      l = M.make_padded ~equal:Int.equal 0;
+      r = M.make_padded ~equal:Int.equal (1 %% length);
       s = Array.init length (fun _ -> M.make ~equal:cell_equal Null);
       length;
       hints;

@@ -139,7 +139,9 @@ module Make (D : Deque_intf.S) = struct
 
   let shards t = Array.length t.shards
   let alive t ~shard = Atomic.get t.alive.(shard)
-  let shard_of t ~key = abs (mix key) mod Array.length t.shards
+  (* [abs] after [mod]: one key hashes to [min_int], and
+     [abs min_int = min_int]. *)
+  let shard_of t ~key = abs (mix key mod Array.length t.shards)
 
   (* Home shard, or the next live one probing upward from it; when
      every shard is quarantined, fall back to the home shard — its

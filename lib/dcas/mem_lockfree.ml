@@ -38,6 +38,12 @@
    - the garbage collector reclaims descriptors, exactly as the paper's
      deques rely on GC to reclaim list nodes (Section 1.1).
 
+   The first argument fails for a [Succeeded] descriptor: a thread that
+   read [Undecided] before the descriptor was decided, released, and
+   its location moved back to [before] by a fresh [Value] can still
+   install it, and its release then writes [after] back (ROADMAP.md,
+   item 1).
+
    Entries are acquired in ascending location-id order, which bounds
    helping chains and yields lock-freedom by the standard argument. *)
 
@@ -180,7 +186,7 @@ let decided owner =
     Atomic.get dead_count > 0
     && owner <> self_id ()
     && List.memq owner (Atomic.get dead_list)
-  then Opstats.incr_orphan counters
+  then Opstats.incr_orphan (Opstats.bucket counters)
 
 let make ?(equal = ( = )) v =
   { id = Id.next (); state = Atomic.make (Value v); equal }
@@ -202,7 +208,7 @@ let resolve : type a. a state -> a = function
       | Undecided | Failed -> before)
 
 let get loc =
-  Opstats.incr_read counters;
+  Opstats.incr_read (Opstats.bucket counters);
   resolve (Atomic.get loc.state)
 
 (* Replace a decided descriptor's hold on [loc] with a plain [Value];
@@ -225,7 +231,7 @@ let release_one (type a) (loc : a loc) (cur : a state) =
         match orig with
         | Value v0 when v0 == v && Atomic.get dcas2_enabled -> orig
         | Value _ | Owned _ ->
-            Opstats.incr_value_alloc counters;
+            Opstats.incr_value_alloc (Opstats.bucket counters);
             Value v
       in
       ignore (Atomic.compare_and_set loc.state cur replacement)
@@ -373,12 +379,13 @@ let help_orphans () =
   List.length ds
 
 let rec set loc v =
-  Opstats.incr_write counters;
+  let b = Opstats.bucket counters in
+  Opstats.incr_write b;
   let cur = Atomic.get loc.state in
   (match cur with
   | Owned { desc; _ } when Atomic.get (status_of desc) = Undecided -> help desc
   | Value _ | Owned _ -> ());
-  Opstats.incr_value_alloc counters;
+  Opstats.incr_value_alloc b;
   if not (Atomic.compare_and_set loc.state cur (Value v)) then set loc v
 
 (* The location is unpublished: no other thread can hold a descriptor
@@ -429,16 +436,17 @@ let make_dcas2 l1 l2 o1 o2 n1 n2 =
 
 let dcas l1 l2 o1 o2 n1 n2 =
   if l1.id = l2.id then invalid_arg "Mem_lockfree.dcas: locations must differ";
-  Opstats.incr_attempt counters;
+  let b = Opstats.bucket counters in
+  Opstats.incr_attempt b;
   if doomed l1 o1 || doomed l2 o2 then begin
-    Opstats.incr_fastfail counters;
+    Opstats.incr_fastfail b;
     false
   end
   else begin
-    Opstats.incr_desc_alloc counters;
+    Opstats.incr_desc_alloc b;
     let desc =
       if Atomic.get dcas2_enabled then begin
-        Opstats.incr_dcas2 counters;
+        Opstats.incr_dcas2 b;
         make_dcas2 l1 l2 o1 o2 n1 n2
       end
       else begin
@@ -450,7 +458,7 @@ let dcas l1 l2 o1 o2 n1 n2 =
     in
     help desc;
     let ok = Atomic.get (status_of desc) = Succeeded in
-    if ok then Opstats.incr_success counters;
+    if ok then Opstats.incr_success b;
     ok
   end
 
@@ -501,7 +509,8 @@ let casn cs =
   if not distinct then invalid_arg "Mem_lockfree.casn: locations must differ";
   if Array.length entries = 0 then true
   else begin
-    Opstats.incr_attempt counters;
+    let b = Opstats.bucket counters in
+    Opstats.incr_attempt b;
     (* Same pre-validation as [dcas]: any entry already stale dooms the
        whole CASN, and spotting it from a logical read skips the
        descriptor and the acquire cascade entirely. *)
@@ -510,14 +519,14 @@ let casn cs =
       (fun (Entry { loc; before; _ }) -> if doomed loc before then stale := true)
       entries;
     if !stale then begin
-      Opstats.incr_fastfail counters;
+      Opstats.incr_fastfail b;
       false
     end
     else begin
-      Opstats.incr_desc_alloc counters;
+      Opstats.incr_desc_alloc b;
       let desc =
         if Array.length entries = 2 && Atomic.get dcas2_enabled then begin
-          Opstats.incr_dcas2 counters;
+          Opstats.incr_dcas2 b;
           let (Entry { loc = la; before = oa; after = na }) = entries.(0) in
           let (Entry { loc = lb; before = ob; after = nb }) = entries.(1) in
           Dcas2
@@ -536,7 +545,7 @@ let casn cs =
       in
       help desc;
       let ok = Atomic.get (status_of desc) = Succeeded in
-      if ok then Opstats.incr_success counters;
+      if ok then Opstats.incr_success b;
       ok
     end
   end

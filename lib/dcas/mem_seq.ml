@@ -17,24 +17,25 @@ let make ?(equal = ( = )) v = { id = Id.next (); content = v; equal }
 let make_padded = make
 
 let get loc =
-  Opstats.incr_read counters;
+  Opstats.incr_read (Opstats.bucket counters);
   loc.content
 
 let set loc v =
-  Opstats.incr_write counters;
+  Opstats.incr_write (Opstats.bucket counters);
   loc.content <- v
 
 let set_private loc v = loc.content <- v
 
 let dcas_strong l1 l2 o1 o2 n1 n2 =
   if l1.id = l2.id then invalid_arg "Mem_seq.dcas: locations must differ";
-  Opstats.incr_attempt counters;
+  let b = Opstats.bucket counters in
+  Opstats.incr_attempt b;
   let v1 = l1.content and v2 = l2.content in
   let ok = l1.equal v1 o1 && l2.equal v2 o2 in
   if ok then begin
     l1.content <- n1;
     l2.content <- n2;
-    Opstats.incr_success counters
+    Opstats.incr_success b
   end;
   (ok, v1, v2)
 
@@ -48,10 +49,11 @@ let casn cs =
   let ids = List.map (fun (Cass (l, _, _)) -> l.id) cs in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Mem_seq.casn: locations must differ";
-  Opstats.incr_attempt counters;
+  let b = Opstats.bucket counters in
+  Opstats.incr_attempt b;
   let ok = List.for_all (fun (Cass (l, o, _)) -> l.equal l.content o) cs in
   if ok then begin
     List.iter (fun (Cass (l, _, n)) -> l.content <- n) cs;
-    Opstats.incr_success counters
+    Opstats.incr_success b
   end;
   ok

@@ -23,7 +23,7 @@ let make_padded ?equal v = Padding.copy_as_padded (make ?equal v)
 let stripe_of loc = loc.id mod stripe_count
 
 let get loc =
-  Opstats.incr_read counters;
+  Opstats.incr_read (Opstats.bucket counters);
   let m = stripes.(stripe_of loc) in
   Mutex.lock m;
   let v = loc.content in
@@ -31,7 +31,7 @@ let get loc =
   v
 
 let set loc v =
-  Opstats.incr_write counters;
+  Opstats.incr_write (Opstats.bucket counters);
   let m = stripes.(stripe_of loc) in
   Mutex.lock m;
   loc.content <- v;
@@ -41,7 +41,8 @@ let set_private loc v = loc.content <- v
 
 let dcas_strong l1 l2 o1 o2 n1 n2 =
   if l1.id = l2.id then invalid_arg "Mem_striped.dcas: locations must differ";
-  Opstats.incr_attempt counters;
+  let b = Opstats.bucket counters in
+  Opstats.incr_attempt b;
   let s1 = stripe_of l1 and s2 = stripe_of l2 in
   let lo = min s1 s2 and hi = max s1 s2 in
   Mutex.lock stripes.(lo);
@@ -54,7 +55,7 @@ let dcas_strong l1 l2 o1 o2 n1 n2 =
   end;
   if hi <> lo then Mutex.unlock stripes.(hi);
   Mutex.unlock stripes.(lo);
-  if ok then Opstats.incr_success counters;
+  if ok then Opstats.incr_success b;
   (ok, v1, v2)
 
 let dcas l1 l2 o1 o2 n1 n2 =
@@ -67,7 +68,8 @@ let casn cs =
   let ids = List.map (fun (Cass (l, _, _)) -> l.id) cs in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Mem_striped.casn: locations must differ";
-  Opstats.incr_attempt counters;
+  let b = Opstats.bucket counters in
+  Opstats.incr_attempt b;
   (* lock the distinct stripes in index order to avoid deadlock *)
   let stripe_ids =
     List.sort_uniq compare (List.map (fun (Cass (l, _, _)) -> stripe_of l) cs)
@@ -76,5 +78,5 @@ let casn cs =
   let ok = List.for_all (fun (Cass (l, o, _)) -> l.equal l.content o) cs in
   if ok then List.iter (fun (Cass (l, _, n)) -> l.content <- n) cs;
   List.iter (fun i -> Mutex.unlock stripes.(i)) (List.rev stripe_ids);
-  if ok then Opstats.incr_success counters;
+  if ok then Opstats.incr_success b;
   ok

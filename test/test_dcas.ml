@@ -632,20 +632,34 @@ let opstats_tests =
         let ds =
           List.init domains (fun i ->
               Domain.spawn (fun () ->
-                  (* private locations: every dcas is a deterministic
-                     fast-fail, so the expected counts are exact *)
+                  (* private locations, so the expected counts are
+                     exact: every dcas on (a, b) is a deterministic
+                     fast-fail, every dcas on (c, d) succeeds *)
                   let a = M.make (2 * i) and b = M.make ((2 * i) + 1) in
-                  for _ = 1 to per_domain do
-                    ignore (M.dcas a b (-1) (-1) 0 0)
-                  done))
+                  let c = M.make 0 and d = M.make 0 in
+                  let ok = ref 0 in
+                  for k = 0 to per_domain - 1 do
+                    ignore (M.dcas a b (-1) (-1) 0 0);
+                    if M.dcas c d k k (k + 1) (k + 1) then incr ok
+                  done;
+                  !ok))
         in
-        List.iter Domain.join ds;
+        let ok = List.fold_left (fun n d -> n + Domain.join d) 0 ds in
+        let n = domains * per_domain in
+        Alcotest.(check int) "every private dcas succeeded" n ok;
         let s = M.stats () in
-        Alcotest.(check int) "attempts summed across domains"
-          (domains * per_domain) s.dcas_attempts;
-        Alcotest.(check int) "fast-fails summed across domains"
-          (domains * per_domain) s.dcas_fastfails;
-        Alcotest.(check int) "no successes" 0 s.dcas_successes);
+        Alcotest.(check int) "attempts summed across domains" (2 * n)
+          s.dcas_attempts;
+        Alcotest.(check int) "fast-fails summed across domains" n
+          s.dcas_fastfails;
+        Alcotest.(check int) "successes summed across domains" n
+          s.dcas_successes;
+        Alcotest.(check int) "descriptors summed across domains" n
+          s.descriptor_allocs;
+        Alcotest.(check int) "dcas2 hits summed across domains" n
+          s.dcas2_hits;
+        Alcotest.(check int) "two value allocs per success" (2 * n)
+          s.value_allocs);
     Alcotest.test_case "opstats: reset races with incrementers" `Quick
       (fun () ->
         let module M = Dcas.Mem_lockfree in

@@ -37,6 +37,24 @@ let qcheck_routing_deterministic =
       s1 = s2 && s1 = s3 && s1 >= 0 && s1 < shards
       && Sharded.mix key = Sharded.mix key)
 
+(* [mix] is a bijection, so exactly one key hashes to [min_int], where
+   [abs] is the identity: routing must still land it in range. *)
+let test_routing_min_int_hash () =
+  let key = -1503233513293293958 in
+  Alcotest.(check int) "the key hashes to min_int" min_int (Sharded.mix key);
+  for shards = 1 to 16 do
+    let s = Sh.shard_of (Sh.create ~shards ~capacity:8 ()) ~key in
+    if s < 0 || s >= shards then
+      Alcotest.failf "shard_of = %d with %d shards" s shards
+  done;
+  let t = Sh.create ~shards:3 ~capacity:8 () in
+  (match Sh.push t ~key 42 with
+  | `Okay -> ()
+  | `Full | `Timeout -> Alcotest.fail "push refused");
+  match Sh.pop t ~key with
+  | `Value v -> Alcotest.(check int) "round trip" 42 v
+  | `Empty | `Timeout -> Alcotest.fail "pop found nothing"
+
 let test_route_skips_quarantined () =
   let t = Sh.create ~shards:3 ~capacity:8 () in
   let key = 0 in
@@ -501,6 +519,8 @@ let () =
           Alcotest.test_case "hash spreads the key space" `Quick
             test_routing_spread;
           QCheck_alcotest.to_alcotest qcheck_routing_deterministic;
+          Alcotest.test_case "min_int hash stays in range" `Quick
+            test_routing_min_int_hash;
           Alcotest.test_case "routes around quarantine" `Quick
             test_route_skips_quarantined;
         ] );
