@@ -98,7 +98,7 @@ let e1 ~quick =
 
 let winner_stats scenario ~samples ~seed =
   (* run random schedules and record which thread won the element *)
-  let right = ref 0 and left = ref 0 and other = ref 0 in
+  let right = ref 0 and left = ref 0 in
   let state = ref (seed lor 1) in
   let rand bound =
     let s = !state in
@@ -117,10 +117,9 @@ let winner_stats scenario ~samples ~seed =
         | Spec.Op.Pop_right, Spec.Op.Got _ -> incr right
         | Spec.Op.Pop_left, Spec.Op.Got _ -> incr left
         | _, _ -> ())
-      report.Modelcheck.Explorer.history;
-    if false then incr other
+      report.Modelcheck.Explorer.history
   done;
-  (!right, !left, !other)
+  (!right, !left)
 
 let e2 ~quick =
   header "E2  popRight vs popLeft racing for the last element (Figs 5/6)";
@@ -134,7 +133,7 @@ let e2 ~quick =
           | None -> "linearizable"
           | Some f -> "FAILED: " ^ f.Modelcheck.Explorer.reason
         in
-        let r, l, _ = winner_stats scenario ~samples ~seed:17 in
+        let r, l = winner_stats scenario ~samples ~seed:17 in
         [
           label;
           string_of_int outcome.Modelcheck.Explorer.schedules;

@@ -17,7 +17,7 @@
 
    - {e graceful degradation at capacity} (bounded deques): a push that
      finds the deque full consults the [full] policy —
-     [Reject] surfaces [`Full] immediately (backpressure, counted);
+     [Reject] surfaces [`Full] immediately (backpressure);
      [Retry { max_attempts }] retries with backoff, then surfaces
      [`Full] (or [`Timeout] if a deadline expired first);
      [Spill] diverts the value into an unbounded overflow
@@ -27,15 +27,16 @@
      that overflowed can be overtaken by later primary-deque traffic.
      Parked values also drain {e back} opportunistically: any call that
      proves the primary has room (a push that landed, a pop that just
-     freed a slot) moves one overflowed value back into the primary and
-     counts it as a refill, so a burst's backlog melts away under
-     ordinary traffic instead of waiting for the primary to empty.
+     freed a slot) moves one overflowed value back into the primary, so
+     a burst's backlog melts away under ordinary traffic instead of
+     waiting for the primary to empty.
 
-   - {e backpressure / starvation accounting}: per-wrapper counters
-     (successes, rejections, retries, spills, timeouts), cheap enough
-     to stay on in production harnesses; per-thread fairness over a
-     whole run is computed by {!Harness.Metrics.Starvation} from the
-     runner's per-thread counts.
+   Outcomes are the calls' return values; the wrapper counts none of
+   them, so its common path writes no shared location of its own and
+   adds no contention between the deque's two ends.  Callers count
+   what they read (the service in [Shard_service.report], per-thread
+   fairness in {!Harness.Metrics.Starvation} from the runner's
+   per-thread counts).
 
    The wrapper adds no atomicity of its own: each underlying operation
    remains linearizable; a retried operation is simply a sequence of
@@ -52,25 +53,6 @@ type full_policy =
 type push_outcome = [ `Okay | `Full | `Timeout ]
 type 'a pop_outcome = [ `Value of 'a | `Empty | `Timeout ]
 
-type stats = {
-  ok : int;  (* operations that completed with `Okay / `Value *)
-  full_rejections : int;  (* pushes surfaced as `Full *)
-  empty_misses : int;  (* pops surfaced as `Empty *)
-  timeouts : int;  (* operations surfaced as `Timeout *)
-  retries : int;  (* extra attempts beyond each operation's first *)
-  spilled : int;  (* pushes diverted to the overflow deque *)
-  spill_drained : int;  (* pops served from the overflow deque *)
-  refilled : int;  (* parked values moved back into the primary *)
-  overflow_size : int;  (* values currently parked in the overflow *)
-}
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "ok=%d full=%d empty=%d timeout=%d retries=%d spill=%d/%d refill=%d \
-     pending=%d"
-    s.ok s.full_rejections s.empty_misses s.timeouts s.retries s.spilled
-    s.spill_drained s.refilled s.overflow_size
-
 module Make (D : Deque_intf.S) = struct
   module Overflow = List_deque.Lockfree
 
@@ -80,16 +62,11 @@ module Make (D : Deque_intf.S) = struct
     primary : 'a D.t;
     overflow : 'a Overflow.t option;  (* Some iff policy is Spill *)
     full : full_policy;
-    (* padded counters: the wrapper must not introduce contention the
-       structure itself avoids *)
-    c_ok : int Atomic.t;
-    c_full : int Atomic.t;
-    c_empty : int Atomic.t;
-    c_timeout : int Atomic.t;
-    c_retries : int Atomic.t;
-    c_spilled : int Atomic.t;
-    c_drained : int Atomic.t;
-    c_refilled : int Atomic.t;
+    (* Spill's drain-back hint: values parked in the overflow, up on a
+       spill, down on a drain or a refill.  Padded, and written only
+       while values are parked, so on the common path both ends merely
+       read it. *)
+    parked : int Atomic.t;
   }
 
   let name = "policy[" ^ D.name ^ "]"
@@ -103,30 +80,7 @@ module Make (D : Deque_intf.S) = struct
       primary = D.create ~capacity ();
       overflow = (match full with Spill -> Some (Overflow.make ()) | _ -> None);
       full;
-      c_ok = Dcas.Padding.make_atomic 0;
-      c_full = Dcas.Padding.make_atomic 0;
-      c_empty = Dcas.Padding.make_atomic 0;
-      c_timeout = Dcas.Padding.make_atomic 0;
-      c_retries = Dcas.Padding.make_atomic 0;
-      c_spilled = Dcas.Padding.make_atomic 0;
-      c_drained = Dcas.Padding.make_atomic 0;
-      c_refilled = Dcas.Padding.make_atomic 0;
-    }
-
-  let stats t =
-    {
-      ok = Atomic.get t.c_ok;
-      full_rejections = Atomic.get t.c_full;
-      empty_misses = Atomic.get t.c_empty;
-      timeouts = Atomic.get t.c_timeout;
-      retries = Atomic.get t.c_retries;
-      spilled = Atomic.get t.c_spilled;
-      spill_drained = Atomic.get t.c_drained;
-      refilled = Atomic.get t.c_refilled;
-      overflow_size =
-        (match t.overflow with
-        | None -> 0
-        | Some o -> List.length (Overflow.unsafe_to_list o));
+      parked = Dcas.Padding.make_atomic 0;
     }
 
   (* Deadline bookkeeping: [deadline] is a per-call budget in seconds,
@@ -137,10 +91,6 @@ module Make (D : Deque_intf.S) = struct
   let expired ~t0 = function
     | None -> false
     | Some budget -> Unix.gettimeofday () -. t0 >= budget
-
-  let finish (counter : int Atomic.t) outcome =
-    Atomic.incr counter;
-    outcome
 
   (* --- push --- *)
 
@@ -160,18 +110,16 @@ module Make (D : Deque_intf.S) = struct
   (* Opportunistic drain-back for Spill: a call that just proved the
      primary has room (a push that landed, a pop that freed a slot)
      moves at most one parked value back in on the same side.  The
-     [c_spilled - c_drained - c_refilled] hint keeps the common case
-     (nothing parked) to three counter reads — no shared-structure
-     traffic.  The move is two linearizable steps, not one: a
+     [parked] hint keeps the common case (nothing parked) to one read
+     of a line nobody writes — no shared-structure traffic.  It is a
+     hint, not a count: a racing drain can take it below zero for a
+     moment.  The move is two linearizable steps, not one: a
      concurrent observer can catch the value in hand, so quiescent
      conservation views must run with no call in flight (unchanged). *)
-  let overflow_hint t =
-    Atomic.get t.c_spilled - Atomic.get t.c_drained - Atomic.get t.c_refilled
-
   let try_refill t ~side =
     match t.overflow with
     | None -> ()
-    | Some _ when overflow_hint t <= 0 -> ()
+    | Some _ when Atomic.get t.parked <= 0 -> ()
     | Some o -> (
         match
           match side with
@@ -181,7 +129,7 @@ module Make (D : Deque_intf.S) = struct
         | `Empty -> ()
         | `Value v -> (
             match push_primary t ~side v with
-            | `Okay -> Atomic.incr t.c_refilled
+            | `Okay -> Atomic.decr t.parked
             | `Full ->
                 (* the slot was taken concurrently: re-park the value on
                    the side it came from (the list overflow is unbounded,
@@ -211,39 +159,35 @@ module Make (D : Deque_intf.S) = struct
     match push_primary t ~side v with
     | `Okay ->
         try_refill t ~side;
-        finish t.c_ok `Okay
+        `Okay
     | `Full -> (
         match t.full with
         | Spill -> (
             match push_overflow t ~side v with
             | `Okay ->
-                Atomic.incr t.c_spilled;
-                finish t.c_ok `Okay
+                Atomic.incr t.parked;
+                `Okay
             | `Full ->
                 (* overflow allocation failed: genuine saturation *)
-                finish t.c_full `Full)
+                `Full)
         | Reject | Retry _ ->
             let budgeted =
               match t.full with Retry { max_attempts } -> max_attempts | _ -> 1
             in
             if deadline <> None then
-              if expired ~t0 deadline then finish t.c_timeout `Timeout
-              else begin
-                Atomic.incr t.c_retries;
+              if expired ~t0 deadline then `Timeout
+              else
                 let b = Dcas.Backoff.failed b in
-                if expired ~t0 deadline then finish t.c_timeout `Timeout
+                if expired ~t0 deadline then `Timeout
                 else push_from t ~t0 ~deadline ~side v (attempt + 1) b
-              end
-            else if attempt < budgeted then begin
-              Atomic.incr t.c_retries;
+            else if attempt < budgeted then
               push_from t ~t0 ~deadline ~side v (attempt + 1)
                 (Dcas.Backoff.failed b)
-            end
-            else finish t.c_full `Full)
+            else `Full)
 
   let push ?deadline t ~side v : push_outcome =
     let t0 = start deadline in
-    if expired ~t0 deadline then finish t.c_timeout `Timeout
+    if expired ~t0 deadline then `Timeout
     else push_from t ~t0 ~deadline ~side v 1 Dcas.Backoff.idle
 
   (* --- pop --- *)
@@ -266,25 +210,23 @@ module Make (D : Deque_intf.S) = struct
     | `Value _ as got ->
         (* the pop freed one slot: prime it with a parked value *)
         try_refill t ~side;
-        finish t.c_ok got
+        got
     | `Empty -> (
         match pop_overflow t ~side with
         | `Value _ as got ->
-            Atomic.incr t.c_drained;
-            finish t.c_ok got
+            Atomic.decr t.parked;
+            got
         | `Empty ->
-            if deadline = None then finish t.c_empty `Empty
-            else if expired ~t0 deadline then finish t.c_timeout `Timeout
-            else begin
-              Atomic.incr t.c_retries;
+            if deadline = None then `Empty
+            else if expired ~t0 deadline then `Timeout
+            else
               let b = Dcas.Backoff.failed b in
-              if expired ~t0 deadline then finish t.c_timeout `Timeout
-              else pop_from t ~t0 ~deadline ~side b
-            end)
+              if expired ~t0 deadline then `Timeout
+              else pop_from t ~t0 ~deadline ~side b)
 
   let pop ?deadline t ~side : 'a pop_outcome =
     let t0 = start deadline in
-    if expired ~t0 deadline then finish t.c_timeout `Timeout
+    if expired ~t0 deadline then `Timeout
     else pop_from t ~t0 ~deadline ~side Dcas.Backoff.idle
 
   (* The four named operations of the deque vocabulary. *)

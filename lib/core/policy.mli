@@ -8,12 +8,12 @@
     into a service-level contract without touching the algorithms: the
     wrapped operations remain plain sequences of linearizable attempts,
     so conservation (no loss, no duplication) holds across the whole
-    chain, including the overflow deque. *)
+    chain, including the overflow deque.  The wrapper counts no
+    outcomes: they are the calls' return values. *)
 
 type full_policy =
   | Reject
-      (** Surface [`Full] immediately — backpressure to the caller,
-          counted in {!stats}. *)
+      (** Surface [`Full] immediately — backpressure to the caller. *)
   | Retry of { max_attempts : int }
       (** Up to [max_attempts] attempts with randomized exponential
           {!Dcas.Backoff} between them, then [`Full]. *)
@@ -23,27 +23,13 @@ type full_policy =
           the overflow; in addition, any call that proves the primary
           has room (a push that landed, a pop that just freed a slot)
           opportunistically moves one parked value back into the
-          primary (counted as [refilled]), so the backlog drains under
-          ordinary traffic.  Availability is preserved, strict deque
-          ordering across the two structures is not (an overflowed
-          element can be overtaken by later primary traffic). *)
+          primary, so the backlog drains under ordinary traffic.
+          Availability is preserved, strict deque ordering across the
+          two structures is not (an overflowed element can be
+          overtaken by later primary traffic). *)
 
 type push_outcome = [ `Okay | `Full | `Timeout ]
 type 'a pop_outcome = [ `Value of 'a | `Empty | `Timeout ]
-
-type stats = {
-  ok : int;
-  full_rejections : int;
-  empty_misses : int;
-  timeouts : int;
-  retries : int;  (** attempts beyond each operation's first *)
-  spilled : int;  (** pushes diverted to the overflow *)
-  spill_drained : int;  (** pops served from the overflow *)
-  refilled : int;  (** parked values moved back into the primary *)
-  overflow_size : int;  (** values currently parked in the overflow *)
-}
-
-val pp_stats : Format.formatter -> stats -> unit
 
 module Make (D : Deque_intf.S) : sig
   type side = [ `Left | `Right ]
@@ -76,10 +62,6 @@ module Make (D : Deque_intf.S) : sig
   val pop_simple : 'a t -> side:side -> 'a Deque_intf.pop_result
   (** Deadline-free views with the plain {!Deque_intf} result types,
       for harnesses that drive every implementation uniformly. *)
-
-  val stats : 'a t -> stats
-  (** Cumulative counters for this wrapper instance.  [overflow_size]
-      walks the overflow deque and is quiescent-only. *)
 
   val primary : 'a t -> 'a D.t
   (** The wrapped deque — quiescent-only inspection hook for

@@ -54,16 +54,9 @@
 type stats = {
   pushed : int;  (* external pushes that landed, across all shards *)
   popped : int;  (* external pops served, across all shards *)
-  rerouted : int;  (* pushes placed cross-shard after a full home *)
-  stolen : int;  (* items moved between shards by rebalancing *)
-  adopted : int;  (* items drained out of quarantined shards *)
   per_shard_pushed : int array;  (* external landings per shard *)
   per_shard_popped : int array;  (* external serves per shard *)
 }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "pushed=%d popped=%d rerouted=%d stolen=%d adopted=%d"
-    s.pushed s.popped s.rerouted s.stolen s.adopted
 
 (* SplitMix64-style finalizer over the native int width: every bit of
    the key affects every bit of the hash, so adjacent keys spread over
@@ -83,14 +76,11 @@ module Make (D : Deque_intf.S) = struct
     shards : 'a P.t array;
     alive : bool Atomic.t array;
     steal_batch : int;
-    (* service-level counters; the per-shard Policy counters also tick
-       underneath but include internal transfers, so conservation is
-       judged on these *)
+    (* external landings and serves per shard, the only outcomes this
+       layer counts; internal transfers (steals, adoption) are not
+       counted, so conservation is judged on these *)
     s_pushed : int Atomic.t array;
     s_popped : int Atomic.t array;
-    s_rerouted : int Atomic.t;
-    s_stolen : int Atomic.t;
-    s_adopted : int Atomic.t;
     (* the limbo stash: an unbounded last-resort side list for items
        that could not be placed on any shard (every bounded shard at
        capacity — an over-committed fault storm).  It is what lets the
@@ -117,9 +107,6 @@ module Make (D : Deque_intf.S) = struct
       steal_batch;
       s_pushed = Array.init shards (fun _ -> Dcas.Padding.make_atomic 0);
       s_popped = Array.init shards (fun _ -> Dcas.Padding.make_atomic 0);
-      s_rerouted = Dcas.Padding.make_atomic 0;
-      s_stolen = Dcas.Padding.make_atomic 0;
-      s_adopted = Dcas.Padding.make_atomic 0;
       limbo = Dcas.Padding.make_atomic [];
       sojourn = Array.init shards (fun _ -> Dcas.Histogram.create ());
     }
@@ -213,7 +200,6 @@ module Make (D : Deque_intf.S) = struct
               match P.push t.shards.(s) ~side v with
               | `Okay ->
                   Atomic.incr t.s_pushed.(s);
-                  Atomic.incr t.s_rerouted;
                   `Okay
               | `Full -> overflow (i + 1)
               | `Timeout -> assert false (* no deadline passed *)
@@ -268,7 +254,6 @@ module Make (D : Deque_intf.S) = struct
         match P.pop t.shards.(victim) ~side:`Right with
         | `Empty | `Timeout -> moved
         | `Value v -> (
-            Atomic.incr t.s_stolen;
             match P.push t.shards.(home) ~side:`Right v with
             | `Okay -> go (moved + 1)
             | `Full | `Timeout ->
@@ -296,7 +281,6 @@ module Make (D : Deque_intf.S) = struct
         let victim = (home + i) mod k in
         match P.pop t.shards.(victim) ~side:`Right with
         | `Value v ->
-            Atomic.incr t.s_stolen;
             Atomic.incr t.s_popped.(victim);
             if t.steal_batch > 1 then
               ignore (rebalance t ~home ~victim ~budget:(t.steal_batch - 1));
@@ -399,10 +383,7 @@ module Make (D : Deque_intf.S) = struct
         match P.pop t.shards.(shard) ~side:`Left with
         | `Empty | `Timeout -> n
         | `Value v ->
-            if try_place v then begin
-              Atomic.incr t.s_adopted;
-              go (n + 1)
-            end
+            if try_place v then go (n + 1)
             else begin
               (match P.push t.shards.(shard) ~side:`Left v with
               | `Okay -> ()
@@ -429,9 +410,6 @@ module Make (D : Deque_intf.S) = struct
     {
       pushed = Array.fold_left ( + ) 0 per_push;
       popped = Array.fold_left ( + ) 0 per_pop;
-      rerouted = Atomic.get t.s_rerouted;
-      stolen = Atomic.get t.s_stolen;
-      adopted = Atomic.get t.s_adopted;
       per_shard_pushed = per_push;
       per_shard_popped = per_pop;
     }

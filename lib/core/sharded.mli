@@ -18,16 +18,10 @@
 type stats = {
   pushed : int;  (** external pushes that landed, across all shards *)
   popped : int;  (** external pops served, across all shards *)
-  rerouted : int;  (** pushes placed cross-shard after a full home *)
-  stolen : int;  (** items moved between shards by rebalancing *)
-  adopted : int;  (** items drained out of quarantined shards *)
-  per_shard_pushed : int array;
+  per_shard_pushed : int array;  (** external landings per shard *)
   per_shard_popped : int array;
-      (** per-shard landings/serves — feed
-          {!Harness.Metrics.Starvation} for imbalance *)
+      (** external serves per shard, a steal credited to its victim *)
 }
-
-val pp_stats : Format.formatter -> stats -> unit
 
 val mix : int -> int
 (** The SplitMix-style affinity hash finalizer (pure; exposed for the
@@ -140,10 +134,11 @@ module Make (D : Deque_intf.S) : sig
       empty. *)
 
   val stats : 'a t -> stats
-  (** Service-level counters.  Internal transfers (steals, adoption)
-      are counted separately from external landings/serves, so
-      [pushed - popped] is the number of items resident at
-      quiescence. *)
+  (** External landings and serves, the only outcomes this layer
+      counts: the rest are the calls' return values, and the service
+      counts each once in [Shard_service.report].  Internal transfers
+      (steals, adoption) are not counted, so [pushed - popped] is the
+      number of items resident at quiescence. *)
 
   val shard : 'a t -> int -> 'a P.t
   (** Quiescent-only inspection hook: the [i]th shard's policy

@@ -102,7 +102,7 @@ type report = {
   (* ops timed out with their unit retained: push ran out of budget,
      or the item was popped after its stamped expiry *)
   leftover : int;  (* items found by the final quiescent drain *)
-  pushed_ok : int;  (* pushes that landed *)
+  pushed_ok : int;  (* pushes that landed: Sharded's landing count *)
   push_full : int;  (* pushes refused as `Full (unit returned) *)
   timeouts : int;  (* push/pop calls that ran out of deadline *)
   empty_scans : int;  (* consumers' full no-find scans *)
@@ -119,8 +119,7 @@ type report = {
   orphans_helped : int;  (* descriptors completed for dead domains *)
   recoveries : float list;
       (* seconds from detection to replacement running, per event *)
-  per_shard_pushed : int array;  (* external landings, for Starvation *)
-  per_shard_popped : int array;
+  per_shard_popped : int array;  (* external serves, for Starvation *)
   elapsed : float;
 }
 
@@ -147,7 +146,6 @@ module Make (D : Deque.Deque_intf.S) = struct
   (* The service's own per-worker counters, beside the shared ones in
      {!Supervisor.worker}; all atomics padded. *)
   type own = {
-    ok : int Atomic.t;
     full : int Atomic.t;
     timeout : int Atomic.t;
     shed_adm : int Atomic.t;  (* refused at enqueue by admission *)
@@ -163,7 +161,6 @@ module Make (D : Deque.Deque_intf.S) = struct
     let a = Dcas.Padding.make_atomic in
     Supervisor.worker ~slot ~certifies:(slot >= cfg.producers)
       {
-        ok = a 0;
         full = a 0;
         timeout = a 0;
         shed_adm = a 0;
@@ -177,7 +174,7 @@ module Make (D : Deque.Deque_intf.S) = struct
      scans, so its progress moves; a zombie's heartbeat moves while
      this stays frozen.  That asymmetry is the whole detector. *)
   let progress (ws : worker) =
-    Atomic.get ws.executed + Atomic.get ws.own.ok + Atomic.get ws.own.full
+    Atomic.get ws.executed + Atomic.get ws.own.full
     + Atomic.get ws.own.timeout + Atomic.get ws.own.shed_adm
     + Atomic.get ws.own.shed_exp + Atomic.get ws.scans
 
@@ -310,7 +307,6 @@ module Make (D : Deque.Deque_intf.S) = struct
         in
         match S.push ?deadline:cfg.deadline ~urgent st.service ~key item with
         | `Okay ->
-            Atomic.incr ws.own.ok;
             ring st;
             `Okay
         | `Full ->
@@ -569,7 +565,7 @@ module Make (D : Deque.Deque_intf.S) = struct
       shed_admission = sum (fun w -> w.own.shed_adm);
       shed_expired = sum (fun w -> w.own.shed_exp);
       leftover;
-      pushed_ok = sum (fun w -> w.own.ok);
+      pushed_ok = stats.pushed;
       push_full = sum (fun w -> w.own.full);
       timeouts = sum (fun w -> w.own.timeout);
       empty_scans = sum (fun w -> w.scans);
@@ -585,8 +581,7 @@ module Make (D : Deque.Deque_intf.S) = struct
       adopted_items = !adopted_items;
       orphans_helped;
       recoveries = o.recoveries;
-      per_shard_pushed = stats.Deque.Sharded.per_shard_pushed;
-      per_shard_popped = stats.Deque.Sharded.per_shard_popped;
+      per_shard_popped = stats.per_shard_popped;
       elapsed;
     }
 end

@@ -65,6 +65,10 @@ val validate : config -> unit
 (** @raise Invalid_argument on non-positive counts, [urgent_share]
     outside [0,1], or an invalid supervisor config. *)
 
+(** What a run did.  Each request outcome is counted once: the
+    workers count granted units, serves, refusals, sheds, timeouts and
+    empty scans; landings and per-shard serves come from
+    {!Deque.Sharded.Make.stats}; {!Deque.Policy} counts nothing. *)
 type report = {
   spawned : int;  (** pending units granted to pushes *)
   executed : int;  (** pops served within deadline *)
@@ -75,7 +79,7 @@ type report = {
       (** ops timed out with their unit retained: the push ran out of
           budget, or the item was popped past its stamped expiry *)
   leftover : int;  (** items found by the final quiescent drain *)
-  pushed_ok : int;
+  pushed_ok : int;  (** pushes that landed, as {!Deque.Sharded} counts them *)
   push_full : int;
   timeouts : int;  (** push/pop calls that ran out of deadline *)
   empty_scans : int;  (** consumers' full no-find scans *)
@@ -93,10 +97,10 @@ type report = {
   orphans_helped : int;
   recoveries : float list;
       (** seconds from detection to replacement running, per event *)
-  per_shard_pushed : int array;
-      (** external landings per shard — feed
-          {!Harness.Metrics.Starvation} *)
   per_shard_popped : int array;
+      (** external serves per shard, as {!Deque.Sharded} counts them —
+          E24's imbalance reads them through
+          {!Harness.Metrics.Starvation} *)
   elapsed : float;
 }
 

@@ -70,13 +70,6 @@ type report = {
 
 let conserved r = r.spawned = r.executed + r.reconciled
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "spawned=%d executed=%d raised=%d killed=%d presumed-dead=%d adopted=%d \
-     reconciled=%d replacements=%d orphans-helped=%d"
-    r.spawned r.executed r.raised r.killed r.presumed_dead r.adopted
-    r.reconciled r.replacements r.orphans_helped
-
 (* --- Workers --- *)
 
 type 'a worker = {

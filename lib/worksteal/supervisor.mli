@@ -65,8 +65,6 @@ val conserved : report -> bool
 (** Task conservation: [spawned = executed + reconciled].  Holds for
     every terminating supervised run; the E22 acceptance predicate. *)
 
-val pp_report : Format.formatter -> report -> unit
-
 (** {2 Supervised workers} *)
 
 type 'a worker = {

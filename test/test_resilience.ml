@@ -108,8 +108,35 @@ let conservation_case impl =
 
 (* --- Policy: deadlines, degradation, conservation --- *)
 
+(* The wrapper counts no outcomes, so retries are read from below: a
+   deque that counts the calls the policy makes on it. *)
+module Counting (D : Deque.Deque_intf.S) = struct
+  type 'a t = { d : 'a D.t; calls : int Atomic.t }
+
+  let name = "counting " ^ D.name
+  let create ~capacity () = { d = D.create ~capacity (); calls = Atomic.make 0 }
+
+  let counted f q =
+    Atomic.incr q.calls;
+    f q.d
+
+  let push_right q v = counted (fun d -> D.push_right d v) q
+  let push_left q v = counted (fun d -> D.push_left d v) q
+  let pop_right q = counted D.pop_right q
+  let pop_left q = counted D.pop_left q
+  let calls q = Atomic.get q.calls
+end
+
 module P = Deque.Policy.Make (Deque.Array_deque.Lockfree)
-module PC = Deque.Policy.Make (R_array)
+module CA = Counting (Deque.Array_deque.Lockfree)
+module PA = Deque.Policy.Make (CA)
+module CR = Counting (R_array)
+module PC = Deque.Policy.Make (CR)
+
+let in_primary d =
+  List.length (Deque.Array_deque.Lockfree.unsafe_to_list (P.primary d))
+
+let in_overflow d = List.length (P.overflow_list d)
 
 let fill_via_policy push n =
   for i = 1 to n do
@@ -119,26 +146,29 @@ let fill_via_policy push n =
   done
 
 let test_policy_reject () =
-  let d = P.create ~capacity:4 () in
-  fill_via_policy (fun v -> P.push_right d v) 4;
+  let d = PA.create ~capacity:4 () in
+  fill_via_policy (fun v -> PA.push_right d v) 4;
   Alcotest.(check bool) "full surfaces immediately" true
-    (P.push_right d 99 = `Full);
-  Alcotest.(check bool) "other side full too" true (P.push_left d 99 = `Full);
-  let s = P.stats d in
-  Alcotest.(check int) "rejections counted" 2 s.Deque.Policy.full_rejections;
-  Alcotest.(check int) "successes counted" 4 s.Deque.Policy.ok;
-  Alcotest.(check int) "no retries under Reject" 0 s.Deque.Policy.retries
+    (PA.push_right d 99 = `Full);
+  Alcotest.(check bool) "other side full too" true (PA.push_left d 99 = `Full);
+  Alcotest.(check int) "the four successes landed" 4
+    (List.length (Deque.Array_deque.Lockfree.unsafe_to_list (PA.primary d).d));
+  Alcotest.(check int) "no retries under Reject: one attempt per call" 6
+    (CA.calls (PA.primary d))
 
 let test_policy_retry_cap () =
-  let d = P.create ~full:(Deque.Policy.Retry { max_attempts = 3 }) ~capacity:2 () in
-  fill_via_policy (fun v -> P.push_right d v) 2;
+  let d =
+    PA.create ~full:(Deque.Policy.Retry { max_attempts = 3 }) ~capacity:2 ()
+  in
+  fill_via_policy (fun v -> PA.push_right d v) 2;
+  let calls0 = CA.calls (PA.primary d) in
   Alcotest.(check bool) "still Full after bounded retries" true
-    (P.push_right d 99 = `Full);
-  let s = P.stats d in
-  Alcotest.(check int) "two extra attempts burned" 2 s.Deque.Policy.retries;
+    (PA.push_right d 99 = `Full);
+  Alcotest.(check int) "three attempts: two extra burned" 3
+    (CA.calls (PA.primary d) - calls0);
   Alcotest.check_raises "max_attempts validated"
     (Invalid_argument "Policy.create: max_attempts must be >= 1") (fun () ->
-      ignore (P.create ~full:(Deque.Policy.Retry { max_attempts = 0 })
+      ignore (PA.create ~full:(Deque.Policy.Retry { max_attempts = 0 })
                 ~capacity:2 ()))
 
 let test_policy_spill_conservation () =
@@ -149,9 +179,8 @@ let test_policy_spill_conservation () =
     | `Full -> Alcotest.failf "spill push %d reported Full" i
     | `Timeout -> Alcotest.failf "spill push %d reported Timeout" i
   done;
-  let s = P.stats d in
-  Alcotest.(check int) "overflow absorbed the excess" 6 s.Deque.Policy.spilled;
-  Alcotest.(check int) "overflow size visible" 6 s.Deque.Policy.overflow_size;
+  Alcotest.(check int) "primary at capacity" 4 (in_primary d);
+  Alcotest.(check int) "overflow absorbed the excess" 6 (in_overflow d);
   (* primary + overflow hold exactly the pushed set *)
   let held =
     Deque.Array_deque.Lockfree.unsafe_to_list (P.primary d)
@@ -174,12 +203,11 @@ let test_policy_spill_conservation () =
   Alcotest.(check (list int)) "drained the full set"
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     (List.sort compare !popped);
-  let s = P.stats d in
-  (* each parked value leaves the overflow exactly once — either via
-     the pop fallback or via an opportunistic refill *)
-  Alcotest.(check int) "every parked value left the overflow once" 6
-    (s.Deque.Policy.spill_drained + s.Deque.Policy.refilled);
-  Alcotest.(check int) "overflow empty again" 0 s.Deque.Policy.overflow_size
+  (* each parked value left the overflow exactly once — via the pop
+     fallback or an opportunistic refill — so the drain above saw each
+     value once and nothing stays behind *)
+  Alcotest.(check int) "primary empty again" 0 (in_primary d);
+  Alcotest.(check int) "overflow empty again" 0 (in_overflow d)
 
 (* The drain-back path specifically: a pop that frees a slot must pull
    a parked value back into the primary, so the backlog shrinks under
@@ -187,18 +215,15 @@ let test_policy_spill_conservation () =
 let test_policy_spill_refill () =
   let d = P.create ~full:Deque.Policy.Spill ~capacity:2 () in
   fill_via_policy (fun v -> P.push_right d v) 4;
-  let s = P.stats d in
-  Alcotest.(check int) "two values parked" 2 s.Deque.Policy.spilled;
-  Alcotest.(check int) "no refill while the primary is full" 0
-    s.Deque.Policy.refilled;
-  (match P.pop_right d with
-  | `Value _ -> ()
-  | `Empty | `Timeout -> Alcotest.fail "pop of a full spill wrapper");
-  let s = P.stats d in
-  Alcotest.(check int) "the freed slot was refilled" 1
-    s.Deque.Policy.refilled;
-  Alcotest.(check int) "one fewer value parked" 1
-    s.Deque.Policy.overflow_size;
+  Alcotest.(check int) "two values parked" 2 (in_overflow d);
+  Alcotest.(check int) "no refill while the primary is full" 2 (in_primary d);
+  let first =
+    match P.pop_right d with
+    | `Value v -> v
+    | `Empty | `Timeout -> Alcotest.fail "pop of a full spill wrapper"
+  in
+  Alcotest.(check int) "the freed slot was refilled" 2 (in_primary d);
+  Alcotest.(check int) "one fewer value parked" 1 (in_overflow d);
   let rec drain acc =
     match P.pop_right d with
     | `Value v -> drain (v :: acc)
@@ -207,17 +232,16 @@ let test_policy_spill_refill () =
   in
   let rest = drain [] in
   Alcotest.(check int) "all values conserved" 3 (List.length rest);
-  let s = P.stats d in
-  Alcotest.(check int) "parked values accounted exactly once" 2
-    (s.Deque.Policy.spill_drained + s.Deque.Policy.refilled);
-  Alcotest.(check int) "overflow drained" 0 s.Deque.Policy.overflow_size
+  Alcotest.(check (list int)) "parked values accounted exactly once"
+    [ 1; 2; 3; 4 ]
+    (List.sort compare (first :: rest));
+  Alcotest.(check int) "overflow drained" 0 (in_overflow d)
 
 let test_policy_no_deadline_is_immediate () =
-  let d = P.create ~capacity:4 () in
+  let d = PA.create ~capacity:4 () in
   Alcotest.(check bool) "empty pop returns at once" true
-    (P.pop_left d = `Empty);
-  let s = P.stats d in
-  Alcotest.(check int) "miss counted" 1 s.Deque.Policy.empty_misses
+    (PA.pop_left d = `Empty);
+  Alcotest.(check int) "one attempt, no retry" 1 (CA.calls (PA.primary d))
 
 (* Acceptance bound: a deadline op must not overrun its budget by more
    than 50ms even with 20% spurious DCAS failure injected underneath. *)
@@ -229,9 +253,11 @@ let test_policy_deadline_under_chaos () =
       let d = PC.create ~capacity:2 () in
       fill_via_policy (fun v -> PC.push_right ?deadline:None d v) 2;
       let deadline = 0.08 in
+      let calls0 = CR.calls (PC.primary d) in
       let t0 = Unix.gettimeofday () in
       let r = PC.push_right ~deadline d 99 in
       let elapsed = Unix.gettimeofday () -. t0 in
+      let push_calls = CR.calls (PC.primary d) - calls0 in
       Alcotest.(check bool) "full push times out" true (r = `Timeout);
       Alcotest.(check bool)
         (Printf.sprintf "waited at least ~the budget (%.3fs)" elapsed)
@@ -251,18 +277,21 @@ let test_policy_deadline_under_chaos () =
         (elapsed <= deadline +. deadline_grace);
       (* drain, then an empty pop must also respect its budget *)
       ignore (PC.pop_left ?deadline:None d);
+      let calls0 = CR.calls (PC.primary d) in
       let t0 = Unix.gettimeofday () in
       let r = PC.pop_left ~deadline d in
       let elapsed = Unix.gettimeofday () -. t0 in
+      let pop_calls = CR.calls (PC.primary d) - calls0 in
       Alcotest.(check bool) "empty pop times out" true (r = `Timeout);
       Alcotest.(check bool)
         (Printf.sprintf "pop overran by < 50ms (%.3fs)" elapsed)
         true
         (elapsed <= deadline +. deadline_grace);
-      let s = PC.stats d in
-      Alcotest.(check int) "timeouts counted" 2 s.Deque.Policy.timeouts;
-      Alcotest.(check bool) "deadline ops retried underneath" true
-        (s.Deque.Policy.retries > 0))
+      Alcotest.(check bool)
+        (Printf.sprintf "deadline ops retried underneath (%d push, %d pop \
+                         attempts)" push_calls pop_calls)
+        true
+        (push_calls > 1 && pop_calls > 1))
 
 (* Spill under real contention: many domains push past capacity and pop
    concurrently; the primary + overflow chain must conserve values.
