@@ -1294,9 +1294,10 @@ let e21 ~quick =
   (* --- Section A: the two-location slow path, specialized flat
      descriptor vs generic entry-array CASN, single domain,
      uncontended.  "write" changes both words (the shape of a
-     successful push/pop); "confirm" is a no-op on both (the shape of
-     the empty/full boundary confirmations), where value elision also
-     removes both release allocations. *)
+     successful push/pop); "half" changes one and keeps the other,
+     whose release value elision reinstalls; "confirm" is a no-op on
+     both (the shape of the empty/full boundary confirmations), which
+     the read-only path answers without a descriptor on either path. *)
   let quota = if quick then 0.2 else 0.4 in
   let n_alloc = cnt ~quick 100_000 in
   let alloc_rows =
@@ -1308,11 +1309,17 @@ let e21 ~quick =
           let va = M.get a and vb = M.get b in
           ignore (M.dcas a b va vb (va + 1) (vb + 1))
         in
+        let half () =
+          let va = M.get a and vb = M.get b in
+          ignore (M.dcas a b va vb va (vb + 1))
+        in
         let confirm () =
           let va = M.get a and vb = M.get b in
           ignore (M.dcas a b va vb va vb)
         in
-        let cases = [ ("write", write); ("confirm", confirm) ] in
+        let cases =
+          [ ("write", write); ("half", half); ("confirm", confirm) ]
+        in
         let micro = ns_per_op ~quota cases in
         List.map
           (fun (op, f) ->
@@ -1362,9 +1369,10 @@ let e21 ~quick =
       ]
     alloc_rows;
   note
-    "uncontended successful DCAS on two int locations; 'confirm' is the\n\
-     no-op shape of the deques' boundary checks, where value elision\n\
-     reinstalls the original blocks and skips both release allocations";
+    "uncontended successful DCAS on two int locations; 'half' keeps one\n\
+     location, whose original block value elision reinstalls; 'confirm'\n\
+     is the no-op shape of the deques' boundary checks, answered from\n\
+     three reads with no descriptor on either path";
   (* --- Section B: symmetric batch traffic over one array deque,
      2 domains, batch sizes 1/4/16 on both substrate paths.  Each
      domain pushes a k-batch onto its end and pops a k-batch off the

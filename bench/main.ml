@@ -101,11 +101,14 @@ let quantile_of ~experiment ~row k r =
       exit 1
 
 (* E21 carries enough structure to cross-check the perf claims, not
-   just the schema: the allocation-lean substrate must actually
-   allocate less than the generic descriptors op-for-op, batching must
-   actually amortize (k=16 faster and leaner per item than k=1), the
-   histogram quantiles must be ordered, and the batch traffic must
-   conserve items exactly. *)
+   just the schema: on the shapes that write, the allocation-lean
+   substrate must actually allocate less than the generic descriptors
+   op-for-op, and on "half" its value elision must save a release
+   allocation; the no-op "confirm" must take no descriptor and
+   allocate nothing on either path; batching must actually amortize
+   (k=16 faster and leaner per item than k=1), the histogram quantiles
+   must be ordered, and the batch traffic must conserve items
+   exactly. *)
 let check_e21 rows =
   let open Harness.Json in
   let fail fmt =
@@ -125,7 +128,7 @@ let check_e21 rows =
   let section s r = str "section" r = s in
   let alloc = List.filter (section "alloc") rows in
   let batch = List.filter (section "batch") rows in
-  if List.length alloc <> 4 then fail "expected 4 alloc rows";
+  if List.length alloc <> 6 then fail "expected 6 alloc rows";
   if List.length batch <> 6 then fail "expected 6 batch rows";
   let alloc_row path op =
     match
@@ -145,7 +148,25 @@ let check_e21 rows =
         fail "dcas2 %s rows show no dcas2 descriptor hits" op;
       if num "dcas2_hits_per_op" g <> 0. then
         fail "generic %s rows show dcas2 hits despite ablation" op)
-    [ "write"; "confirm" ];
+    [ "write"; "half" ];
+  (let d = alloc_row "dcas2" "half" and g = alloc_row "generic" "half" in
+   if not (num "value_allocs_per_op" d < num "value_allocs_per_op" g) then
+     fail "dcas2 half allocates %.2f value blocks/op, generic only %.2f"
+       (num "value_allocs_per_op" d)
+       (num "value_allocs_per_op" g));
+  List.iter
+    (fun path ->
+      let r = alloc_row path "confirm" in
+      if num "descriptor_allocs_per_op" r <> 0. then
+        fail "%s confirm builds %.2f descriptors/op, expected none" path
+          (num "descriptor_allocs_per_op" r);
+      if num "dcas2_hits_per_op" r <> 0. then
+        fail "%s confirm shows %.2f dcas2 hits/op, expected none" path
+          (num "dcas2_hits_per_op" r);
+      if not (num "minor_words_per_op" r < 1.) then
+        fail "%s confirm allocates %.1f w/op, expected under 1" path
+          (num "minor_words_per_op" r))
+    [ "dcas2"; "generic" ];
   List.iter
     (fun r ->
       let row = Printf.sprintf "batch %s k=%d" (str "path" r) (int_of "k" r) in

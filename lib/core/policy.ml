@@ -107,6 +107,14 @@ module Make (D : Deque_intf.S) = struct
         | `Right -> Overflow.push_right o v
         | `Left -> Overflow.push_left o v)
 
+  let pop_overflow t ~side =
+    match t.overflow with
+    | None -> `Empty
+    | Some o -> (
+        match side with
+        | `Right -> Overflow.pop_right o
+        | `Left -> Overflow.pop_left o)
+
   (* Opportunistic drain-back for Spill: a call that just proved the
      primary has room (a push that landed, a pop that freed a slot)
      moves at most one parked value back in on the same side.  The
@@ -120,12 +128,8 @@ module Make (D : Deque_intf.S) = struct
     match t.overflow with
     | None -> ()
     | Some _ when Atomic.get t.parked <= 0 -> ()
-    | Some o -> (
-        match
-          match side with
-          | `Right -> Overflow.pop_right o
-          | `Left -> Overflow.pop_left o
-        with
+    | Some _ -> (
+        match pop_overflow t ~side with
         | `Empty -> ()
         | `Value v -> (
             match push_primary t ~side v with
@@ -135,11 +139,7 @@ module Make (D : Deque_intf.S) = struct
                    the side it came from (the list overflow is unbounded,
                    so this cannot refuse — loop for the type system) *)
                 let rec park () =
-                  match
-                    match side with
-                    | `Right -> Overflow.push_right o v
-                    | `Left -> Overflow.push_left o v
-                  with
+                  match push_overflow t ~side v with
                   | `Okay -> ()
                   | `Full -> park ()
                 in
@@ -196,14 +196,6 @@ module Make (D : Deque_intf.S) = struct
     match side with
     | `Right -> D.pop_right t.primary
     | `Left -> D.pop_left t.primary
-
-  let pop_overflow t ~side =
-    match t.overflow with
-    | None -> `Empty
-    | Some o -> (
-        match side with
-        | `Right -> Overflow.pop_right o
-        | `Left -> Overflow.pop_left o)
 
   let rec pop_from t ~t0 ~deadline ~side b : 'a pop_outcome =
     match pop_primary t ~side with

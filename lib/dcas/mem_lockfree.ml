@@ -45,7 +45,26 @@
    item 1).
 
    Entries are acquired in ascending location-id order, which bounds
-   helping chains and yields lock-freedom by the standard argument. *)
+   helping chains and yields lock-freedom by the standard argument.
+
+   A DCAS whose new values are physically its expected ones writes
+   nothing: it is the paper's empty/full confirmation (Figures 2/3
+   lines 6-11, Figure 11 lines 8-12), and [dcas_strong]'s failing view.
+   [dcas] answers it without a descriptor when three reads agree: [l1]
+   holds a [Value] block [s1] whose value is [o1], [l2] resolves to
+   [o2], and [l1] still holds [s1].  Success linearizes at [l2]'s read.
+   The argument: a [Value] block returns to a location only through
+   value elision, from the [Owned] block that displaced it.  That block
+   reads as its [before], which its install matched against the
+   displaced value, until its descriptor succeeds and it reads as
+   [after]; elision reinstalls the displaced block only when the
+   released value is that block's own.  Every other write, ROADMAP.md
+   item 1's stale install included, puts a fresh block there.  So [l1]
+   held [o1] (under its equality) for the whole window between the two
+   reads of [s1].  The path installs nothing, so it neither fixes nor
+   enters the stale-install sequence.  When the reads disagree — [l1]
+   is [Owned], its block changed, a value differs — the call takes the
+   pre-validation and descriptor path below, unchanged. *)
 
 type status = Undecided | Failed | Succeeded
 
@@ -214,10 +233,10 @@ let get loc =
 (* Replace a decided descriptor's hold on [loc] with a plain [Value];
    failure means somebody else already moved the location on.  When the
    logical value comes out unchanged — the descriptor failed, or this
-   was a no-op entry such as the array deque's empty/full confirmation
-   — the displaced original block is reinstalled instead of allocating
-   a fresh one (value elision; exact for unboxed values like the deque
-   indices, conservative otherwise via physical equality). *)
+   was the unchanged entry of a DCAS that writes only its other
+   location — the displaced original block is reinstalled instead of
+   allocating a fresh one (value elision; exact for unboxed values like
+   the deque indices, conservative otherwise via physical equality). *)
 let release_one (type a) (loc : a loc) (cur : a state) =
   match cur with
   | Value _ -> ()
@@ -405,6 +424,16 @@ let set_private loc v = Atomic.set loc.state (Value v)
 let doomed (type a) (loc : a loc) (expected : a) =
   not (loc.equal (resolve (Atomic.get loc.state)) expected)
 
+(* The read-only path of a no-op DCAS (see the header).  [false]
+   proves nothing: the caller falls back to the full protocol. *)
+let confirmed (type a b) (l1 : a loc) (l2 : b loc) (o1 : a) (o2 : b) =
+  match Atomic.get l1.state with
+  | Value v as s1 ->
+      v == o1
+      && resolve (Atomic.get l2.state) == o2
+      && Atomic.get l1.state == s1
+  | Owned _ -> false
+
 (* Build the flat two-location descriptor, normalizing to ascending
    location-id order (the acquire order that bounds helping chains). *)
 let make_dcas2 l1 l2 o1 o2 n1 n2 =
@@ -438,7 +467,11 @@ let dcas l1 l2 o1 o2 n1 n2 =
   if l1.id = l2.id then invalid_arg "Mem_lockfree.dcas: locations must differ";
   let b = Opstats.bucket counters in
   Opstats.incr_attempt b;
-  if doomed l1 o1 || doomed l2 o2 then begin
+  if n1 == o1 && n2 == o2 && confirmed l1 l2 o1 o2 then begin
+    Opstats.incr_success b;
+    true
+  end
+  else if doomed l1 o1 || doomed l2 o2 then begin
     Opstats.incr_fastfail b;
     false
   end

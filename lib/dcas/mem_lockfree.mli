@@ -7,7 +7,20 @@
     in-place.  Writers and DCAS operations help any undecided descriptor
     they encounter, so a preempted operation can never block others.
     Descriptor reclamation relies on the garbage collector, mirroring
-    the paper's reliance on GC for list nodes. *)
+    the paper's reliance on GC for list nodes.
+
+    A no-op [dcas] — each new value physically its expected one, as in
+    the paper's empty/full confirmations and {!dcas_strong}'s failing
+    view — is first tried from reads alone: when [l1] holds a plain
+    value block of [o1], [l2] reads [o2], and a re-read of [l1] finds
+    the same block, it succeeds with no descriptor, linearized at the
+    read of [l2].  A value block comes back to a location only when a
+    descriptor that displaced it leaves the logical value unchanged, so
+    [l1] held [o1] throughout.  It counts one attempt and one success
+    and no descriptor; any other outcome takes the pre-validation and
+    descriptor path.  The path takes physical equality for a match, so
+    it assumes [equal] is reflexive, as it is for every location the
+    deques make. *)
 
 include Memory_intf.MEMORY_CASN
 (** [casn entries] atomically compares-and-swaps every entry with
@@ -19,7 +32,8 @@ val set_dcas2_enabled : bool -> unit
 (** Ablation switch (default [true]): with [false], every DCAS/CASN
     slow path builds the generic entry-array descriptor and no release
     is value-elided — the substrate before the flat [Dcas2]
-    specialization.  For experiment E21 and tests; do not toggle while
+    specialization.  The read-only no-op path builds no descriptor and
+    runs either way.  For experiment E21 and tests; do not toggle while
     operations are in flight. *)
 
 (** {2 Fail-stop crash bookkeeping}

@@ -22,7 +22,8 @@ type stats = {
           CASN ({!Mem_lockfree}); always 0 for other substrates. *)
   descriptor_allocs : int;
       (** CASN descriptors allocated — attempts that survived
-          pre-validation and took a slow path ({!Mem_lockfree}). *)
+          pre-validation and took a slow path ({!Mem_lockfree}; a
+          no-op DCAS its read-only path confirms takes none). *)
   value_allocs : int;
       (** fresh [Value] state blocks allocated by writes and descriptor
           releases ({!Mem_lockfree}).  Elided releases — the location's

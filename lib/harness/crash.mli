@@ -13,16 +13,19 @@ exception Died
 
 type mode = [ `At_point | `Mid_casn ]
 (** Where a targeted death lands: [`At_point] at the next instrumented
-    access; [`Mid_casn] inside the victim's next DCAS/CASN, after its
-    descriptor is published and before it is decided (falls back to
-    the operation boundary when the operation never publishes, e.g.
-    fast-fail pre-validation, or when the bottom substrate is not
-    {!Dcas.Mem_lockfree}). *)
+    access; [`Mid_casn] inside the victim's next CASN or DCAS that
+    writes, after its descriptor is published and before it is decided
+    (falls back to the operation boundary when that operation never
+    publishes, e.g. fast-fail pre-validation, or when the bottom
+    substrate is not {!Dcas.Mem_lockfree}).  A no-op DCAS — the
+    deques' empty/full confirmation, whose new values are its expected
+    ones — publishes nothing, so a [`Mid_casn] death passes it by and
+    waits for the next DCAS that writes. *)
 
 val kill : ?mode:mode -> tid:int -> unit -> unit
 (** Request a targeted death: the domain enrolled as [tid] dies at its
     next eligible instrumented point (default mode [`Mid_casn]: its
-    next DCAS-shaped operation).  Deterministic — used by the
+    next CASN or DCAS that writes).  Deterministic — used by the
     orphaned-descriptor tests and the storm schedules.
 
     @raise Invalid_argument if [tid] is outside [\[0, Fault.max_slots)]. *)
@@ -32,10 +35,11 @@ val configure :
 (** Arm probabilistic deaths: each enrolled domain draws a kill
     verdict with probability [prob] at every instrumented point, from
     a per-domain SplitMix stream derived from [seed] (replayable, as
-    in {!Chaos}).  A kill landing on a DCAS-shaped operation
+    in {!Chaos}).  A kill landing on a CASN or a DCAS that writes
     dies mid-CASN with probability [mid_casn_prob] (default 1), at the
-    point otherwise.  At most [max_kills] probabilistic deaths occur
-    in total, and each [tid] dies at most once either way. *)
+    point otherwise; one landing on a no-op DCAS dies at the point.
+    At most [max_kills] probabilistic deaths occur in total, and each
+    [tid] dies at most once either way. *)
 
 val disarm : unit -> unit
 (** Stop drawing probabilistic deaths (targeted requests survive). *)

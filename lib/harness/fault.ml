@@ -23,13 +23,17 @@
    mid-CASN — via {!Dcas.Mem_lockfree}'s publish hook, right after the
    victim installs its own descriptor and before its status is
    decided, the worst reachable crash point: an undecided descriptor
-   that survivors must help to completion.  Marking the domain dead in
-   the substrate before arming closes the accounting race: anything it
-   publishes from then on is an orphan.  Deaths are targeted (a kill
-   request on the slot) or drawn from per-domain SplitMix streams
-   derived from a seed, like chaos faults; a slot dies at most once, so
-   a replacement enrolled under its predecessor's slot is never
-   re-killed. *)
+   that survivors must help to completion.  Only a DCAS that writes
+   publishes one: a no-op DCAS (every new value its expected one, the
+   deques' empty/full confirmation) is answered from reads, so a
+   targeted mid-CASN kill waits for the victim's next writing DCAS,
+   and a drawn death on a no-op DCAS lands at the point, as on a read.
+   Marking the domain dead in the substrate before arming closes the
+   accounting race: anything it publishes from then on is an orphan.
+   Deaths are targeted (a kill request on the slot) or drawn from
+   per-domain SplitMix streams derived from a seed, like chaos faults;
+   a slot dies at most once, so a replacement enrolled under its
+   predecessor's slot is never re-killed. *)
 
 exception Died
 
@@ -258,7 +262,8 @@ let rec claim_budget max_kills =
   else claim_budget max_kills
 
 (* [mid] = die at the next publish of our own descriptor (only when the
-   imminent operation is DCAS-shaped); otherwise die right here. *)
+   imminent operation is a DCAS that writes); otherwise die right
+   here. *)
 let die (d : self) s ~mid =
   Atomic.set s.dead true;
   Dcas.Mem_lockfree.mark_dead (Domain.self () :> int);
@@ -267,7 +272,7 @@ let die (d : self) s ~mid =
 let crash_point d s ~casn =
   if Atomic.get s.kill then begin
     let want_mid = Atomic.get s.kill_mid_casn in
-    (* a mid-CASN request waits for a DCAS-shaped operation *)
+    (* a mid-CASN request waits for a DCAS that writes *)
     if casn || not want_mid then begin
       Atomic.set s.kill false;
       Atomic.incr kills;
@@ -375,9 +380,13 @@ module Mem (M : Dcas.Memory_intf.MEMORY_CASN) :
      here would test nothing. *)
   let set_private = M.set_private
 
+  (* A DCAS that writes nothing publishes no descriptor over
+     [Mem_lockfree] (its read-only path), so it is no place for a
+     mid-CASN death: a pending one waits for a DCAS that writes. *)
   let dcas l1 l2 o1 o2 n1 n2 =
+    let writes = not (n1 == o1 && n2 == o2) in
     let r =
-      (not (point ~casn:true ~weak:true)) && M.dcas l1 l2 o1 o2 n1 n2
+      (not (point ~casn:writes ~weak:true)) && M.dcas l1 l2 o1 o2 n1 n2
     in
     boundary ();
     r

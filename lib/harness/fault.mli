@@ -28,10 +28,12 @@ module Mem (M : Dcas.Memory_intf.MEMORY_CASN) :
 (** [M] with four checks before every shared operation, in this
     order: the calling domain's pending {!Stall.request} counts down
     (and sleeps when it reaches zero), a frozen slot parks until
-    thawed, a pending death fires — at the point, or for a DCAS-shaped
-    operation inside it, after its descriptor is published (the
+    thawed, a pending death fires — at the point, or for a CASN or a
+    DCAS that writes inside it, after its descriptor is published (the
     mid-CASN death needs {!Dcas.Mem_lockfree} at the bottom of [M];
-    over any other substrate it falls back to the operation boundary)
+    over any other substrate it falls back to the operation boundary;
+    a no-op [dcas], whose new values are its expected ones, is no
+    mid-CASN point, since {!Dcas.Mem_lockfree} answers it from reads)
     — and armed {!Chaos} draws a delay, a freeze and, for [dcas] and
     [casn], a spurious failure that returns [false] without calling
     [M].  Chaos hits every domain, enrolled or not; [dcas_strong]

@@ -33,16 +33,15 @@ let lf_stats () = Dcas.Mem_lockfree.stats ()
 
 (* --- orphaned-descriptor helping, one deque at a time ---
 
-   The victim pushes [warm] items, signals, then keeps pushing until a
-   targeted mid-CASN kill lands: it dies immediately after installing
-   its own descriptor, before the status is decided.  The survivor
-   (the main domain, never enrolled) then forces every orphan to a
-   decision and drains the deque: the item count must be [completed]
-   or [completed + 1] — the fatal push either committed or not, but
-   nothing else may be lost or duplicated. *)
-let orphan_case ~name ~push ~pop ~pop_drain () =
+   The victim runs [warm] operations (default 5), signals, then keeps
+   going until a targeted mid-CASN kill lands: it dies immediately
+   after installing its own descriptor, before the status is decided.
+   The survivor (the main domain, never enrolled) then forces every
+   orphan to a decision and drains the deque: the item count must be
+   [completed] or [completed + 1] — the fatal push either committed or
+   not, but nothing else may be lost or duplicated. *)
+let orphan_case ?(warm = 5) ~name ~push ~pop ~pop_drain () =
   fresh ();
-  let warm = 5 in
   let pushed = Atomic.make 0 in
   let popped = Atomic.make 0 in
   let warmed = Atomic.make false in
@@ -97,13 +96,20 @@ let drain_left pop_left () =
 let committed_push = function `Okay -> true | `Full -> false
 let committed_pop = function `Value _ -> true | `Empty -> false
 
-let orphan_array () =
+let orphan_array ?warm () =
   let d = C_array.make ~length:64 () in
-  orphan_case ~name:"array-deque"
+  orphan_case ?warm ~name:"array-deque"
     ~push:(fun v -> committed_push (C_array.push_right d v))
     ~pop:(fun () -> committed_pop (C_array.pop_left d))
     ~pop_drain:(drain_left (fun () -> C_array.pop_left d))
     ()
+
+(* The same kill once the 64-slot deque has filled (two pushes per pop,
+   600 operations in): most pushes now answer [`Full] from a no-op
+   confirmation DCAS, which publishes no descriptor, so the kill must
+   wait for the next pop, or the push that refills its slot, to die
+   mid-CASN. *)
+let orphan_array_full () = orphan_array ~warm:600 ()
 
 let orphan_list () =
   let d = C_list.make () in
@@ -360,7 +366,9 @@ let () =
       ( "orphaned descriptors",
         [
           Alcotest.test_case "array-deque: owner killed mid-CASN" `Quick
-            orphan_array;
+            (fun () -> orphan_array ());
+          Alcotest.test_case "array-deque (full): owner killed mid-CASN"
+            `Quick orphan_array_full;
           Alcotest.test_case "list-deque: owner killed mid-CASN" `Quick
             orphan_list;
           Alcotest.test_case "list-deque-dummy: owner killed mid-CASN" `Quick

@@ -348,6 +348,65 @@ let fastpath_tests =
         Alcotest.(check bool) "clean success afterwards" true ok;
         Alcotest.(check int) "saw a" 10 va;
         Alcotest.(check int) "saw b" 20 vb);
+    Alcotest.test_case "no-op: confirmed without a descriptor" `Quick
+      (fun () ->
+        (* the empty/full confirmation shape: every new value is its
+           expected one, so three reads answer it — one attempt, one
+           success, nothing allocated per call *)
+        let a = M.make 7 and b = M.make 8 in
+        M.reset_stats ();
+        Alcotest.(check bool) "confirms" true (M.dcas a b 7 8 7 8);
+        let s = M.stats () in
+        Alcotest.(check int) "one attempt" 1 s.dcas_attempts;
+        Alcotest.(check int) "one success" 1 s.dcas_successes;
+        Alcotest.(check int) "no fast-fail" 0 s.dcas_fastfails;
+        Alcotest.(check int) "no descriptor" 0 s.descriptor_allocs;
+        Alcotest.(check int) "no dcas2 hit" 0 s.dcas2_hits;
+        Alcotest.(check int) "no value block" 0 s.value_allocs;
+        Alcotest.(check bool) "a mismatch still fails" false
+          (M.dcas a b 7 9 7 9);
+        let delta n =
+          let before = Gc.minor_words () in
+          for _ = 1 to n do
+            ignore (M.dcas a b 7 8 7 8)
+          done;
+          Gc.minor_words () -. before
+        in
+        let d_small = delta 10 in
+        let d_large = delta 10_000 in
+        Alcotest.(check (float 0.)) "delta independent of iterations" d_small
+          d_large);
+    Alcotest.test_case "no-op: never confirms a torn pair" `Quick (fun () ->
+        (* A writer advances (a, b) in lockstep, so a = b at every
+           instant, while a reader asks whether a = x and b = x + 1.
+           The read-only path reads [a], then [b], then [a] again; a
+           writer DCAS landing between the first two reads shows [b]
+           already advanced beside the [a] read before it, and only the
+           re-read of [a] refuses that pair.  [b] is made first so the
+           writer acquires [a] last, which keeps the writer's window
+           short and the race frequent. *)
+        let b = M.make 0 in
+        let a = M.make 0 in
+        let stop = Atomic.make false in
+        let writer =
+          Domain.spawn (fun () ->
+              while not (Atomic.get stop) do
+                let va = M.get a and vb = M.get b in
+                ignore (M.dcas a b va vb (va + 1) (vb + 1))
+              done)
+        in
+        let torn = ref 0 in
+        let t_end = Unix.gettimeofday () +. 0.3 in
+        while Unix.gettimeofday () < t_end do
+          for _ = 1 to 1_000 do
+            let x = M.get a in
+            if M.dcas a b x (x + 1) x (x + 1) then incr torn
+          done
+        done;
+        Atomic.set stop true;
+        Domain.join writer;
+        Alcotest.(check int) "no torn confirmation" 0 !torn;
+        Alcotest.(check int) "still in lockstep" (M.get a) (M.get b));
     Alcotest.test_case "casn: stale entry fast-fails without mutation" `Quick
       (fun () ->
         let a = M.make 1 and b = M.make 2 and c = M.make 3 in
@@ -368,11 +427,15 @@ let fastpath_tests =
 let fastfail_matches_reference =
   let gen =
     QCheck2.Gen.(
-      pair
-        (pair (int_bound 4) (int_bound 4))
+      let pair5 = pair (int_bound 4) (int_bound 4) in
+      pair pair5
         (list_size (1 -- 20)
-           (pair (pair (int_bound 4) (int_bound 4))
-              (pair (int_bound 4) (int_bound 4)))))
+           (frequency
+              [
+                (2, pair pair5 pair5);
+                (* no-op: the read-only confirmation path *)
+                (1, map (fun o -> (o, o)) pair5);
+              ])))
   in
   let print ((i1, i2), ops) =
     Printf.sprintf "init=(%d,%d) ops=[%s]" i1 i2
@@ -499,34 +562,39 @@ let dcas2_tests =
                  [ M.Cass (a, 10, 11); M.Cass (b, 20, 21); M.Cass (c, 3, 30) ]);
             Alcotest.(check int) "3-entry stays generic" 1
               (M.stats ()).dcas2_hits));
-    Alcotest.test_case "dcas2: value elision on no-op confirms" `Quick
+    Alcotest.test_case "dcas2: value elision on no-op entries" `Quick
       (fun () ->
-        (* a successful no-op DCAS leaves both logical values unchanged,
-           so the release phase may reinstall the original Value blocks:
-           value_allocs stays zero with the specialization on, and is
-           2 per op with it off *)
-        let confirms n flag =
+        (* a DCAS that writes [b] and leaves [a] as it was: the release
+           phase may reinstall [a]'s original Value block, so
+           value_allocs is 1 per op with the specialization on (the new
+           [b]) and 2 per op with it off *)
+        let halves n flag =
           with_dcas2 flag (fun () ->
-              let a = M.make 7 and b = M.make 8 in
+              let a = M.make 7 and b = M.make 0 in
               M.reset_stats ();
-              for _ = 1 to n do
-                Alcotest.(check bool) "confirm" true (M.dcas a b 7 8 7 8)
+              for k = 0 to n - 1 do
+                Alcotest.(check bool) "half" true (M.dcas a b 7 k 7 (k + 1))
               done;
               M.stats ())
         in
-        let s_on = confirms 50 true and s_off = confirms 50 false in
-        Alcotest.(check int) "elided entirely" 0 s_on.value_allocs;
+        let s_on = halves 50 true and s_off = halves 50 false in
+        Alcotest.(check int) "unchanged entry elided" 50 s_on.value_allocs;
         Alcotest.(check int) "generic allocates two per op" 100
           s_off.value_allocs);
     Alcotest.test_case "dcas2: elision reduces minor allocation" `Quick
       (fun () ->
         let words flag =
           with_dcas2 flag (fun () ->
-              let a = M.make 7 and b = M.make 8 in
-              ignore (M.dcas a b 7 8 7 8);
+              let a = M.make 7 and b = M.make 0 in
+              let k = ref 0 in
+              let half () =
+                ignore (M.dcas a b 7 !k 7 (!k + 1));
+                incr k
+              in
+              half ();
               let before = Gc.minor_words () in
               for _ = 1 to 10_000 do
-                ignore (M.dcas a b 7 8 7 8)
+                half ()
               done;
               Gc.minor_words () -. before)
         in
