@@ -1290,195 +1290,172 @@ let e21 ~quick =
   let module M = Dcas.Mem_lockfree in
   let module A = Deque.Array_deque.Lockfree in
   let finite f = if Float.is_finite f then f else 0. in
-  let paths = [ ("dcas2", true); ("generic", false) ] in
-  (* --- Section A: the two-location slow path, specialized flat
-     descriptor vs generic entry-array CASN, single domain,
+  (* --- Section A: the two-location slow path, single domain,
      uncontended.  "write" changes both words (the shape of a
      successful push/pop); "half" changes one and keeps the other,
      whose release value elision reinstalls; "confirm" is a no-op on
      both (the shape of the empty/full boundary confirmations), which
-     the read-only path answers without a descriptor on either path. *)
+     the read-only path answers without a descriptor. *)
   let quota = if quick then 0.2 else 0.4 in
   let n_alloc = cnt ~quick 100_000 in
-  let alloc_rows =
-    List.concat_map
-      (fun (pname, flag) ->
-        M.set_dcas2_enabled flag;
-        let a = M.make 0 and b = M.make 0 in
-        let write () =
-          let va = M.get a and vb = M.get b in
-          ignore (M.dcas a b va vb (va + 1) (vb + 1))
-        in
-        let half () =
-          let va = M.get a and vb = M.get b in
-          ignore (M.dcas a b va vb va (vb + 1))
-        in
-        let confirm () =
-          let va = M.get a and vb = M.get b in
-          ignore (M.dcas a b va vb va vb)
-        in
-        let cases =
-          [ ("write", write); ("half", half); ("confirm", confirm) ]
-        in
-        let micro = ns_per_op ~quota cases in
-        List.map
-          (fun (op, f) ->
-            let mw = minor_words_per_op ~n:n_alloc f in
-            M.reset_stats ();
-            for _ = 1 to n_alloc do
-              f ()
-            done;
-            let s = M.stats () in
-            let per c = float_of_int c /. float_of_int n_alloc in
-            let ns = List.assoc op micro in
-            emit_json
-              (Harness.Json.Obj
-                 [
-                   ("experiment", Harness.Json.String "e21");
-                   ("section", Harness.Json.String "alloc");
-                   ("path", Harness.Json.String pname);
-                   ("op", Harness.Json.String op);
-                   ("ops_per_sec", Harness.Json.Float (finite (1e9 /. ns)));
-                   ("ns_per_op", Harness.Json.Float (finite ns));
-                   ("minor_words_per_op", Harness.Json.Float mw);
-                   ( "dcas2_hits_per_op",
-                     Harness.Json.Float (per s.Dcas.Memory_intf.dcas2_hits) );
-                   ( "descriptor_allocs_per_op",
-                     Harness.Json.Float (per s.Dcas.Memory_intf.descriptor_allocs)
-                   );
-                   ( "value_allocs_per_op",
-                     Harness.Json.Float (per s.Dcas.Memory_intf.value_allocs) );
-                 ]);
-            [
-              pname;
-              op;
-              fmt_ns ns;
-              Printf.sprintf "%.1f" mw;
-              Printf.sprintf "%.2f" (per s.Dcas.Memory_intf.dcas2_hits);
-              Printf.sprintf "%.2f" (per s.Dcas.Memory_intf.descriptor_allocs);
-              Printf.sprintf "%.2f" (per s.Dcas.Memory_intf.value_allocs);
-            ])
-          cases)
-      paths
+  let a = M.make 0 and b = M.make 0 in
+  let write () =
+    let va = M.get a and vb = M.get b in
+    ignore (M.dcas a b va vb (va + 1) (vb + 1))
   in
-  M.set_dcas2_enabled true;
+  let half () =
+    let va = M.get a and vb = M.get b in
+    ignore (M.dcas a b va vb va (vb + 1))
+  in
+  let confirm () =
+    let va = M.get a and vb = M.get b in
+    ignore (M.dcas a b va vb va vb)
+  in
+  let cases = [ ("write", write); ("half", half); ("confirm", confirm) ] in
+  let micro = ns_per_op ~quota cases in
+  let alloc_rows =
+    List.map
+      (fun (op, f) ->
+        let mw = minor_words_per_op ~n:n_alloc f in
+        M.reset_stats ();
+        for _ = 1 to n_alloc do
+          f ()
+        done;
+        let s = M.stats () in
+        let per c = float_of_int c /. float_of_int n_alloc in
+        let ns = List.assoc op micro in
+        emit_json
+          (Harness.Json.Obj
+             [
+               ("experiment", Harness.Json.String "e21");
+               ("section", Harness.Json.String "alloc");
+               ("op", Harness.Json.String op);
+               ("ops_per_sec", Harness.Json.Float (finite (1e9 /. ns)));
+               ("ns_per_op", Harness.Json.Float (finite ns));
+               ("minor_words_per_op", Harness.Json.Float mw);
+               ( "dcas2_hits_per_op",
+                 Harness.Json.Float (per s.Dcas.Memory_intf.dcas2_hits) );
+               ( "descriptor_allocs_per_op",
+                 Harness.Json.Float (per s.Dcas.Memory_intf.descriptor_allocs)
+               );
+               ( "value_allocs_per_op",
+                 Harness.Json.Float (per s.Dcas.Memory_intf.value_allocs) );
+             ]);
+        [
+          op;
+          fmt_ns ns;
+          Printf.sprintf "%.1f" mw;
+          Printf.sprintf "%.2f" (per s.Dcas.Memory_intf.dcas2_hits);
+          Printf.sprintf "%.2f" (per s.Dcas.Memory_intf.descriptor_allocs);
+          Printf.sprintf "%.2f" (per s.Dcas.Memory_intf.value_allocs);
+        ])
+      cases
+  in
   Harness.Table.print
     ~headers:
-      [
-        "path"; "dcas op"; "ns/op"; "minor w/op"; "dcas2/op"; "desc/op"; "value/op";
-      ]
+      [ "dcas op"; "ns/op"; "minor w/op"; "dcas2/op"; "desc/op"; "value/op" ]
     alloc_rows;
   note
     "uncontended successful DCAS on two int locations; 'half' keeps one\n\
      location, whose original block value elision reinstalls; 'confirm'\n\
      is the no-op shape of the deques' boundary checks, answered from\n\
-     three reads with no descriptor on either path";
+     three reads with no descriptor";
   (* --- Section B: symmetric batch traffic over one array deque,
-     2 domains, batch sizes 1/4/16 on both substrate paths.  Each
-     domain pushes a k-batch onto its end and pops a k-batch off the
-     other end (tid 0 right-in/left-out, tid 1 left-in/right-out), so a
-     domain running alone still makes progress — on few-core hosts a
-     dedicated producer/consumer pair degenerates into spinning at the
+     2 domains, batch sizes 1/4/16.  Each domain pushes a k-batch onto
+     its end and pops a k-batch off the other end (tid 0
+     right-in/left-out, tid 1 left-in/right-out), so a domain running
+     alone still makes progress — on few-core hosts a dedicated
+     producer/consumer pair degenerates into spinning at the
      full/empty boundary for whole scheduler quanta, which measures the
      scheduler and not the deque.  Latency is recorded per group of
      ~2x64 items and divided down (gettimeofday cannot time one
      sub-microsecond op; same device as E7b), into one shared
      histogram.  Conservation is exact: every item pushed is either
-     popped or still in the deque. *)
+     popped or still in the deque.  A k=1 batch is a two-entry CASN,
+     which is a [dcas]; wider batches build the generic descriptor. *)
   let duration = dur ~quick 0.4 in
   let capacity = 256 in
   let batch_rows =
-    List.concat_map
-      (fun (pname, flag) ->
-        M.set_dcas2_enabled flag;
-        List.map
-          (fun k ->
-            let d = A.make ~length:capacity () in
-            let batch = List.init k (fun i -> i) in
-            let pushed = Dcas.Padding.make_atomic 0 in
-            let popped = Dcas.Padding.make_atomic 0 in
-            let hist = Dcas.Histogram.create () in
-            let group = max 1 (64 / k) in
-            let r =
-              Harness.Runner.run ~threads:2 ~duration (fun ~tid ~rng:_ ->
-                  let t0 = Harness.Metrics.now () in
-                  let got_in = ref 0 and got_out = ref 0 in
-                  if tid = 0 then
-                    for _ = 1 to group do
-                      got_in := !got_in + A.push_many_right d batch;
-                      got_out := !got_out + List.length (A.pop_many_left d k)
-                    done
-                  else
-                    for _ = 1 to group do
-                      got_in := !got_in + A.push_many_left d batch;
-                      got_out := !got_out + List.length (A.pop_many_right d k)
-                    done;
-                  let dt_ns = (Harness.Metrics.now () -. t0) *. 1e9 in
-                  let moved = !got_in + !got_out in
-                  if moved > 0 then
-                    Dcas.Histogram.record hist
-                      (int_of_float (dt_ns /. float_of_int moved));
-                  ignore (Atomic.fetch_and_add pushed !got_in);
-                  ignore (Atomic.fetch_and_add popped !got_out))
-            in
-            let rec drain acc =
-              match A.pop_many_left d capacity with
-              | [] -> acc
-              | l -> drain (acc + List.length l)
-            in
-            let remaining = drain 0 in
-            let pushed = Atomic.get pushed and popped = Atomic.get popped in
-            let tp =
-              float_of_int (pushed + popped) /. r.Harness.Runner.elapsed
-            in
-            let p50 = Dcas.Histogram.quantile hist 0.5 in
-            let p99 = Dcas.Histogram.quantile hist 0.99 in
-            (* allocation per item, measured quiescently on one domain
-               (minor words are per-domain counters) *)
-            let mw =
-              let d2 = A.make ~length:capacity () in
-              let cycles = max 1 (cnt ~quick 40_000 / k) in
-              minor_words_per_op ~n:cycles (fun () ->
-                  ignore (A.push_many_right d2 batch);
-                  ignore (A.pop_many_left d2 k))
-              /. float_of_int (2 * k)
-            in
-            emit_json
-              (Harness.Json.Obj
-                 [
-                   ("experiment", Harness.Json.String "e21");
-                   ("section", Harness.Json.String "batch");
-                   ("path", Harness.Json.String pname);
-                   ("k", Harness.Json.Int k);
-                   ("domains", Harness.Json.Int 2);
-                   ("ops_per_sec", Harness.Json.Float tp);
-                   ("p50_ns", Harness.Json.Float p50);
-                   ("p99_ns", Harness.Json.Float p99);
-                   ("minor_words_per_op", Harness.Json.Float mw);
-                   ("pushed", Harness.Json.Int pushed);
-                   ("popped", Harness.Json.Int popped);
-                   ("remaining", Harness.Json.Int remaining);
-                 ]);
-            [
-              pname;
-              string_of_int k;
-              fmt_tp tp;
-              fmt_q p50;
-              fmt_q p99;
-              Printf.sprintf "%.1f" mw;
-              (if pushed = popped + remaining then "ok"
-               else
-                 Printf.sprintf "VIOLATED %d<>%d+%d" pushed popped remaining);
-            ])
-          [ 1; 4; 16 ])
-      paths
+    List.map
+      (fun k ->
+        let d = A.make ~length:capacity () in
+        let batch = List.init k (fun i -> i) in
+        let pushed = Dcas.Padding.make_atomic 0 in
+        let popped = Dcas.Padding.make_atomic 0 in
+        let hist = Dcas.Histogram.create () in
+        let group = max 1 (64 / k) in
+        let r =
+          Harness.Runner.run ~threads:2 ~duration (fun ~tid ~rng:_ ->
+              let t0 = Harness.Metrics.now () in
+              let got_in = ref 0 and got_out = ref 0 in
+              if tid = 0 then
+                for _ = 1 to group do
+                  got_in := !got_in + A.push_many_right d batch;
+                  got_out := !got_out + List.length (A.pop_many_left d k)
+                done
+              else
+                for _ = 1 to group do
+                  got_in := !got_in + A.push_many_left d batch;
+                  got_out := !got_out + List.length (A.pop_many_right d k)
+                done;
+              let dt_ns = (Harness.Metrics.now () -. t0) *. 1e9 in
+              let moved = !got_in + !got_out in
+              if moved > 0 then
+                Dcas.Histogram.record hist
+                  (int_of_float (dt_ns /. float_of_int moved));
+              ignore (Atomic.fetch_and_add pushed !got_in);
+              ignore (Atomic.fetch_and_add popped !got_out))
+        in
+        let rec drain acc =
+          match A.pop_many_left d capacity with
+          | [] -> acc
+          | l -> drain (acc + List.length l)
+        in
+        let remaining = drain 0 in
+        let pushed = Atomic.get pushed and popped = Atomic.get popped in
+        let tp = float_of_int (pushed + popped) /. r.Harness.Runner.elapsed in
+        let p50 = Dcas.Histogram.quantile hist 0.5 in
+        let p99 = Dcas.Histogram.quantile hist 0.99 in
+        (* allocation per item, measured quiescently on one domain
+           (minor words are per-domain counters) *)
+        let mw =
+          let d2 = A.make ~length:capacity () in
+          let cycles = max 1 (cnt ~quick 40_000 / k) in
+          minor_words_per_op ~n:cycles (fun () ->
+              ignore (A.push_many_right d2 batch);
+              ignore (A.pop_many_left d2 k))
+          /. float_of_int (2 * k)
+        in
+        emit_json
+          (Harness.Json.Obj
+             [
+               ("experiment", Harness.Json.String "e21");
+               ("section", Harness.Json.String "batch");
+               ("k", Harness.Json.Int k);
+               ("domains", Harness.Json.Int 2);
+               ("ops_per_sec", Harness.Json.Float tp);
+               ("p50_ns", Harness.Json.Float p50);
+               ("p99_ns", Harness.Json.Float p99);
+               ("minor_words_per_op", Harness.Json.Float mw);
+               ("pushed", Harness.Json.Int pushed);
+               ("popped", Harness.Json.Int popped);
+               ("remaining", Harness.Json.Int remaining);
+             ]);
+        [
+          string_of_int k;
+          fmt_tp tp;
+          fmt_q p50;
+          fmt_q p99;
+          Printf.sprintf "%.1f" mw;
+          (if pushed = popped + remaining then "ok"
+           else Printf.sprintf "VIOLATED %d<>%d+%d" pushed popped remaining);
+        ])
+      [ 1; 4; 16 ]
   in
-  M.set_dcas2_enabled true;
   Harness.Table.print
     ~headers:
       [
-        "path"; "batch k"; "items/s"; "p50/item"; "p99/item"; "minor w/item";
-        "conserved";
+        "batch k"; "items/s"; "p50/item"; "p99/item"; "minor w/item"; "conserved";
       ]
     batch_rows;
   note
@@ -1660,7 +1637,7 @@ let e22 ~quick =
 (* the single-word-CAS competitors                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Uniform role-aware handle over the five competitors.  The general
+(* Uniform role-aware handle over the four competitors.  The general
    deques run the full mix on every domain; ABP restricts mutation to
    the owner (tid 0) — thief domains convert every draw into a steal,
    the scheduler-shaped workload the structure was designed for. *)
@@ -1671,7 +1648,6 @@ type shoot_inst = {
 
 type shooter = {
   sh_name : string;
-  sh_setup : unit -> unit;  (* substrate flags (the dcas2 ablation) *)
   sh_make : unit -> shoot_inst;
   sh_words : unit -> float;  (* minor words per op, quiescent push+pop *)
 }
@@ -1680,14 +1656,13 @@ let e23_prefill = 128
 let e23_capacity = 512
 
 let e23_shooters : shooter list =
-  let general (type t) name ?(setup = fun () -> ()) ~(create : unit -> t)
+  let general (type t) name ~(create : unit -> t)
       ~(push_right : t -> int -> Deque.Deque_intf.push_result)
       ~(push_left : t -> int -> Deque.Deque_intf.push_result)
       ~(pop_right : t -> int Deque.Deque_intf.pop_result)
       ~(pop_left : t -> int Deque.Deque_intf.pop_result) () =
     {
       sh_name = name;
-      sh_setup = setup;
       sh_make =
         (fun () ->
           let d = create () in
@@ -1721,7 +1696,6 @@ let e23_shooters : shooter list =
           });
       sh_words =
         (fun () ->
-          setup ();
           let d = create () in
           minor_words_per_op ~n:20_000 (fun () ->
               ignore (push_right d 1);
@@ -1730,15 +1704,11 @@ let e23_shooters : shooter list =
     }
   in
   [
+    (* the row key predates the removal of the generic-descriptor
+       ablation; it stays so [bench --compare] still matches it
+       against BENCH_7/8/9 *)
     (let module L = Deque.List_deque.Lockfree in
     general "dcas-list/dcas2"
-      ~setup:(fun () -> Dcas.Mem_lockfree.set_dcas2_enabled true)
-      ~create:(fun () -> L.make ())
-      ~push_right:L.push_right ~push_left:L.push_left ~pop_right:L.pop_right
-      ~pop_left:L.pop_left ());
-    (let module L = Deque.List_deque.Lockfree in
-    general "dcas-list/generic"
-      ~setup:(fun () -> Dcas.Mem_lockfree.set_dcas2_enabled false)
       ~create:(fun () -> L.make ())
       ~push_right:L.push_right ~push_left:L.push_left ~pop_right:L.pop_right
       ~pop_left:L.pop_left ());
@@ -1755,7 +1725,6 @@ let e23_shooters : shooter list =
     (let module A = Baselines.Abp_deque in
     {
       sh_name = "abp";
-      sh_setup = (fun () -> ());
       sh_make =
         (fun () ->
           let d = A.create ~capacity:e23_capacity () in
@@ -1903,7 +1872,6 @@ let e23 ~quick =
           (fun (mix_name, mix) ->
             List.map
               (fun threads ->
-                sh.sh_setup ();
                 let inst = sh.sh_make () in
                 let pushed = Dcas.Padding.make_atomic 0 in
                 let popped = Dcas.Padding.make_atomic 0 in
@@ -1970,7 +1938,6 @@ let e23 ~quick =
           mixes)
       e23_shooters
   in
-  Dcas.Mem_lockfree.set_dcas2_enabled true;
   Harness.Table.print
     ~headers:
       [

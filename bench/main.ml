@@ -101,14 +101,14 @@ let quantile_of ~experiment ~row k r =
       exit 1
 
 (* E21 carries enough structure to cross-check the perf claims, not
-   just the schema: on the shapes that write, the allocation-lean
-   substrate must actually allocate less than the generic descriptors
-   op-for-op, and on "half" its value elision must save a release
-   allocation; the no-op "confirm" must take no descriptor and
-   allocate nothing on either path; batching must actually amortize
-   (k=16 faster and leaner per item than k=1), the histogram quantiles
-   must be ordered, and the batch traffic must conserve items
-   exactly. *)
+   just the schema: a writing DCAS takes one flat two-location
+   descriptor, its two value blocks and at most the protocol's 25 minor
+   words; on "half" value elision saves a release allocation, so it
+   takes one value block and fewer words than "write"; the no-op
+   "confirm" takes no descriptor and allocates nothing; batching must
+   actually amortize (k=16 faster and leaner per item than k=1), the
+   histogram quantiles must be ordered, and the batch traffic must
+   conserve items exactly. *)
 let check_e21 rows =
   let open Harness.Json in
   let fail fmt =
@@ -128,48 +128,34 @@ let check_e21 rows =
   let section s r = str "section" r = s in
   let alloc = List.filter (section "alloc") rows in
   let batch = List.filter (section "batch") rows in
-  if List.length alloc <> 6 then fail "expected 6 alloc rows";
-  if List.length batch <> 6 then fail "expected 6 batch rows";
-  let alloc_row path op =
-    match
-      List.find_opt (fun r -> str "path" r = path && str "op" r = op) alloc
-    with
+  if List.length alloc <> 3 then fail "expected 3 alloc rows";
+  if List.length batch <> 3 then fail "expected 3 batch rows";
+  let alloc_row op =
+    match List.find_opt (fun r -> str "op" r = op) alloc with
     | Some r -> r
-    | None -> fail "missing alloc row %s/%s" path op
+    | None -> fail "missing alloc row %s" op
   in
-  List.iter
-    (fun op ->
-      let d = alloc_row "dcas2" op and g = alloc_row "generic" op in
-      if not (num "minor_words_per_op" d < num "minor_words_per_op" g) then
-        fail "dcas2 %s allocates %.1f w/op, generic only %.1f" op
-          (num "minor_words_per_op" d)
-          (num "minor_words_per_op" g);
-      if not (num "dcas2_hits_per_op" d > 0.) then
-        fail "dcas2 %s rows show no dcas2 descriptor hits" op;
-      if num "dcas2_hits_per_op" g <> 0. then
-        fail "generic %s rows show dcas2 hits despite ablation" op)
-    [ "write"; "half" ];
-  (let d = alloc_row "dcas2" "half" and g = alloc_row "generic" "half" in
-   if not (num "value_allocs_per_op" d < num "value_allocs_per_op" g) then
-     fail "dcas2 half allocates %.2f value blocks/op, generic only %.2f"
-       (num "value_allocs_per_op" d)
-       (num "value_allocs_per_op" g));
-  List.iter
-    (fun path ->
-      let r = alloc_row path "confirm" in
-      if num "descriptor_allocs_per_op" r <> 0. then
-        fail "%s confirm builds %.2f descriptors/op, expected none" path
-          (num "descriptor_allocs_per_op" r);
-      if num "dcas2_hits_per_op" r <> 0. then
-        fail "%s confirm shows %.2f dcas2 hits/op, expected none" path
-          (num "dcas2_hits_per_op" r);
-      if not (num "minor_words_per_op" r < 1.) then
-        fail "%s confirm allocates %.1f w/op, expected under 1" path
-          (num "minor_words_per_op" r))
-    [ "dcas2"; "generic" ];
+  let expect op k v =
+    let got = num k (alloc_row op) in
+    if got <> v then fail "%s: %s is %.2f, expected %.0f" op k got v
+  in
+  let words op = num "minor_words_per_op" (alloc_row op) in
+  expect "write" "descriptor_allocs_per_op" 1.;
+  expect "write" "dcas2_hits_per_op" 1.;
+  expect "write" "value_allocs_per_op" 2.;
+  if not (words "write" <= 25.) then
+    fail "write allocates %.1f w/op, above the protocol's 25" (words "write");
+  expect "half" "value_allocs_per_op" 1.;
+  if not (words "half" < words "write") then
+    fail "half allocates %.1f w/op, no fewer than write's %.1f" (words "half")
+      (words "write");
+  expect "confirm" "descriptor_allocs_per_op" 0.;
+  expect "confirm" "dcas2_hits_per_op" 0.;
+  if not (words "confirm" < 1.) then
+    fail "confirm allocates %.1f w/op, expected under 1" (words "confirm");
   List.iter
     (fun r ->
-      let row = Printf.sprintf "batch %s k=%d" (str "path" r) (int_of "k" r) in
+      let row = Printf.sprintf "batch k=%d" (int_of "k" r) in
       let p50 = quantile_of ~experiment:"e21" ~row "p50_ns" r in
       let p99 = quantile_of ~experiment:"e21" ~row "p99_ns" r in
       if p50 > p99 then fail "%s: p50 %.0fns above p99 %.0fns" row p50 p99;
@@ -177,24 +163,19 @@ let check_e21 rows =
         fail "%s: %d pushed <> %d popped + %d remaining" row
           (int_of "pushed" r) (int_of "popped" r) (int_of "remaining" r))
     batch;
-  let batch_row path k =
-    match
-      List.find_opt (fun r -> str "path" r = path && int_of "k" r = k) batch
-    with
+  let batch_row k =
+    match List.find_opt (fun r -> int_of "k" r = k) batch with
     | Some r -> r
-    | None -> fail "missing batch row %s/k=%d" path k
+    | None -> fail "missing batch row k=%d" k
   in
-  List.iter
-    (fun path ->
-      let k1 = batch_row path 1 and k16 = batch_row path 16 in
-      if not (num "ops_per_sec" k16 > num "ops_per_sec" k1) then
-        fail "%s: k=16 (%.0f items/s) not faster than k=1 (%.0f)" path
-          (num "ops_per_sec" k16) (num "ops_per_sec" k1);
-      if not (num "minor_words_per_op" k16 < num "minor_words_per_op" k1) then
-        fail "%s: k=16 (%.1f w/item) not leaner than k=1 (%.1f)" path
-          (num "minor_words_per_op" k16)
-          (num "minor_words_per_op" k1))
-    [ "dcas2"; "generic" ];
+  let k1 = batch_row 1 and k16 = batch_row 16 in
+  if not (num "ops_per_sec" k16 > num "ops_per_sec" k1) then
+    fail "k=16 (%.0f items/s) not faster than k=1 (%.0f)"
+      (num "ops_per_sec" k16) (num "ops_per_sec" k1);
+  if not (num "minor_words_per_op" k16 < num "minor_words_per_op" k1) then
+    fail "k=16 (%.1f w/item) not leaner than k=1 (%.1f)"
+      (num "minor_words_per_op" k16)
+      (num "minor_words_per_op" k1);
   Printf.printf "e21 invariants: ok\n"
 
 (* E22 is the crash-recovery acceptance gate: every supervised run —
@@ -257,10 +238,10 @@ let check_e22 rows =
     rows;
   Printf.printf "e22 invariants: ok\n"
 
-(* E23 is the shootout acceptance gate: every backend row — the two
-   DCAS substrate paths, the ST single-word-CAS competitor, ABP and
-   the lock baseline — must conserve items exactly across every
-   domain count and mix, the histogram quantiles must be ordered, and
+(* E23 is the shootout acceptance gate: every backend row — the DCAS
+   list deque, the ST single-word-CAS competitor, ABP and the lock
+   baseline — must conserve items exactly across every domain count
+   and mix, the histogram quantiles must be ordered, and
    the frozen-peer probe must show the ST deque completing its quota
    with all peers parked (the lock-freedom differentiator a lock-based
    row could never pass). *)
@@ -284,7 +265,7 @@ let check_e23 rows =
   let shootout = List.filter (section "shootout") rows in
   let frozen = List.filter (section "frozen") rows in
   let backends =
-    [ "dcas-list/dcas2"; "dcas-list/generic"; "st-deque"; "lock"; "abp" ]
+    [ "dcas-list/dcas2"; "st-deque"; "lock"; "abp" ]
   in
   if List.length shootout <> List.length backends * 2 * 4 then
     fail "expected %d shootout rows, got %d"

@@ -12,14 +12,15 @@
    undecided descriptor while installing its own helps it to completion
    first, so a stalled thread can never block others.
 
-   Descriptors come in two shapes.  The generic [Casn] carries an
-   entry array and serves any width; the flat [Dcas2] inlines both
-   locations and values into one record — no entry blocks, no array,
-   no per-index bounds checks — and serves the two-location case, which
-   is every deque operation in the paper.  Both run the identical
-   acquire (in ascending location-id order) / decide / release
-   protocol; only the descriptor layout differs, so the linearization
-   argument is unchanged.
+   Descriptors come in two layouts, chosen by width.  The flat [Dcas2]
+   inlines both locations and values into one record — no entry
+   blocks, no array, no per-index bounds checks — and serves every
+   two-location CASN, which is every deque operation in the paper; the
+   generic [Casn] carries an entry array and serves every other width.
+   Both run one protocol by construction: [step] is the only code that
+   acquires an entry (read the state, help or release a foreign
+   descriptor, compare, install, publish), and each layout keeps only a
+   driver that re-reads the status, sequences its entries and decides.
 
    Two properties of OCaml make the simple two-phase CASN (without the
    RDCSS sub-protocol of Harris et al.) correct here:
@@ -38,11 +39,13 @@
    - the garbage collector reclaims descriptors, exactly as the paper's
      deques rely on GC to reclaim list nodes (Section 1.1).
 
-   The first argument fails for a [Succeeded] descriptor: a thread that
-   read [Undecided] before the descriptor was decided, released, and
-   its location moved back to [before] by a fresh [Value] can still
-   install it, and its release then writes [after] back (ROADMAP.md,
-   item 1).
+   The first argument fails for a [Succeeded] descriptor, and [step] is
+   where: a driver reads [Undecided], the descriptor is then decided,
+   released, and its location moved back to [before] by a fresh
+   [Value]; [step]'s state read finds that block, [equal] accepts it,
+   its install CAS succeeds, and the release then writes [after] back
+   (ROADMAP.md, item 1).  The fix, an install conditional on the
+   status, belongs in [step] alone.
 
    Entries are acquired in ascending location-id order, which bounds
    helping chains and yields lock-freedom by the standard argument.
@@ -102,13 +105,6 @@ let name = "lockfree"
 let counters = Opstats.create ()
 let stats () = Opstats.snapshot counters
 let reset_stats () = Opstats.reset counters
-
-(* Ablation switch (experiment E21, tests): with dcas2 disabled, every
-   slow path builds the generic entry-array descriptor and no release
-   is elided — the substrate as it was before specialization.  Not
-   meant to be toggled while operations are in flight. *)
-let dcas2_enabled = Atomic.make true
-let set_dcas2_enabled b = Atomic.set dcas2_enabled b
 
 let status_of = function
   | Dcas2 { status; _ } -> status
@@ -248,7 +244,7 @@ let release_one (type a) (loc : a loc) (cur : a state) =
       in
       let replacement =
         match orig with
-        | Value v0 when v0 == v && Atomic.get dcas2_enabled -> orig
+        | Value v0 when v0 == v -> orig
         | Value _ | Owned _ ->
             Opstats.incr_value_alloc (Opstats.bucket counters);
             Value v
@@ -262,134 +258,112 @@ let release_own (type a) desc (loc : a loc) =
   | Owned { desc = d; _ } as cur when d == desc -> release_one loc cur
   | Value _ | Owned _ -> ()
 
+(* What one acquire step found: the entry is held by the descriptor;
+   the location must be read again (another descriptor held it and was
+   helped or released, or the install CAS lost a race); or its value is
+   not the expected one.  Constant constructors, so a step allocates
+   only the [Owned] block it installs. *)
+type verdict = Acquired | Retry | Mismatch
+
+(* The per-entry protocol, the same for both layouts: read the state;
+   help an undecided foreign descriptor or release a decided one; else
+   compare with [equal] and install by CAS, and tell the crash layer
+   when the initiator has published.  [help] comes in as an argument
+   so that [step] stays outside the recursive group below and is
+   inlined into each driver: called out of line, it made two-domain
+   list-deque traffic about 10% slower at p50 and p90. *)
+let[@inline] step :
+    type a. (desc -> unit) -> desc -> a loc -> a -> a -> verdict =
+ fun help desc loc before after ->
+  let cur = Atomic.get loc.state in
+  match cur with
+  | Owned { desc = d; _ } when d == desc -> Acquired
+  | Owned { desc = d; _ } ->
+      if Atomic.get (status_of d) = Undecided then help d
+      else release_one loc cur;
+      Retry
+  | Value v ->
+      if not (loc.equal v before) then Mismatch
+      else if
+        Atomic.compare_and_set loc.state cur
+          (Owned { desc; before; after; orig = cur })
+      then begin
+        published desc;
+        Acquired
+      end
+      else Retry
+
 (* Helping runs on every DCAS, so its loops are closed top-level
    functions that take all their state as arguments: a local recursive
    closure over the descriptor's fields would be allocated afresh on
-   every call.  The acquire functions return true iff this call's CAS
-   decided the status, so the orphan accounting ([decided]) runs after
-   them and the fault-free path allocates only what the protocol needs:
-   the descriptor, its [Owned] blocks and the released [Value]s. *)
+   every call.  The drivers return true iff this call's CAS decided the
+   status, so the orphan accounting ([decided]) runs after them and the
+   fault-free path allocates only what the protocol needs: the
+   descriptor, its [Owned] blocks and the released [Value]s. *)
 let rec help desc =
   match desc with
-  | Casn { status; owner; entries } -> help_casn desc status owner entries
   | Dcas2 { status; owner; loc_a; before_a; after_a; loc_b; before_b; after_b }
     ->
-      help_dcas2 desc status owner loc_a before_a after_a loc_b before_b
-        after_b
+      if drive_dcas2 desc status false loc_a before_a after_a loc_b before_b
+           after_b
+      then decided owner;
+      release_own desc loc_a;
+      release_own desc loc_b
+  | Casn { status; owner; entries } ->
+      if drive_casn desc status entries 0 then decided owner;
+      for i = 0 to Array.length entries - 1 do
+        let (Entry { loc; _ }) = entries.(i) in
+        release_own desc loc
+      done
 
-and help_casn desc status owner entries =
-  if acquire_from desc status entries 0 then decided owner;
-  for i = 0 to Array.length entries - 1 do
-    let (Entry { loc; _ }) = entries.(i) in
-    release_own desc loc
-  done
-
-(* Acquire [entries] from index [i] on, in order. *)
-and acquire_from desc status entries i =
-  if i >= Array.length entries then
-    Atomic.compare_and_set status Undecided Succeeded
-  else if Atomic.get status <> Undecided then false
-  else
-    let (Entry { loc; before; after }) = entries.(i) in
-    let cur = Atomic.get loc.state in
-    match cur with
-    | Owned { desc = d; _ } when d == desc ->
-        acquire_from desc status entries (i + 1)
-    | Owned { desc = d; _ } ->
-        if Atomic.get (status_of d) = Undecided then help d
-        else release_one loc cur;
-        acquire_from desc status entries i
-    | Value v ->
-        if loc.equal v before then
-          if
-            Atomic.compare_and_set loc.state cur
-              (Owned { desc; before; after; orig = cur })
-          then begin
-            published desc;
-            acquire_from desc status entries (i + 1)
-          end
-          else acquire_from desc status entries i
-        else Atomic.compare_and_set status Undecided Failed
-
-(* The flat two-location protocol: textually the [acquire_from] loop
-   unrolled for entries 0 and 1 (locations pre-sorted by id), with the
-   entry array and [Entry] blocks gone.  The decide and release steps
-   are identical, so every interleaving maps one-to-one onto a
-   generic-CASN interleaving. *)
-and help_dcas2 :
+(* The [Dcas2] driver: entry a, then entry b ([on_b]), the status
+   re-read before every step.  Its fields stay arguments, so helping a
+   flat descriptor touches no entry block. *)
+and drive_dcas2 :
     type a b.
     desc ->
     status Atomic.t ->
-    int ->
+    bool ->
     a loc ->
     a ->
     a ->
     b loc ->
     b ->
     b ->
-    unit =
- fun desc status owner loc_a before_a after_a loc_b before_b after_b ->
-  if acquire_a desc status loc_a before_a after_a loc_b before_b after_b then
-    decided owner;
-  release_own desc loc_a;
-  release_own desc loc_b
+    bool =
+ fun desc status on_b loc_a before_a after_a loc_b before_b after_b ->
+  Atomic.get status = Undecided
+  &&
+  match
+    if on_b then step help desc loc_b before_b after_b
+    else step help desc loc_a before_a after_a
+  with
+  | Acquired when on_b -> Atomic.compare_and_set status Undecided Succeeded
+  | Acquired ->
+      drive_dcas2 desc status true loc_a before_a after_a loc_b before_b
+        after_b
+  | Retry ->
+      drive_dcas2 desc status on_b loc_a before_a after_a loc_b before_b
+        after_b
+  | Mismatch -> Atomic.compare_and_set status Undecided Failed
 
-and acquire_a :
-    type a b.
-    desc -> status Atomic.t -> a loc -> a -> a -> b loc -> b -> b -> bool =
- fun desc status loc_a before_a after_a loc_b before_b after_b ->
-  if Atomic.get status = Undecided then
-    let cur = Atomic.get loc_a.state in
-    match cur with
-    | Owned { desc = d; _ } when d == desc ->
-        acquire_b desc status loc_b before_b after_b
-    | Owned { desc = d; _ } ->
-        if Atomic.get (status_of d) = Undecided then help d
-        else release_one loc_a cur;
-        acquire_a desc status loc_a before_a after_a loc_b before_b after_b
-    | Value v ->
-        if loc_a.equal v before_a then
-          if
-            Atomic.compare_and_set loc_a.state cur
-              (Owned { desc; before = before_a; after = after_a; orig = cur })
-          then begin
-            published desc;
-            acquire_b desc status loc_b before_b after_b
-          end
-          else
-            acquire_a desc status loc_a before_a after_a loc_b before_b
-              after_b
-        else Atomic.compare_and_set status Undecided Failed
-  else false
-
-and acquire_b : type b. desc -> status Atomic.t -> b loc -> b -> b -> bool =
- fun desc status loc_b before_b after_b ->
-  if Atomic.get status = Undecided then
-    let cur = Atomic.get loc_b.state in
-    match cur with
-    | Owned { desc = d; _ } when d == desc ->
-        Atomic.compare_and_set status Undecided Succeeded
-    | Owned { desc = d; _ } ->
-        if Atomic.get (status_of d) = Undecided then help d
-        else release_one loc_b cur;
-        acquire_b desc status loc_b before_b after_b
-    | Value v ->
-        if loc_b.equal v before_b then
-          if
-            Atomic.compare_and_set loc_b.state cur
-              (Owned { desc; before = before_b; after = after_b; orig = cur })
-          then begin
-            published desc;
-            Atomic.compare_and_set status Undecided Succeeded
-          end
-          else acquire_b desc status loc_b before_b after_b
-        else Atomic.compare_and_set status Undecided Failed
-  else false
+(* The [Casn] driver: entries [i] on, in order. *)
+and drive_casn desc status entries i =
+  if i >= Array.length entries then
+    Atomic.compare_and_set status Undecided Succeeded
+  else
+    Atomic.get status = Undecided
+    &&
+    let (Entry { loc; before; after }) = entries.(i) in
+    match step help desc loc before after with
+    | Acquired -> drive_casn desc status entries (i + 1)
+    | Retry -> drive_casn desc status entries i
+    | Mismatch -> Atomic.compare_and_set status Undecided Failed
 
 (* Complete every orphaned descriptor on the crashed owners' behalf:
    the survivors' side of Theorems 3.1/4.1 made into an API.  Helping
-   an already-decided descriptor is a no-op (the acquire loop exits on
-   a decided status), so calling this after organic helping has
+   an already-decided descriptor is a no-op (the drivers exit on a
+   decided status), so calling this after organic helping has
    already completed some orphans is safe and counts nothing twice —
    [helped_orphans] ticks only at the single successful status CAS. *)
 let help_orphans () =
@@ -463,6 +437,14 @@ let make_dcas2 l1 l2 o1 o2 n1 n2 =
         after_b = n1;
       }
 
+(* The slow path's tail, shared by both layouts: help the fresh
+   descriptor through, then read its verdict. *)
+let complete b desc =
+  help desc;
+  let ok = Atomic.get (status_of desc) = Succeeded in
+  if ok then Opstats.incr_success b;
+  ok
+
 let dcas l1 l2 o1 o2 n1 n2 =
   if l1.id = l2.id then invalid_arg "Mem_lockfree.dcas: locations must differ";
   let b = Opstats.bucket counters in
@@ -477,22 +459,8 @@ let dcas l1 l2 o1 o2 n1 n2 =
   end
   else begin
     Opstats.incr_desc_alloc b;
-    let desc =
-      if Atomic.get dcas2_enabled then begin
-        Opstats.incr_dcas2 b;
-        make_dcas2 l1 l2 o1 o2 n1 n2
-      end
-      else begin
-        let e1 = Entry { loc = l1; before = o1; after = n1 }
-        and e2 = Entry { loc = l2; before = o2; after = n2 } in
-        let entries = if l1.id < l2.id then [| e1; e2 |] else [| e2; e1 |] in
-        Casn { status = Atomic.make Undecided; owner = self_id (); entries }
-      end
-    in
-    help desc;
-    let ok = Atomic.get (status_of desc) = Succeeded in
-    if ok then Opstats.incr_success b;
-    ok
+    Opstats.incr_dcas2 b;
+    complete b (make_dcas2 l1 l2 o1 o2 n1 n2)
   end
 
 (* The strong form obtains its failing atomic view with the same trick
@@ -520,65 +488,40 @@ let dcas_strong l1 l2 o1 o2 n1 n2 =
 (* Generic N-word CASN over the same locations: the natural
    generalization the paper's Section 6 alludes to when discussing
    "synchronization primitives that can access more than one shared
-   memory location".  The two-entry case — every deque DCAS routed
-   through [casn], e.g. by the batched array-deque operations — takes
-   the same flat [Dcas2] descriptor as [dcas]. *)
-let casn cs =
-  let entries =
-    List.map (fun (Cass (loc, before, after)) -> Entry { loc; before; after }) cs
-    |> Array.of_list
-  in
-  Array.sort (fun (Entry a) (Entry b) -> compare a.loc.id b.loc.id) entries;
-  let distinct =
-    let ok = ref true in
-    Array.iteri
-      (fun i (Entry a) ->
-        if i > 0 then
-          let (Entry b) = entries.(i - 1) in
-          if a.loc.id = b.loc.id then ok := false)
-      entries;
-    !ok
-  in
-  if not distinct then invalid_arg "Mem_lockfree.casn: locations must differ";
-  if Array.length entries = 0 then true
-  else begin
-    let b = Opstats.bucket counters in
-    Opstats.incr_attempt b;
-    (* Same pre-validation as [dcas]: any entry already stale dooms the
-       whole CASN, and spotting it from a logical read skips the
-       descriptor and the acquire cascade entirely. *)
-    let stale = ref false in
-    Array.iter
-      (fun (Entry { loc; before; _ }) -> if doomed loc before then stale := true)
-      entries;
-    if !stale then begin
-      Opstats.incr_fastfail b;
-      false
-    end
-    else begin
-      Opstats.incr_desc_alloc b;
-      let desc =
-        if Array.length entries = 2 && Atomic.get dcas2_enabled then begin
-          Opstats.incr_dcas2 b;
-          let (Entry { loc = la; before = oa; after = na }) = entries.(0) in
-          let (Entry { loc = lb; before = ob; after = nb }) = entries.(1) in
-          Dcas2
-            {
-              status = Atomic.make Undecided;
-              owner = self_id ();
-              loc_a = la;
-              before_a = oa;
-              after_a = na;
-              loc_b = lb;
-              before_b = ob;
-              after_b = nb;
-            }
-        end
-        else Casn { status = Atomic.make Undecided; owner = self_id (); entries }
+   memory location".  A two-entry CASN — e.g. a batched array-deque
+   operation of one item — is a [dcas], so width 2 has one path;
+   every other width takes the [Casn] layout. *)
+let casn = function
+  | [] -> true
+  | [ Cass (l1, o1, n1); Cass (l2, o2, n2) ] ->
+      if l1.id = l2.id then
+        invalid_arg "Mem_lockfree.casn: locations must differ";
+      dcas l1 l2 o1 o2 n1 n2
+  | cs ->
+      let entries =
+        Array.of_list
+          (List.map
+             (fun (Cass (loc, before, after)) -> Entry { loc; before; after })
+             cs)
       in
-      help desc;
-      let ok = Atomic.get (status_of desc) = Succeeded in
-      if ok then Opstats.incr_success b;
-      ok
-    end
-  end
+      let id (Entry { loc; _ }) = loc.id in
+      Array.sort (fun e f -> compare (id e) (id f)) entries;
+      for i = 1 to Array.length entries - 1 do
+        if id entries.(i - 1) = id entries.(i) then
+          invalid_arg "Mem_lockfree.casn: locations must differ"
+      done;
+      let b = Opstats.bucket counters in
+      Opstats.incr_attempt b;
+      (* Same pre-validation as [dcas]: any entry already stale dooms the
+         whole CASN, and spotting it from a logical read skips the
+         descriptor and the acquire cascade entirely. *)
+      if Array.exists (fun (Entry { loc; before; _ }) -> doomed loc before) entries
+      then begin
+        Opstats.incr_fastfail b;
+        false
+      end
+      else begin
+        Opstats.incr_desc_alloc b;
+        complete b
+          (Casn { status = Atomic.make Undecided; owner = self_id (); entries })
+      end

@@ -26,15 +26,11 @@ include Memory_intf.MEMORY_CASN
 (** [casn entries] atomically compares-and-swaps every entry with
     descriptor-based helping, succeeding iff all expected values match:
     the generalization the paper's Section 6 gestures at, used by the
-    3CAS deque extension. *)
-
-val set_dcas2_enabled : bool -> unit
-(** Ablation switch (default [true]): with [false], every DCAS/CASN
-    slow path builds the generic entry-array descriptor and no release
-    is value-elided — the substrate before the flat [Dcas2]
-    specialization.  The read-only no-op path builds no descriptor and
-    runs either way.  For experiment E21 and tests; do not toggle while
-    operations are in flight. *)
+    3CAS deque extension.  A two-entry [casn] is a {!dcas} on its two
+    locations — the read-only no-op path, pre-validation and the flat
+    two-location descriptor, with the same counts — once it has checked
+    that they differ; every other width builds the generic entry-array
+    descriptor.  Both layouts run one per-entry acquire step. *)
 
 (** {2 Fail-stop crash bookkeeping}
 

@@ -17,9 +17,11 @@ type stats = {
           in [dcas_attempts]; always 0 for substrates with no slow
           path to avoid. *)
   dcas2_hits : int;
-      (** how many DCAS/2-entry-CASN slow paths took the specialized
-          flat [Dcas2] descriptor instead of the generic entry-array
-          CASN ({!Mem_lockfree}); always 0 for other substrates. *)
+      (** how many slow paths built the flat two-location [Dcas2]
+          descriptor ({!Mem_lockfree}: every two-location one — a
+          [dcas] or a two-entry [casn] — does, and every other width
+          builds the entry-array one); always 0 for other
+          substrates. *)
   descriptor_allocs : int;
       (** CASN descriptors allocated — attempts that survived
           pre-validation and took a slow path ({!Mem_lockfree}; a

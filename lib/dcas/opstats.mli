@@ -38,8 +38,9 @@ val incr_fastfail : bucket -> unit
     {!Memory_intf.stats.dcas_fastfails}). *)
 
 val incr_dcas2 : bucket -> unit
-(** Count a slow path taken through the specialized flat [Dcas2]
-    descriptor ({!Mem_lockfree}). *)
+(** Count a slow path that built the flat two-location [Dcas2]
+    descriptor ({!Mem_lockfree}); see
+    {!Memory_intf.stats.dcas2_hits}. *)
 
 val incr_desc_alloc : bucket -> unit
 (** Count a CASN descriptor allocation ({!Mem_lockfree}). *)

@@ -19,6 +19,32 @@ let deaths r = Array.fold_left (fun n d -> if d then n + 1 else n) 0 r.died
 let total r = Array.fold_left ( + ) 0 r.per_thread
 let throughput r = float_of_int (total r) /. r.elapsed
 
+(* Join every domain, then re-raise the first exception one of them
+   raised: one failing domain must not leave the others unjoined. *)
+let join_all domains =
+  let first =
+    List.fold_left
+      (fun first d ->
+        match Domain.join d with
+        | () -> first
+        | exception e ->
+            if Option.is_some first then first
+            else Some (e, Printexc.get_raw_backtrace ()))
+      None domains
+  in
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) first
+
+(* Join the workers and time the window; the watchdog is stopped
+   however the join ends, so an armed monitor never outlives a failed
+   run. *)
+let join_timed ?watchdog ~t0 domains =
+  let stop_watchdog () =
+    Option.iter (fun w -> ignore (Watchdog.stop w)) watchdog
+  in
+  Fun.protect ~finally:stop_watchdog (fun () ->
+      join_all domains;
+      Unix.gettimeofday () -. t0)
+
 (* [run ~threads ~duration body]: each domain evaluates [body ~tid ~rng]
    repeatedly — the body performs ONE logical operation per call — until
    the duration elapses.  [seed] makes the workers' RNG streams
@@ -67,9 +93,7 @@ let run ?(seed = 0x5EED) ?watchdog ~threads ~duration body =
   let t0 = Unix.gettimeofday () in
   Unix.sleepf duration;
   Atomic.set stop true;
-  List.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Option.iter (fun w -> ignore (Watchdog.stop w)) watchdog;
+  let elapsed = join_timed ?watchdog ~t0 domains in
   { per_thread; elapsed; died }
 
 (* Fixed-iteration variant: every thread performs exactly [iters]
@@ -104,7 +128,4 @@ let run_fixed ?(seed = 0x5EED) ?watchdog ~threads ~iters body =
   done;
   Option.iter Watchdog.start watchdog;
   let t0 = Unix.gettimeofday () in
-  List.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Option.iter (fun w -> ignore (Watchdog.stop w)) watchdog;
-  elapsed
+  join_timed ?watchdog ~t0 domains

@@ -21,6 +21,11 @@ val throughput : result -> float
 val deaths : result -> int
 (** Number of threads that died ([Array] count of [died]). *)
 
+val join_all : unit Domain.t list -> unit
+(** Join every domain, then re-raise the first exception any of them
+    raised (with its backtrace), so a failing domain never leaves the
+    others unjoined. *)
+
 val run :
   ?seed:int ->
   ?watchdog:Watchdog.t ->
@@ -38,6 +43,10 @@ val run :
     the workers join — read {!Watchdog.stalls} afterwards to learn
     whether it fired.
 
+    A body that raises anything but {!Crash.Died} ends its worker; the
+    runner still joins every worker and stops the watchdog, then
+    re-raises the first such exception.
+
     @raise Invalid_argument if [threads < 1]. *)
 
 val run_fixed :
@@ -49,4 +58,5 @@ val run_fixed :
   float
 (** Every thread performs exactly [iters] operations; returns the
     elapsed wall-clock seconds.  Used where operation counts must
-    balance exactly (conservation checks). *)
+    balance exactly (conservation checks).  [watchdog] and a raising
+    body are handled as in {!run}. *)

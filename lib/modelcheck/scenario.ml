@@ -67,9 +67,9 @@ let apply_via push_right push_left pop_right pop_left d (op : int Spec.Op.op) :
 
 (* Route every scripted single op through the batch entry points (as
    width-1 batches), so the explorer exhaustively interleaves the
-   batched probe/CASN code paths — including the 2-entry CASN that the
-   production substrate specializes into its flat Dcas2 descriptor —
-   while the single-op linearizability oracle still applies. *)
+   batched probe/CASN code paths — including the 2-entry CASN, which
+   the production substrate runs as a [dcas] — while the single-op
+   linearizability oracle still applies. *)
 let apply_batched push_many_right push_many_left pop_many_right pop_many_left d
     (op : int Spec.Op.op) : int Spec.Op.res =
   match op with

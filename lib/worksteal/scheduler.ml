@@ -190,24 +190,13 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
       invalid_arg "Scheduler: capacity too small for the root task";
     (master, pool, ctxs)
 
-  (* Join every spawned domain even when one join raises, then
-     re-raise the first failure — a raising domain must not leave its
-     siblings unjoined and leaking. *)
-  let join_all domains =
-    let errs =
-      List.filter_map
-        (fun d -> try Domain.join d; None with e -> Some e)
-        domains
-    in
-    match errs with [] -> () | e :: _ -> raise e
-
   let reraise pool =
     match Atomic.get pool.first_error with Some e -> raise e | None -> ()
 
   let run ?(seed = 0xD0E5) ?(steal_batch = 8) ~workers ~capacity root =
     check_args ~who:"run" ~workers ~steal_batch;
     let _, pool, ctxs = setup ~seed ~steal_batch ~workers ~capacity root in
-    join_all
+    Harness.Runner.join_all
       (List.map (fun ctx -> Domain.spawn (fun () -> worker_loop ctx)) ctxs);
     reraise pool
 

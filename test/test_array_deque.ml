@@ -301,8 +301,8 @@ let qcheck_batched_matches_fold =
       && sorted !pushed = sorted (!popped @ A.unsafe_to_list d))
 
 (* The batched ops on the production (lock-free) instantiation under
-   real memory: same fold-of-singles agreement, exercising the Dcas2
-   2-entry specialization (k=1) and wider CASN descriptors alike. *)
+   real memory: same fold-of-singles agreement, exercising the 2-entry
+   CASN that runs as a [dcas] (k=1) and wider CASN descriptors alike. *)
 let test_batched_lockfree_agrees () =
   let module L = Deque.Array_deque.Lockfree in
   let d = L.make ~length:5 () in

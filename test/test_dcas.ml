@@ -209,6 +209,27 @@ let concurrent_tests (module M : MEM) =
 
 (* --- CASN (lock-free model only) --- *)
 
+(* Minor words per call of [f]: the slope of the delta over the
+   iteration count, since [Gc.minor_words] boxes its own result (as in
+   the fast-fail test below). *)
+let words_per_call f =
+  let delta n =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (delta 10);
+  (delta 10_010 -. delta 10) /. 10_000.
+
+(* One uncontended DCAS on [a] and [b] that writes both. *)
+let write a b () =
+  let module M = Dcas.Mem_lockfree in
+  let va = M.get a and vb = M.get b in
+  if not (M.dcas a b va vb (va + 1) (vb + 1)) then
+    Alcotest.fail "uncontended write failed"
+
 let casn_tests =
   let module M = Dcas.Mem_lockfree in
   [
@@ -231,21 +252,41 @@ let casn_tests =
         match M.casn [ M.Cass (a, 1, 2); M.Cass (a, 1, 3) ] with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
-    Test_support.tiered "casn: concurrent conservation" `Slow (fun () ->
-        (* four counters, transfers across a random pair via casn *)
+    Alcotest.test_case "casn: concurrent conservation" `Quick (fun () ->
+        (* four counters, transfers by a dcas, a two-entry casn (both
+           the flat layout) or a three-entry casn (the generic one), so
+           helpers of each layout meet the other layout's descriptors;
+           a short run in the fast tier, the full one in the slow *)
+        let iters = if Test_support.slow_enabled then 10_000 else 1_000 in
         let locs = Array.init 4 (fun _ -> M.make 100) in
+        M.reset_stats ();
         let worker seed () =
           let rng = Dcas.Splitmix.create ~seed in
-          for _ = 1 to 10_000 do
+          for _ = 1 to iters do
             let i = Dcas.Splitmix.int rng ~bound:4 in
             let j = (i + 1 + Dcas.Splitmix.int rng ~bound:3) mod 4 in
+            let rec other k =
+              if k = i || k = j then other ((k + 1) mod 4) else k
+            in
+            let k = other (Dcas.Splitmix.int rng ~bound:4) in
+            let li = locs.(i) and lj = locs.(j) and lk = locs.(k) in
+            let kind = Dcas.Splitmix.int rng ~bound:3 in
             let rec attempt () =
-              let vi = M.get locs.(i) and vj = M.get locs.(j) in
-              if
-                not
-                  (M.casn
-                     [ M.Cass (locs.(i), vi, vi - 1); M.Cass (locs.(j), vj, vj + 1) ])
-              then attempt ()
+              let vi = M.get li and vj = M.get lj and vk = M.get lk in
+              let ok =
+                match kind with
+                | 0 -> M.dcas li lj vi vj (vi - 1) (vj + 1)
+                | 1 ->
+                    M.casn [ M.Cass (li, vi, vi - 1); M.Cass (lj, vj, vj + 1) ]
+                | _ ->
+                    M.casn
+                      [
+                        M.Cass (li, vi, vi - 2);
+                        M.Cass (lj, vj, vj + 1);
+                        M.Cass (lk, vk, vk + 1);
+                      ]
+              in
+              if not ok then attempt ()
             in
             attempt ()
           done
@@ -253,7 +294,50 @@ let casn_tests =
         let ds = List.init 4 (fun i -> Domain.spawn (worker (i + 11))) in
         List.iter Domain.join ds;
         let total = Array.fold_left (fun acc l -> acc + M.get l) 0 locs in
-        Alcotest.(check int) "conserved" 400 total);
+        Alcotest.(check int) "conserved" 400 total;
+        let s = M.stats () in
+        Alcotest.(check bool) "flat descriptors built" true (s.dcas2_hits > 0);
+        Alcotest.(check bool) "generic descriptors built" true
+          (s.descriptor_allocs > s.dcas2_hits));
+    Alcotest.test_case "casn: two entries cost what dcas costs" `Quick
+      (fun () ->
+        (* a two-entry casn is a dcas: the same counts on every shape —
+           writing, no-op, stale — and the same words plus its argument
+           list, two [Cass] blocks (4 words each) and two cons cells (3
+           each) *)
+        let counts f =
+          let a = M.make 1 and b = M.make 2 in
+          M.reset_stats ();
+          ignore (f a b 1 2 10 20);
+          ignore (f a b 10 20 10 20);
+          ignore (f a b 1 2 3 4);
+          M.stats ()
+        in
+        let via_casn a b o1 o2 n1 n2 =
+          M.casn [ M.Cass (a, o1, n1); M.Cass (b, o2, n2) ]
+        in
+        let d = counts M.dcas and c = counts via_casn in
+        Alcotest.(check int) "one descriptor, for the write" 1
+          c.descriptor_allocs;
+        Alcotest.(check int) "one dcas2 hit, for the write" 1 c.dcas2_hits;
+        Alcotest.(check int) "attempts" d.dcas_attempts c.dcas_attempts;
+        Alcotest.(check int) "successes" d.dcas_successes c.dcas_successes;
+        Alcotest.(check int) "fast-fails" d.dcas_fastfails c.dcas_fastfails;
+        Alcotest.(check int) "descriptors" d.descriptor_allocs
+          c.descriptor_allocs;
+        Alcotest.(check int) "dcas2 hits" d.dcas2_hits c.dcas2_hits;
+        Alcotest.(check int) "value blocks" d.value_allocs c.value_allocs;
+        let w_dcas = words_per_call (write (M.make 0) (M.make 0)) in
+        let w_casn =
+          let a = M.make 0 and b = M.make 0 in
+          words_per_call (fun () ->
+              let va = M.get a and vb = M.get b in
+              ignore
+                (M.casn [ M.Cass (a, va, va + 1); M.Cass (b, vb, vb + 1) ]))
+        in
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "casn %.1f = dcas %.1f + 14 words" w_casn w_dcas)
+          (w_dcas +. 14.) w_casn);
   ]
 
 (* --- qcheck: casn against its sequential semantics --- *)
@@ -520,145 +604,91 @@ let striped_matches_seq =
           && agree ())
         ops)
 
-(* --- the specialized two-location descriptor (Dcas2) --- *)
-
-(* Run [f] with the Dcas2 specialization forced to [flag], restoring
-   the default afterwards (the knob is global). *)
-let with_dcas2 flag f =
-  Dcas.Mem_lockfree.set_dcas2_enabled flag;
-  Fun.protect ~finally:(fun () -> Dcas.Mem_lockfree.set_dcas2_enabled true) f
+(* --- the flat two-location descriptor (Dcas2) --- *)
 
 let dcas2_tests =
   let module M = Dcas.Mem_lockfree in
+  (* a DCAS that writes [b] and leaves [a] as it was *)
+  let half a b () =
+    let va = M.get a and vb = M.get b in
+    if not (M.dcas a b va vb va (vb + 1)) then
+      Alcotest.fail "uncontended half failed"
+  in
   [
     Alcotest.test_case "dcas2: hits counted on the two-location path" `Quick
       (fun () ->
-        with_dcas2 true (fun () ->
-            let a = M.make 1 and b = M.make 2 in
-            M.reset_stats ();
-            Alcotest.(check bool) "succeeds" true (M.dcas a b 1 2 10 20);
-            let s = M.stats () in
-            Alcotest.(check int) "one dcas2 hit" 1 s.dcas2_hits;
-            Alcotest.(check int) "one descriptor" 1 s.descriptor_allocs));
-    Alcotest.test_case "dcas2: ablation routes to generic descriptors" `Quick
-      (fun () ->
-        with_dcas2 false (fun () ->
-            let a = M.make 1 and b = M.make 2 in
-            M.reset_stats ();
-            Alcotest.(check bool) "succeeds" true (M.dcas a b 1 2 10 20);
-            let s = M.stats () in
-            Alcotest.(check int) "no dcas2 hits" 0 s.dcas2_hits;
-            Alcotest.(check int) "still one descriptor" 1 s.descriptor_allocs));
+        let a = M.make 1 and b = M.make 2 in
+        M.reset_stats ();
+        Alcotest.(check bool) "succeeds" true (M.dcas a b 1 2 10 20);
+        let s = M.stats () in
+        Alcotest.(check int) "one dcas2 hit" 1 s.dcas2_hits;
+        Alcotest.(check int) "one descriptor" 1 s.descriptor_allocs);
     Alcotest.test_case "dcas2: 2-entry casn takes the specialized path" `Quick
       (fun () ->
-        with_dcas2 true (fun () ->
-            let a = M.make 1 and b = M.make 2 and c = M.make 3 in
-            M.reset_stats ();
-            Alcotest.(check bool) "2-entry succeeds" true
-              (M.casn [ M.Cass (b, 2, 20); M.Cass (a, 1, 10) ]);
-            Alcotest.(check int) "specialized" 1 (M.stats ()).dcas2_hits;
-            Alcotest.(check bool) "3-entry succeeds" true
-              (M.casn
-                 [ M.Cass (a, 10, 11); M.Cass (b, 20, 21); M.Cass (c, 3, 30) ]);
-            Alcotest.(check int) "3-entry stays generic" 1
-              (M.stats ()).dcas2_hits));
+        let a = M.make 1 and b = M.make 2 and c = M.make 3 in
+        M.reset_stats ();
+        Alcotest.(check bool) "2-entry succeeds" true
+          (M.casn [ M.Cass (b, 2, 20); M.Cass (a, 1, 10) ]);
+        Alcotest.(check int) "flat" 1 (M.stats ()).dcas2_hits;
+        Alcotest.(check bool) "3-entry succeeds" true
+          (M.casn [ M.Cass (a, 10, 11); M.Cass (b, 20, 21); M.Cass (c, 3, 30) ]);
+        Alcotest.(check int) "3-entry stays generic" 1 (M.stats ()).dcas2_hits;
+        Alcotest.(check int) "two descriptors" 2 (M.stats ()).descriptor_allocs);
     Alcotest.test_case "dcas2: value elision on no-op entries" `Quick
       (fun () ->
-        (* a DCAS that writes [b] and leaves [a] as it was: the release
-           phase may reinstall [a]'s original Value block, so
-           value_allocs is 1 per op with the specialization on (the new
-           [b]) and 2 per op with it off *)
-        let halves n flag =
-          with_dcas2 flag (fun () ->
-              let a = M.make 7 and b = M.make 0 in
-              M.reset_stats ();
-              for k = 0 to n - 1 do
-                Alcotest.(check bool) "half" true (M.dcas a b 7 k 7 (k + 1))
-              done;
-              M.stats ())
-        in
-        let s_on = halves 50 true and s_off = halves 50 false in
-        Alcotest.(check int) "unchanged entry elided" 50 s_on.value_allocs;
-        Alcotest.(check int) "generic allocates two per op" 100
-          s_off.value_allocs);
+        (* the release phase reinstalls [a]'s original Value block, so
+           the only value block per op is the new [b] *)
+        let a = M.make 7 and b = M.make 0 in
+        M.reset_stats ();
+        for _ = 1 to 50 do
+          half a b ()
+        done;
+        let s = M.stats () in
+        Alcotest.(check int) "one descriptor per op" 50 s.descriptor_allocs;
+        Alcotest.(check int) "unchanged entry elided" 50 s.value_allocs);
     Alcotest.test_case "dcas2: elision reduces minor allocation" `Quick
       (fun () ->
-        let words flag =
-          with_dcas2 flag (fun () ->
-              let a = M.make 7 and b = M.make 0 in
-              let k = ref 0 in
-              let half () =
-                ignore (M.dcas a b 7 !k 7 (!k + 1));
-                incr k
-              in
-              half ();
-              let before = Gc.minor_words () in
-              for _ = 1 to 10_000 do
-                half ()
-              done;
-              Gc.minor_words () -. before)
-        in
-        let w_on = words true and w_off = words false in
+        (* the elided release is the only difference between the two
+           shapes: a half op allocates fewer words than a write *)
+        let w_write = words_per_call (write (M.make 0) (M.make 0)) in
+        let w_half = words_per_call (half (M.make 7) (M.make 0)) in
         Alcotest.(check bool)
-          (Printf.sprintf "%.0f < %.0f minor words" w_on w_off)
-          true (w_on < w_off));
+          (Printf.sprintf "half %.1f < write %.1f minor words" w_half w_write)
+          true (w_half < w_write));
     Alcotest.test_case "dcas2: allocation budget of a successful dcas" `Quick
       (fun () ->
         (* the protocol's own blocks only: the descriptor with its status
            word (11 words), two [Owned] blocks (10) and two released
            [Value] blocks (4).  Helping must add nothing — no closure,
-           no backoff.  As in the fast-fail test, the per-call cost is
-           the slope of the delta over the iteration count. *)
-        let a = M.make 0 and b = M.make 0 in
-        let next = ref 0 in
-        let delta n =
-          let before = Gc.minor_words () in
-          for _ = 1 to n do
-            let v = !next in
-            if not (M.dcas a b v v (v + 1) (v + 1)) then
-              Alcotest.fail "uncontended dcas failed";
-            next := v + 1
-          done;
-          Gc.minor_words () -. before
-        in
-        ignore (delta 10);
-        let per_call = (delta 10_010 -. delta 10) /. 10_000. in
+           no backoff. *)
+        let per_call = words_per_call (write (M.make 0) (M.make 0)) in
         Alcotest.(check bool)
           (Printf.sprintf "%.1f words <= 25" per_call)
           true (per_call <= 25.));
-    Alcotest.test_case "dcas2: both modes agree with the reference" `Quick
-      (fun () ->
+    Alcotest.test_case "dcas2: dcas and 2-entry casn agree with the reference"
+      `Quick (fun () ->
         (* the same mixed op sequence — successful, failing, no-op and
            cross-type DCASes plus 2-entry CASNs — must be observationally
-           identical on Mem_seq and on Mem_lockfree in either mode *)
+           identical on Mem_seq and on Mem_lockfree *)
         let module S = Dcas.Mem_seq in
-        List.iter
-          (fun flag ->
-            with_dcas2 flag (fun () ->
-                let la = M.make 0 and lb = M.make 100 in
-                let sa = S.make 0 and sb = S.make 100 in
-                let rng = Dcas.Splitmix.create ~seed:(Bool.to_int flag) in
-                for _ = 1 to 2_000 do
-                  let o1 = Dcas.Splitmix.int rng ~bound:4 in
-                  let o2 = 100 + Dcas.Splitmix.int rng ~bound:4 in
-                  let n1 = Dcas.Splitmix.int rng ~bound:4 in
-                  let n2 = 100 + Dcas.Splitmix.int rng ~bound:4 in
-                  let lr, sr =
-                    if Dcas.Splitmix.bool rng then
-                      ( M.casn [ M.Cass (la, o1, n1); M.Cass (lb, o2, n2) ],
-                        S.casn [ S.Cass (sa, o1, n1); S.Cass (sb, o2, n2) ] )
-                    else (M.dcas la lb o1 o2 n1 n2, S.dcas sa sb o1 o2 n1 n2)
-                  in
-                  Alcotest.(check bool) "verdicts agree" sr lr;
-                  Alcotest.(check int) "a agrees" (S.get sa) (M.get la);
-                  Alcotest.(check int) "b agrees" (S.get sb) (M.get lb)
-                done))
-          [ true; false ]);
-    Test_support.tiered "dcas2: concurrent conservation in both modes" `Slow
-      (fun () ->
-        List.iter
-          (fun flag -> with_dcas2 flag (transfer_test (module M)))
-          [ true; false ]);
+        let la = M.make 0 and lb = M.make 100 in
+        let sa = S.make 0 and sb = S.make 100 in
+        let rng = Dcas.Splitmix.create ~seed:1 in
+        for _ = 1 to 2_000 do
+          let o1 = Dcas.Splitmix.int rng ~bound:4 in
+          let o2 = 100 + Dcas.Splitmix.int rng ~bound:4 in
+          let n1 = Dcas.Splitmix.int rng ~bound:4 in
+          let n2 = 100 + Dcas.Splitmix.int rng ~bound:4 in
+          let lr, sr =
+            if Dcas.Splitmix.bool rng then
+              ( M.casn [ M.Cass (la, o1, n1); M.Cass (lb, o2, n2) ],
+                S.casn [ S.Cass (sa, o1, n1); S.Cass (sb, o2, n2) ] )
+            else (M.dcas la lb o1 o2 n1 n2, S.dcas sa sb o1 o2 n1 n2)
+          in
+          Alcotest.(check bool) "verdicts agree" sr lr;
+          Alcotest.(check int) "a agrees" (S.get sa) (M.get la);
+          Alcotest.(check int) "b agrees" (S.get sb) (M.get lb)
+        done);
   ]
 
 (* --- stats record completeness --- *)

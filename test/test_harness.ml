@@ -214,6 +214,43 @@ let test_runner_fixed () =
   in
   Array.iter (fun c -> Alcotest.(check int) "exact iteration count" 1000 c) hits
 
+(* A raising body: both entry points join every worker and stop the
+   watchdog before the exception propagates, so the other worker has
+   finished its run and the same watchdog starts again. *)
+exception Body_failed
+
+let test_runner_raise_joins_all () =
+  let check_entry name run =
+    let w = Harness.Watchdog.create ~threads:2 () in
+    let other = Atomic.make 0 in
+    (match
+       run ~watchdog:w (fun ~tid ->
+           if tid = 0 then raise Body_failed else Atomic.incr other)
+     with
+    | () -> Alcotest.failf "%s: the body's exception was lost" name
+    | exception Body_failed -> ());
+    Alcotest.(check bool)
+      (name ^ ": other worker joined") true
+      (Atomic.get other > 0);
+    let seen = Atomic.get other in
+    Unix.sleepf 0.01;
+    Alcotest.(check int) (name ^ ": nothing still running") seen
+      (Atomic.get other);
+    (match Harness.Watchdog.start w with
+    | () -> ()
+    | exception Invalid_argument m ->
+        Alcotest.failf "%s: watchdog left running (%s)" name m);
+    ignore (Harness.Watchdog.stop w)
+  in
+  check_entry "run" (fun ~watchdog body ->
+      ignore
+        (Harness.Runner.run ~watchdog ~threads:2 ~duration:0.05
+           (fun ~tid ~rng:_ -> body ~tid)));
+  check_entry "run_fixed" (fun ~watchdog body ->
+      ignore
+        (Harness.Runner.run_fixed ~watchdog ~threads:2 ~iters:20_000
+           (fun ~tid ~rng:_ ~i:_ -> body ~tid)))
+
 (* --- Stall request validation --- *)
 
 module Fault_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
@@ -785,6 +822,8 @@ let () =
         [
           Alcotest.test_case "timed run" `Quick test_runner_counts;
           Alcotest.test_case "fixed run" `Quick test_runner_fixed;
+          Alcotest.test_case "raising body: all joined, watchdog stopped"
+            `Quick test_runner_raise_joins_all;
         ] );
       ( "stall",
         [

@@ -74,8 +74,8 @@ let test_wrap_boundary () =
 (* --- Batched entry points: the scripted single ops routed through
    push_many/pop_many as width-1 batches, so every schedule exercises
    the probe + (k+1)-entry CASN path — the 2-entry case is exactly what
-   the production substrate specializes into its flat Dcas2 descriptor —
-   against the unchanged single-op oracle. --- *)
+   the production substrate runs as a [dcas] — against the unchanged
+   single-op oracle. --- *)
 
 let test_batched_fig6 () =
   assert_ok "batched array pop/pop on 1 element"
