@@ -73,8 +73,9 @@ let make_impl (type t) ?(enroll = false) name
 (* Sharded service front ends (Core.Sharded): --shards K deques behind
    affinity routing, Spill shards so a full home overflows rather than
    rejects.  Pushes route by value (spread), pops by a shared rotating
-   key (each pop homes somewhere and steal-rebalances from the rest);
-   the left-end ops map to the urgent priority lane. *)
+   key (each pop homes somewhere and, finding its home empty, steals
+   one item from the rest); the left-end ops map to the urgent
+   priority lane. *)
 let shards_n = ref 4
 
 let sharded_impl ?(enroll = false) name (module D : Deque.Deque_intf.S) =

@@ -84,13 +84,15 @@ module Make (D : Deque_intf.S) = struct
     }
 
   (* Deadline bookkeeping: [deadline] is a per-call budget in seconds,
-     measured from the call's entry at [t0].  [None] = no deadline, and
-     then the clock is never read. *)
-  let start = function None -> 0. | Some _ -> Unix.gettimeofday ()
+     turned at the call's entry into one absolute [expiry].  [None] = no
+     deadline: the clock is never read and nothing is allocated. *)
+  let expiry_of = function
+    | None -> None
+    | Some budget -> Some (Unix.gettimeofday () +. budget)
 
-  let expired ~t0 = function
+  let expired = function
     | None -> false
-    | Some budget -> Unix.gettimeofday () -. t0 >= budget
+    | Some expiry -> Unix.gettimeofday () >= expiry
 
   (* --- push --- *)
 
@@ -155,7 +157,7 @@ module Make (D : Deque_intf.S) = struct
      The retry loops are closed recursive functions whose backoff is
      created at the first retry ([Dcas.Backoff.failed]), so a call that
      needs no retry allocates neither a closure nor a backoff record. *)
-  let rec push_from t ~t0 ~deadline ~side v attempt b : push_outcome =
+  let rec push_from t ~expiry ~side v attempt b : push_outcome =
     match push_primary t ~side v with
     | `Okay ->
         try_refill t ~side;
@@ -174,21 +176,20 @@ module Make (D : Deque_intf.S) = struct
             let budgeted =
               match t.full with Retry { max_attempts } -> max_attempts | _ -> 1
             in
-            if deadline <> None then
-              if expired ~t0 deadline then `Timeout
+            if expiry <> None then
+              if expired expiry then `Timeout
               else
                 let b = Dcas.Backoff.failed b in
-                if expired ~t0 deadline then `Timeout
-                else push_from t ~t0 ~deadline ~side v (attempt + 1) b
+                if expired expiry then `Timeout
+                else push_from t ~expiry ~side v (attempt + 1) b
             else if attempt < budgeted then
-              push_from t ~t0 ~deadline ~side v (attempt + 1)
-                (Dcas.Backoff.failed b)
+              push_from t ~expiry ~side v (attempt + 1) (Dcas.Backoff.failed b)
             else `Full)
 
   let push ?deadline t ~side v : push_outcome =
-    let t0 = start deadline in
-    if expired ~t0 deadline then `Timeout
-    else push_from t ~t0 ~deadline ~side v 1 Dcas.Backoff.idle
+    let expiry = expiry_of deadline in
+    if expired expiry then `Timeout
+    else push_from t ~expiry ~side v 1 Dcas.Backoff.idle
 
   (* --- pop --- *)
 
@@ -197,7 +198,7 @@ module Make (D : Deque_intf.S) = struct
     | `Right -> D.pop_right t.primary
     | `Left -> D.pop_left t.primary
 
-  let rec pop_from t ~t0 ~deadline ~side b : 'a pop_outcome =
+  let rec pop_from t ~expiry ~side b : 'a pop_outcome =
     match pop_primary t ~side with
     | `Value _ as got ->
         (* the pop freed one slot: prime it with a parked value *)
@@ -209,17 +210,17 @@ module Make (D : Deque_intf.S) = struct
             Atomic.decr t.parked;
             got
         | `Empty ->
-            if deadline = None then `Empty
-            else if expired ~t0 deadline then `Timeout
+            if expiry = None then `Empty
+            else if expired expiry then `Timeout
             else
               let b = Dcas.Backoff.failed b in
-              if expired ~t0 deadline then `Timeout
-              else pop_from t ~t0 ~deadline ~side b)
+              if expired expiry then `Timeout
+              else pop_from t ~expiry ~side b)
 
   let pop ?deadline t ~side : 'a pop_outcome =
-    let t0 = start deadline in
-    if expired ~t0 deadline then `Timeout
-    else pop_from t ~t0 ~deadline ~side Dcas.Backoff.idle
+    let expiry = expiry_of deadline in
+    if expired expiry then `Timeout
+    else pop_from t ~expiry ~side Dcas.Backoff.idle
 
   (* The four named operations of the deque vocabulary. *)
   let push_right ?deadline t v = push ?deadline t ~side:`Right v

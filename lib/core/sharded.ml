@@ -21,13 +21,13 @@
      shards once each — cross-shard overflow — and only then
      surfaces [`Full].
 
-   - {e steal-based rebalancing}: a pop that finds its home shard
-     empty scans the others and transfers up to [steal_batch] items
-     (one in hand at a time, so a crash can strand at most one),
-     serving the first and parking the rest on the home shard.  The
-     scan visits quarantined shards too: an in-flight push that raced
-     shard adoption may strand items on a dead shard, and the steal
-     sweep is what makes them reachable again.
+   - {e steal in place}: a pop that finds its home shard empty scans
+     the others and serves one item popped off the first non-empty
+     peer's bulk end, so a steal holds the one item any pop holds and
+     costs one deque operation.  The scan visits quarantined shards
+     too: an in-flight push that raced shard adoption may strand items
+     on a dead shard, and the steal sweep is what makes them reachable
+     again.
 
    - {e quarantine / adopt / revive}: the control plane (a supervisor
      in lib/worksteal, which this library cannot depend on) marks a
@@ -43,8 +43,8 @@
      order).
 
    The wrapper adds no atomicity: each shard operation remains a
-   linearizable operation on that shard, and a rebalancing transfer
-   is a pop on one shard followed by a push on another.  The service
+   linearizable operation on that shard, and an adoption transfer is
+   a pop on one shard followed by a push on another.  The service
    is therefore NOT linearizable to a single deque — routing and
    stealing reorder across shards by design — and is checked by
    conservation (no loss, no duplication) plus each shard's own
@@ -75,7 +75,6 @@ module Make (D : Deque_intf.S) = struct
   type 'a t = {
     shards : 'a P.t array;
     alive : bool Atomic.t array;
-    steal_batch : int;
     (* external landings and serves per shard, the only outcomes this
        layer counts; internal transfers (steals, adoption) are not
        counted, so conservation is judged on these *)
@@ -83,11 +82,10 @@ module Make (D : Deque_intf.S) = struct
     s_popped : int Atomic.t array;
     (* the limbo stash: an unbounded last-resort side list for items
        that could not be placed on any shard (every bounded shard at
-       capacity — an over-committed fault storm).  It is what lets the
-       control plane (adoption, rebalancing park-backs) terminate
-       instead of spinning; consumers drain it through [pop] once the
-       shards come up empty, and [drain] empties it, so nothing is
-       ever lost. *)
+       capacity — an over-committed fault storm).  It is what lets
+       adoption's park-backs terminate instead of spinning; consumers
+       drain it through [pop] once the shards come up empty, and
+       [drain] empties it, so nothing is ever lost. *)
     limbo : 'a list Atomic.t;
     (* per-shard end-to-end sojourn observations (enqueue to serve),
        fed by the consuming layer and read back by admission control *)
@@ -96,15 +94,11 @@ module Make (D : Deque_intf.S) = struct
 
   let name = "sharded[" ^ D.name ^ "]"
 
-  let create ?(full = Policy.Reject) ?(steal_batch = 8) ~shards ~capacity ()
-      =
+  let create ?(full = Policy.Reject) ~shards ~capacity () =
     if shards < 1 then invalid_arg "Sharded.create: shards must be >= 1";
-    if steal_batch < 1 then
-      invalid_arg "Sharded.create: steal_batch must be >= 1";
     {
       shards = Array.init shards (fun _ -> P.create ~full ~capacity ());
       alive = Array.init shards (fun _ -> Dcas.Padding.make_atomic true);
-      steal_batch;
       s_pushed = Array.init shards (fun _ -> Dcas.Padding.make_atomic 0);
       s_popped = Array.init shards (fun _ -> Dcas.Padding.make_atomic 0);
       limbo = Dcas.Padding.make_atomic [];
@@ -133,17 +127,16 @@ module Make (D : Deque_intf.S) = struct
   (* Home shard, or the next live one probing upward from it; when
      every shard is quarantined, fall back to the home shard — its
      deque is still safe storage, and a later adoption sweep or steal
-     scan recovers anything parked there. *)
-  let route t ~key =
+     scan recovers anything parked there.  The routed loops here are
+     closed top-level functions, so a call allocates no closure. *)
+  let rec probe t ~home i =
     let k = Array.length t.shards in
-    let home = shard_of t ~key in
-    let rec probe i =
-      if i >= k then home
-      else
-        let s = (home + i) mod k in
-        if Atomic.get t.alive.(s) then s else probe (i + 1)
-    in
-    probe 0
+    if i >= k then home
+    else
+      let s = (home + i) mod k in
+      if Atomic.get t.alive.(s) then s else probe t ~home (i + 1)
+
+  let route t ~key = probe t ~home:(shard_of t ~key) 0
 
   let side_of ~urgent = if urgent then `Left else `Right
 
@@ -178,6 +171,23 @@ module Make (D : Deque_intf.S) = struct
 
   (* --- push --- *)
 
+  (* Cross-shard overflow: one undeadlined attempt per live peer; the
+     home shard's policy has already done its Retry / Spill work, so a
+     second `Full here is genuine saturation. *)
+  let rec overflow t ~home ~side v i : Policy.push_outcome =
+    let k = Array.length t.shards in
+    if i >= k then `Full
+    else
+      let s = (home + i) mod k in
+      if not (Atomic.get t.alive.(s)) then overflow t ~home ~side v (i + 1)
+      else
+        match P.push t.shards.(s) ~side v with
+        | `Okay ->
+            Atomic.incr t.s_pushed.(s);
+            `Okay
+        | `Full -> overflow t ~home ~side v (i + 1)
+        | `Timeout -> assert false (* no deadline passed *)
+
   let push ?deadline ?(urgent = false) t ~key v : Policy.push_outcome =
     let side = side_of ~urgent in
     let home = route t ~key in
@@ -186,43 +196,24 @@ module Make (D : Deque_intf.S) = struct
         Atomic.incr t.s_pushed.(home);
         `Okay
     | `Timeout -> `Timeout
-    | `Full ->
-        (* cross-shard overflow: one undeadlined attempt per live
-           peer; the home shard's policy has already done its Retry /
-           Spill work, so a second `Full here is genuine saturation *)
-        let k = Array.length t.shards in
-        let rec overflow i =
-          if i >= k then `Full
-          else
-            let s = (home + i) mod k in
-            if not (Atomic.get t.alive.(s)) then overflow (i + 1)
-            else
-              match P.push t.shards.(s) ~side v with
-              | `Okay ->
-                  Atomic.incr t.s_pushed.(s);
-                  `Okay
-              | `Full -> overflow (i + 1)
-              | `Timeout -> assert false (* no deadline passed *)
-        in
-        overflow 1
+    | `Full -> overflow t ~home ~side v 1
 
-  (* --- rebalancing --- *)
+  (* --- adoption park-back --- *)
 
   (* Park a value somewhere, never losing it AND never spinning:
-     round-robin over the live shards for a bounded number of sweeps,
-     then escape to the limbo stash.  Reached only when a moved item's
-     target filled up concurrently; with Spill shards (the soak
-     configuration) or unbounded shards it lands on the first attempt.
-     The bound matters: this runs on control-plane paths (adoption,
-     steal park-backs), and the system can be genuinely over-committed
-     — a racing push that routed before a quarantine can land in the
-     very slot an adoption's drain just freed, leaving one more item
-     than the bounded shards have slots.  No amount of re-placing
+     round-robin over the live shards' bulk (right) ends for a bounded
+     number of sweeps, then escape to the limbo stash.  Only adoption
+     calls it, for an item whose park-back on the source shard found
+     the freed slot taken.  The bound matters: adoption runs on the
+     control plane, and the system can be genuinely over-committed — a
+     racing push that routed before a quarantine can land in the very
+     slot an adoption's drain just freed, leaving one more item than
+     the bounded shards have slots.  No amount of re-placing
      terminates then; the model checker's step-limit hunts are what
      forced the escape hatch. *)
   let place_sweeps = 3
 
-  let place t ~start ~side v =
+  let place t ~start v =
     let k = Array.length t.shards in
     let backoff = Dcas.Backoff.create () in
     let rec go i =
@@ -231,7 +222,7 @@ module Make (D : Deque_intf.S) = struct
         let s = (start + i) mod k in
         let ok =
           Atomic.get t.alive.(s)
-          && match P.push t.shards.(s) ~side v with
+          && match P.push t.shards.(s) ~side:`Right v with
              | `Okay -> true
              | `Full | `Timeout -> false
         in
@@ -242,99 +233,69 @@ module Make (D : Deque_intf.S) = struct
     in
     go 0
 
-  (* Transfer up to [budget] items from [victim] to [home], one in
-     hand at a time (a crash mid-transfer strands at most one item,
-     which supervision writes off like any other in-flight op).  Items
-     are taken from the victim's bulk (right) end and parked on the
-     home's right, so urgent left-end traffic never reorders. *)
-  let rebalance t ~home ~victim ~budget =
-    let rec go moved =
-      if moved >= budget then moved
-      else
-        match P.pop t.shards.(victim) ~side:`Right with
-        | `Empty | `Timeout -> moved
-        | `Value v -> (
-            match P.push t.shards.(home) ~side:`Right v with
-            | `Okay -> go (moved + 1)
-            | `Full | `Timeout ->
-                (* home filled concurrently: put the item back where
-                   it came from and stop pulling *)
-                place t ~start:victim ~side:`Right v;
-                moved
-            )
-    in
-    go 0
-
   (* --- pop --- *)
 
-  (* Steals always take from the victim's bulk (right) end, whatever
-     end the caller is serving: the victim's urgent traffic keeps its
-     left end, and a starving urgent consumer would rather have a bulk
-     item than none. *)
-  let try_steal t ~home =
+  (* Steal in place: serve one item popped off the first non-empty
+     peer's bulk (right) end, credited to that peer.  Steals take the
+     right end whatever end the caller serves: the victim's urgent
+     traffic keeps its left end, and a starving urgent consumer would
+     rather have a bulk item than none.  Every other shard is visited,
+     quarantined ones included: stragglers from a push that raced
+     adoption are only reachable here. *)
+  let rec steal t ~home i =
     let k = Array.length t.shards in
-    (* visit every other shard, quarantined ones included: stragglers
-       from a push that raced adoption are only reachable here *)
-    let rec scan i =
-      if i >= k then `Empty
-      else
-        let victim = (home + i) mod k in
-        match P.pop t.shards.(victim) ~side:`Right with
-        | `Value v ->
-            Atomic.incr t.s_popped.(victim);
-            if t.steal_batch > 1 then
-              ignore (rebalance t ~home ~victim ~budget:(t.steal_batch - 1));
-            `Value v
-        | `Empty | `Timeout -> scan (i + 1)
-    in
-    scan 1
+    if i >= k then `Empty
+    else
+      let victim = (home + i) mod k in
+      match P.pop t.shards.(victim) ~side:`Right with
+      | `Value _ as got ->
+          Atomic.incr t.s_popped.(victim);
+          got
+      | `Empty | `Timeout -> steal t ~home (i + 1)
+
+  (* One routed attempt: the home shard, the steal scan, then the limbo
+     stash (items parked there when every shard was full), credited to
+     the server's home.  A hit is the deque's own [`Value] block. *)
+  let attempt t ~home ~side : 'a Policy.pop_outcome =
+    match P.pop t.shards.(home) ~side with
+    | `Value _ as got ->
+        Atomic.incr t.s_popped.(home);
+        got
+    | `Timeout -> `Timeout
+    | `Empty -> (
+        match steal t ~home 1 with
+        | `Value _ as got -> got
+        | `Empty -> (
+            match limbo_take t with
+            | Some v ->
+                Atomic.incr t.s_popped.(home);
+                `Value v
+            | None -> `Empty))
+
+  (* The deadline budgets the whole routed operation (home + steal
+     scan + stash), retried with backoff until something turns up.
+     Budget exhaustion with only no-finds surfaces as [`Empty], not
+     [`Timeout]: every attempt walked all shards and the limbo stash,
+     so the no-find is certified — and consumers' quiescence
+     certificates (full no-find scans) must keep flowing even when
+     every pop carries a deadline, or a stranded pending unit could
+     never be reconciled. *)
+  let rec attempt_until t ~home ~side ~expiry b : 'a Policy.pop_outcome =
+    match attempt t ~home ~side with
+    | (`Value _ | `Timeout) as got -> got
+    | `Empty ->
+        if Unix.gettimeofday () >= expiry then `Empty
+        else attempt_until t ~home ~side ~expiry (Dcas.Backoff.failed b)
 
   let pop ?deadline ?(urgent = false) t ~key : 'a Policy.pop_outcome =
     let side = side_of ~urgent in
     let home = route t ~key in
-    let attempt () =
-      match P.pop t.shards.(home) ~side with
-      | `Value v ->
-          Atomic.incr t.s_popped.(home);
-          `Value v
-      | `Empty -> (
-          match try_steal t ~home with
-          | `Value _ as hit -> hit
-          | `Empty -> (
-              (* last resort: the limbo stash (items parked there when
-                 every shard was full), credited to the server's home *)
-              match limbo_take t with
-              | Some v ->
-                  Atomic.incr t.s_popped.(home);
-                  `Value v
-              | None -> `Empty))
-      | `Timeout -> `Timeout
-    in
     match deadline with
-    | None -> (attempt () :> 'a Policy.pop_outcome)
+    | None -> attempt t ~home ~side
     | Some budget ->
-        (* the deadline budgets the whole routed operation (home +
-           steal scan), retried with backoff until something turns up.
-           Budget exhaustion with only no-finds surfaces as [`Empty],
-           not [`Timeout]: every attempt walked all shards and the
-           limbo stash, so the no-find is certified — and consumers'
-           quiescence certificates (full no-find scans) must keep
-           flowing even when every pop carries a deadline, or a
-           stranded pending unit could never be reconciled. *)
-        let t0 = Unix.gettimeofday () in
-        let backoff = Dcas.Backoff.create () in
-        let rec go () =
-          match attempt () with
-          | `Value v -> `Value v
-          | `Timeout -> `Timeout
-          | `Empty ->
-              if Unix.gettimeofday () -. t0 >= budget then `Empty
-              else begin
-                Dcas.Backoff.once backoff;
-                go ()
-              end
-        in
-        go ()
+        attempt_until t ~home ~side
+          ~expiry:(Unix.gettimeofday () +. budget)
+          Dcas.Backoff.idle
 
   (* --- quarantine / adoption --- *)
 
@@ -394,7 +355,7 @@ module Make (D : Deque_intf.S) = struct
                      shards have slots — [place]'s bounded sweeps and
                      limbo escape keep the control plane from spinning
                      on it *)
-                  place t ~start:((shard + 1) mod k) ~side:`Right v);
+                  place t ~start:((shard + 1) mod k) v);
               n
             end
       in

@@ -5,7 +5,7 @@
     Each shard is a {!Policy.Make} wrapper, so deadlines surface as
     [`Timeout] and full shards degrade per the configured
     {!Policy.full_policy} before the router adds cross-shard overflow
-    (pushes) and steal-based rebalancing (pops) on top.  Urgent
+    (pushes) and stealing (pops) on top.  Urgent
     operations use the left end, bulk ones the right — the
     double-ended priority usage of Fatourou et al. (PAPERS.md).
 
@@ -37,17 +37,11 @@ module Make (D : Deque_intf.S) : sig
   val name : string
 
   val create :
-    ?full:Policy.full_policy ->
-    ?steal_batch:int ->
-    shards:int ->
-    capacity:int ->
-    unit ->
-    'a t
+    ?full:Policy.full_policy -> shards:int -> capacity:int -> unit -> 'a t
   (** [full] (default {!Policy.Reject}) and [capacity] configure every
-      shard's policy wrapper; [steal_batch] (default 8) bounds how many
-      items one rebalancing pop may transfer.
+      shard's policy wrapper.
 
-      @raise Invalid_argument if [shards < 1] or [steal_batch < 1]. *)
+      @raise Invalid_argument if [shards < 1]. *)
 
   val shards : 'a t -> int
 
@@ -92,11 +86,12 @@ module Make (D : Deque_intf.S) : sig
     'a Policy.pop_outcome
   (** Pop for [key]: urgent serves the left end (urgent entries first,
       then the oldest bulk), bulk serves the right (newest bulk).  An
-      empty home shard triggers a steal scan that transfers up to
-      [steal_batch] items from the first non-empty peer — quarantined
-      shards included, which is how items stranded by a crash stay
-      reachable — serving one and parking the rest on the home shard;
-      a fully empty scan checks the limbo stash last.  With a
+      empty home shard triggers a steal scan that serves one item
+      popped off the first non-empty peer's bulk end, credited to that
+      peer — quarantined shards included, which is how items stranded
+      by a crash stay reachable; a fully empty scan checks the limbo
+      stash last.  Without a deadline the routed call allocates
+      nothing beyond what the deque operations it reaches allocate.  With a
       [deadline], the whole routed operation (home + scan + stash)
       retries with backoff until the budget is spent; exhausting the
       budget on no-finds returns [`Empty] (a certified full no-find
@@ -127,9 +122,9 @@ module Make (D : Deque_intf.S) : sig
 
   val limbo_list : 'a t -> 'a list
   (** Quiescent-only inspection: items currently parked in the limbo
-      stash — the unbounded last-resort side list used by adoption and
-      rebalancing park-backs when every bounded shard is at capacity,
-      so the control plane terminates instead of spinning.  Pops drain
+      stash — the unbounded last-resort side list used by adoption's
+      park-backs when every bounded shard is at capacity, so the
+      control plane terminates instead of spinning.  Pops drain
       it (after the steal scan) and {!drain} empties it; normally
       empty. *)
 

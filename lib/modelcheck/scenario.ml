@@ -229,7 +229,7 @@ let greenwald_v2 ?(setup = []) ~name ~length ~prefill threads =
 
 (* The sharded service front end over model-memory array deques: K
    policy-wrapped shards behind affinity routing, cross-shard overflow
-   and steal rebalancing (Core.Sharded, experiment E24).  The
+   and stealing (Core.Sharded, experiment E24).  The
    composite is NOT linearizable to a single deque — explore it with
    [check:`None] — so its obligations here are per-step:
 
@@ -241,10 +241,9 @@ let greenwald_v2 ?(setup = []) ~name ~length ~prefill threads =
    and end-to-end: [Explorer.check_crash] drains through the sharded
    pop (whose steal sweep reaches every shard, quarantined included)
    and checks exact multiset conservation around the victim's single
-   in-flight operation.  [steal_batch] defaults to 1 so any operation
-   holds at most one item in hand — the same bound check_crash's
-   crash-commit uncertainty accounts for; raise it to explore batched
-   rebalancing races under [explore] (but not under [check_crash]).
+   in-flight operation.  Every steal holds one item in hand, the one
+   it serves, as any pop does — the bound check_crash's crash-commit
+   uncertainty accounts for.
 
    Pushes route by their own value (distinct values spread over the
    shards deterministically); pops route by key 0, so an empty home
@@ -270,16 +269,15 @@ let greenwald_v2 ?(setup = []) ~name ~length ~prefill threads =
    the no-duplicate obligation misfires. *)
 module Sharded_model = Deque.Sharded.Make (Array_model)
 
-let sharded ?(shards = 2) ?(capacity = 2) ?(steal_batch = 1)
-    ?(adopt_token = min_int) ?(shed_token = min_int + 1)
-    ?(fence_adoption = true) ~name ~prefill threads =
+let sharded ?(shards = 2) ?(capacity = 2) ?(adopt_token = min_int)
+    ?(shed_token = min_int + 1) ?(fence_adoption = true) ~name ~prefill
+    threads =
   if adopt_token = shed_token then
     invalid_arg "Scenario.sharded: adopt_token = shed_token";
   build ~name ~capacity:None ~prefill ~setup:[] ~threads
     ~make_instance:(fun () ->
       let t =
-        Sharded_model.create ~full:Deque.Policy.Reject ~steal_batch ~shards
-          ~capacity ()
+        Sharded_model.create ~full:Deque.Policy.Reject ~shards ~capacity ()
       in
       let sheds = ref [] in
       let res_of_push = function

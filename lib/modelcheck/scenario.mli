@@ -152,7 +152,6 @@ val st_deque_buggy :
 val sharded :
   ?shards:int ->
   ?capacity:int ->
-  ?steal_batch:int ->
   ?adopt_token:int ->
   ?shed_token:int ->
   ?fence_adoption:bool ->
@@ -163,15 +162,15 @@ val sharded :
 (** The sharded service front end ({!Deque.Sharded}, experiments
     E24/E25) over model-memory array deques: [shards] Reject-policy
     shards of [capacity] each behind affinity routing, cross-shard
-    push overflow and steal-based pop rebalancing.  The composite is
-    {e not} linearizable to one deque — explore with [check:`None];
-    its obligations are the per-step invariant (every shard's
+    push overflow and pop stealing.  The composite is {e not}
+    linearizable to one deque — explore with [check:`None]; its
+    obligations are the per-step invariant (every shard's
     representation invariant, no value resident twice across the
     service, no shed value resident or shed twice) plus
     {!Explorer.check_crash}'s drain-and-conserve check, whose
-    single-in-flight-item accounting the default [steal_batch = 1]
-    matches.  Pushes route by their own value, pops by key 0 (so an
-    empty home shard exercises the steal scan).
+    single-in-flight-item accounting matches a steal: it holds one
+    item in hand, the one it serves.  Pushes route by their own value,
+    pops by key 0 (so an empty home shard exercises the steal scan).
 
     Pushing [adopt_token] (default: disabled) instead quarantines,
     adopts and revives the token's home shard — the control-plane

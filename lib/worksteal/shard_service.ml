@@ -2,7 +2,7 @@
    (experiment E24).
 
    [Core.Sharded] is the data plane: K policy-wrapped deques behind
-   affinity routing, cross-shard overflow and steal rebalancing.  This
+   affinity routing, cross-shard overflow and stealing.  This
    module is the control plane that turns it into a service that
    survives fail-stop faults: M producer domains inject keyed traffic
    (open-loop token bucket or closed loop), N consumer domains drain

@@ -58,8 +58,8 @@ type config = {
 
 val default : config
 (** 4 shards, 2+2 workers, Spill shards, closed loop, 10% urgent.
-    Routing keys are drawn from [\[0, 1024)], and rebalancing moves at
-    most {!Deque.Sharded.Make.create}'s default batch of 8 items. *)
+    Routing keys are drawn from [\[0, 1024)]; a consumer whose home
+    shard is empty steals one item in place. *)
 
 val validate : config -> unit
 (** @raise Invalid_argument on non-positive counts, [urgent_share]

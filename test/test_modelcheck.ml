@@ -434,8 +434,8 @@ let test_sharded_adoption_bounded () =
 (* Crash-fault conservation: kill the popping thread at every reachable
    step count; survivors (including the adoption control plane) must
    complete and a full drain must balance the committed operations.
-   The default steal_batch = 1 keeps at most one item in any thread's
-   hand, matching check_crash's single-in-flight-item uncertainty. *)
+   A steal holds one item in hand, the one it serves, matching
+   check_crash's single-in-flight-item uncertainty. *)
 let test_sharded_crash_conserves () =
   match
     Modelcheck.Explorer.check_crash (sharded_adoption_scenario ()) ~victim:1

@@ -1,9 +1,9 @@
 (* The sharded service front end (Core.Sharded + Worksteal.Shard_service,
    experiment E24): routing determinism, priority lanes, cross-shard
-   overflow, steal rebalancing, quarantine/adoption, and — the
-   robustness core — service-wide conservation under multi-domain
-   crash storms and a frozen-shard survivor-progress check mirroring
-   E19's empirical lock-freedom suite. *)
+   overflow, stealing, quarantine/adoption, the routed path's
+   allocation, and — the robustness core — service-wide conservation
+   under multi-domain crash storms and a frozen-shard survivor-progress
+   check mirroring E19's empirical lock-freedom suite. *)
 
 module Sharded = Deque.Sharded
 module Sh = Deque.Sharded.Make (Deque.Array_deque.Lockfree)
@@ -114,7 +114,7 @@ let test_priority_lanes () =
   | `Value v -> Alcotest.(check int) "bulk pop takes newest" 3 v
   | `Empty | `Timeout -> Alcotest.fail "unexpected empty"
 
-(* --- cross-shard overflow and steal rebalancing --- *)
+(* --- cross-shard overflow and stealing --- *)
 
 let test_cross_shard_overflow () =
   let t = Sh.create ~shards:2 ~capacity:2 () in
@@ -136,23 +136,25 @@ let test_cross_shard_overflow () =
   Alcotest.(check int) "all four conserved" 4
     (List.length (Sh.drain t))
 
+(* The first key from 1 up whose home is not [shard]. *)
+let key_off t ~shard =
+  let rec find k = if Sh.shard_of t ~key:k <> shard then k else find (k + 1) in
+  find 1
+
+(* A steal serves one item popped off the victim in place: nothing is
+   parked on the popping key's home. *)
 let test_steal_rebalancing () =
-  let t = Sh.create ~shards:4 ~capacity:64 ~steal_batch:4 () in
+  let t = Sh.create ~shards:4 ~capacity:64 () in
   (* load one shard through its own key, then pop through a key homed
      elsewhere: the empty home must steal from the loaded victim *)
   let loaded_key = 0 in
-  let home = Sh.shard_of t ~key:loaded_key in
+  let victim = Sh.shard_of t ~key:loaded_key in
   for i = 1 to 12 do
     ignore (Sh.push t ~key:loaded_key i)
   done;
-  let other_key =
-    let rec find k =
-      if Sh.shard_of t ~key:k <> home then k else find (k + 1)
-    in
-    find 1
-  in
+  let other_key = key_off t ~shard:victim in
   (match Sh.pop t ~key:other_key with
-  | `Value _ -> ()
+  | `Value v -> Alcotest.(check int) "the victim's newest bulk item" 12 v
   | `Empty | `Timeout -> Alcotest.fail "steal scan found nothing");
   let s = Sh.stats t in
   let resident i =
@@ -160,11 +162,76 @@ let test_steal_rebalancing () =
       (Deque.Array_deque.Lockfree.unsafe_to_list (Sh.P.primary (Sh.shard t i)))
   in
   Alcotest.(check int) "the steal is the victim's serve" 1
-    s.Sharded.per_shard_popped.(home);
-  Alcotest.(check int) "batch moved extra items home" 3
+    s.Sharded.per_shard_popped.(victim);
+  Alcotest.(check int) "the victim still holds the rest" 11 (resident victim);
+  Alcotest.(check int) "nothing parked on the popping key's home" 0
     (resident (Sh.shard_of t ~key:other_key));
   Alcotest.(check int) "every item still present" 11
     (List.length (Sh.drain t))
+
+(* The routed path allocates nothing on top of the deque it reaches: a
+   push costs what the bare deque's [push_right] costs, a pop served
+   at home costs its [pop_left], a steal the victim's [pop_right] (the
+   empty pops on the way cost nothing), and a pop over four empty
+   shards costs nothing.  The bare deque is measured here beside the
+   routed calls, so the pin holds whatever the DCAS layer underneath
+   allocates. *)
+let test_routed_allocation () =
+  let module A = Deque.Array_deque.Lockfree in
+  let n = 10_000 in
+  let calls = n + 30 in
+  (* words per call: the slope between [n + 10] calls and 10, after a
+     warm-up of 10, since [Gc.minor_words] boxes its own result *)
+  let per_call f =
+    let delta k =
+      let before = Gc.minor_words () in
+      for _ = 1 to k do
+        f ()
+      done;
+      Gc.minor_words () -. before
+    in
+    ignore (delta 10);
+    let small = delta 10 in
+    (delta (n + 10) -. small) /. float_of_int n
+  in
+  let pushed = function
+    | `Okay -> ()
+    | `Full | `Timeout -> Alcotest.fail "push refused"
+  in
+  let served = function
+    | `Value _ -> ()
+    | `Empty | `Timeout -> Alcotest.fail "pop found nothing"
+  in
+  let fill push =
+    for _ = 1 to calls do
+      pushed (push ())
+    done
+  in
+  let d = A.create ~capacity:calls () in
+  let t = Sh.create ~full:Deque.Policy.Reject ~shards:4 ~capacity:calls () in
+  let key = 0 in
+  let thief = key_off t ~shard:(Sh.shard_of t ~key) in
+  let push_right = per_call (fun () -> pushed (A.push_right d 1)) in
+  let routed_push = per_call (fun () -> pushed (Sh.push t ~key 1)) in
+  Alcotest.(check (float 0.)) "push: the deque's push_right, nothing more"
+    push_right routed_push;
+  let pop_left = per_call (fun () -> served (A.pop_left d)) in
+  let home_hit = per_call (fun () -> served (Sh.pop ~urgent:true t ~key)) in
+  Alcotest.(check (float 0.)) "home-hit urgent pop: the deque's pop_left"
+    pop_left home_hit;
+  fill (fun () -> A.push_right d 1);
+  fill (fun () -> Sh.push t ~key 1);
+  let pop_right = per_call (fun () -> served (A.pop_right d)) in
+  let steal = per_call (fun () -> served (Sh.pop ~urgent:true t ~key:thief)) in
+  Alcotest.(check (float 0.)) "stealing pop: the victim's pop_right" pop_right
+    steal;
+  let empty =
+    per_call (fun () ->
+        match Sh.pop ~urgent:true t ~key with
+        | `Empty -> ()
+        | `Value _ | `Timeout -> Alcotest.fail "pop of an empty service")
+  in
+  Alcotest.(check (float 0.)) "pop over four empty shards" 0. empty
 
 let test_adoption () =
   let t = Sh.create ~shards:3 ~capacity:32 () in
@@ -549,6 +616,8 @@ let () =
           Alcotest.test_case "quarantine and adoption" `Quick
             test_adoption;
           Alcotest.test_case "p99 sojourn admission" `Quick test_admission;
+          Alcotest.test_case "routed path allocates only the deque's words"
+            `Quick test_routed_allocation;
         ] );
       ( "supervised service",
         [
