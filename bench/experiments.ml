@@ -1272,7 +1272,7 @@ let e16 ~quick =
      Caveat: bounded exploration (2-3 threads, small windows), not a proof"
 
 (* ------------------------------------------------------------------ *)
-(* E21: allocation-lean DCAS2 fast path and batched transfers          *)
+(* E21: allocation-lean DCAS2 fast path                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Minor-heap words allocated per iteration of [f] on the calling
@@ -1286,16 +1286,15 @@ let minor_words_per_op ~n f =
   (Gc.minor_words () -. w0) /. float_of_int n
 
 let e21 ~quick =
-  header "E21 allocation-lean DCAS2 and batched transfers";
+  header "E21 allocation-lean DCAS2";
   let module M = Dcas.Mem_lockfree in
-  let module A = Deque.Array_deque.Lockfree in
   let finite f = if Float.is_finite f then f else 0. in
-  (* --- Section A: the two-location slow path, single domain,
-     uncontended.  "write" changes both words (the shape of a
-     successful push/pop); "half" changes one and keeps the other,
-     whose release value elision reinstalls; "confirm" is a no-op on
-     both (the shape of the empty/full boundary confirmations), which
-     the read-only path answers without a descriptor. *)
+  (* The two-location slow path, single domain, uncontended.  "write"
+     changes both words (the shape of a successful push/pop); "half"
+     changes one and keeps the other, whose release value elision
+     reinstalls; "confirm" is a no-op on both (the shape of the
+     empty/full boundary confirmations), which the read-only path
+     answers without a descriptor. *)
   let quota = if quick then 0.2 else 0.4 in
   let n_alloc = cnt ~quick 100_000 in
   let a = M.make 0 and b = M.make 0 in
@@ -1359,136 +1358,15 @@ let e21 ~quick =
     "uncontended successful DCAS on two int locations; 'half' keeps one\n\
      location, whose original block value elision reinstalls; 'confirm'\n\
      is the no-op shape of the deques' boundary checks, answered from\n\
-     three reads with no descriptor";
-  (* --- Section B: symmetric batch traffic over one array deque,
-     2 domains, batch sizes 1/4/16.  Each domain pushes a k-batch onto
-     its end and pops a k-batch off the other end (tid 0
-     right-in/left-out, tid 1 left-in/right-out), so a domain running
-     alone still makes progress — on few-core hosts a dedicated
-     producer/consumer pair degenerates into spinning at the
-     full/empty boundary for whole scheduler quanta, which measures the
-     scheduler and not the deque.  Latency is recorded per group of
-     ~2x64 items and divided down (gettimeofday cannot time one
-     sub-microsecond op; same device as E7b), into one shared
-     histogram.  Conservation is exact: every item pushed is either
-     popped or still in the deque.  A k=1 batch is a two-entry CASN,
-     which is a [dcas]; wider batches build the generic descriptor. *)
-  let duration = dur ~quick 0.4 in
-  let capacity = 256 in
-  let batch_rows =
-    List.map
-      (fun k ->
-        let d = A.make ~length:capacity () in
-        let batch = List.init k (fun i -> i) in
-        let pushed = Dcas.Padding.make_atomic 0 in
-        let popped = Dcas.Padding.make_atomic 0 in
-        let hist = Dcas.Histogram.create () in
-        let group = max 1 (64 / k) in
-        let r =
-          Harness.Runner.run ~threads:2 ~duration (fun ~tid ~rng:_ ->
-              let t0 = Harness.Metrics.now () in
-              let got_in = ref 0 and got_out = ref 0 in
-              if tid = 0 then
-                for _ = 1 to group do
-                  got_in := !got_in + A.push_many_right d batch;
-                  got_out := !got_out + List.length (A.pop_many_left d k)
-                done
-              else
-                for _ = 1 to group do
-                  got_in := !got_in + A.push_many_left d batch;
-                  got_out := !got_out + List.length (A.pop_many_right d k)
-                done;
-              let dt_ns = (Harness.Metrics.now () -. t0) *. 1e9 in
-              let moved = !got_in + !got_out in
-              if moved > 0 then
-                Dcas.Histogram.record hist
-                  (int_of_float (dt_ns /. float_of_int moved));
-              ignore (Atomic.fetch_and_add pushed !got_in);
-              ignore (Atomic.fetch_and_add popped !got_out))
-        in
-        let rec drain acc =
-          match A.pop_many_left d capacity with
-          | [] -> acc
-          | l -> drain (acc + List.length l)
-        in
-        let remaining = drain 0 in
-        let pushed = Atomic.get pushed and popped = Atomic.get popped in
-        let tp = float_of_int (pushed + popped) /. r.Harness.Runner.elapsed in
-        let p50 = Dcas.Histogram.quantile hist 0.5 in
-        let p99 = Dcas.Histogram.quantile hist 0.99 in
-        (* allocation per item, measured quiescently on one domain
-           (minor words are per-domain counters) *)
-        let mw =
-          let d2 = A.make ~length:capacity () in
-          let cycles = max 1 (cnt ~quick 40_000 / k) in
-          minor_words_per_op ~n:cycles (fun () ->
-              ignore (A.push_many_right d2 batch);
-              ignore (A.pop_many_left d2 k))
-          /. float_of_int (2 * k)
-        in
-        emit_json
-          (Harness.Json.Obj
-             [
-               ("experiment", Harness.Json.String "e21");
-               ("section", Harness.Json.String "batch");
-               ("k", Harness.Json.Int k);
-               ("domains", Harness.Json.Int 2);
-               ("ops_per_sec", Harness.Json.Float tp);
-               ("p50_ns", Harness.Json.Float p50);
-               ("p99_ns", Harness.Json.Float p99);
-               ("minor_words_per_op", Harness.Json.Float mw);
-               ("pushed", Harness.Json.Int pushed);
-               ("popped", Harness.Json.Int popped);
-               ("remaining", Harness.Json.Int remaining);
-             ]);
-        [
-          string_of_int k;
-          fmt_tp tp;
-          fmt_q p50;
-          fmt_q p99;
-          Printf.sprintf "%.1f" mw;
-          (if pushed = popped + remaining then "ok"
-           else Printf.sprintf "VIOLATED %d<>%d+%d" pushed popped remaining);
-        ])
-      [ 1; 4; 16 ]
-  in
-  Harness.Table.print
-    ~headers:
-      [
-        "batch k"; "items/s"; "p50/item"; "p99/item"; "minor w/item"; "conserved";
-      ]
-    batch_rows;
-  note
-    "2 domains, each pushing k-batches onto its end and popping k-batches\n\
-     off the other (capacity 256); a k-item batch moves the end index by\n\
-     k in one (k+1)-entry CASN, so the descriptor, helping and index\n\
-     traffic amortize over the batch"
+     three reads with no descriptor"
 
 (* ------------------------------------------------------------------ *)
 (* E22: crash-fault tolerance — kill k of n supervised workers         *)
 (* ------------------------------------------------------------------ *)
 
-module Crash_array = Deque.Array_deque.Make_batched (Fault_mem)
-
-module Crash_adapter : Worksteal.Worksteal_intf.WORKSTEAL_DEQUE = struct
-  type 'a t = 'a Crash_array.t
-
-  let name = "array-deque+crash"
-  let create ~capacity () = Crash_array.make ~length:capacity ()
-
-  let push d v =
-    match Crash_array.push_right d v with `Okay -> true | `Full -> false
-
-  let pop d =
-    match Crash_array.pop_right d with `Value v -> Some v | `Empty -> None
-
-  let steal d =
-    match Crash_array.pop_left d with `Value v -> Some v | `Empty -> None
-
-  let steal_batch d ~max = Crash_array.pop_many_left d max
-end
-
-module Crash_sched = Worksteal.Scheduler.Make (Crash_adapter)
+module Crash_sched =
+  Worksteal.Scheduler.Make
+    (Worksteal.Scheduler.Restrict (Deque.Array_deque.Make (Fault_mem)))
 
 let e22 ~quick =
   header "E22 crash-fault tolerance: kill k of n supervised workers";
@@ -1496,7 +1374,6 @@ let e22 ~quick =
   let degree = 3 in
   let leaves = int_of_float (float_of_int degree ** float_of_int depth) in
   let kill_depth = depth - 2 in
-  let steal_batch = 8 in
   (* One supervised run over the crash-instrumented array deque; the
      caller arms the deaths (targeted tickets or a probabilistic
      storm) via [arm], which receives the worker count. *)
@@ -1520,8 +1397,7 @@ let e22 ~quick =
     let wd = Harness.Watchdog.create ~threads:workers ~stall_after:30. () in
     let t0 = Unix.gettimeofday () in
     let r =
-      Crash_sched.run_supervised ~steal_batch ~workers ~capacity:512
-        ~watchdog:wd root
+      Crash_sched.run_supervised ~workers ~capacity:512 ~watchdog:wd root
     in
     let dt = Unix.gettimeofday () -. t0 in
     Harness.Crash.disarm ();
@@ -1545,7 +1421,6 @@ let e22 ~quick =
            ("adopted", Harness.Json.Int r.adopted);
            ("reconciled", Harness.Json.Int r.reconciled);
            ("replacements", Harness.Json.Int r.replacements);
-           ("steal_batch", Harness.Json.Int steal_batch);
            ("leaves", Harness.Json.Int leaves);
            ("leaves_seen", Harness.Json.Int leaves_seen);
            ("orphans_helped", Harness.Json.Int r.orphans_helped);
@@ -2290,11 +2165,7 @@ let all : experiment list =
     { id = "e15"; title = "substrate scaling sweep"; run = e15 };
     { id = "e16"; title = "GC assumption probe"; run = e16 };
     { id = "e17"; title = "3-word CAS extension"; run = e17 };
-    {
-      id = "e21";
-      title = "DCAS2 fast path + batched transfers: latency/alloc";
-      run = e21;
-    };
+    { id = "e21"; title = "DCAS2 fast path: latency/alloc"; run = e21 };
     {
       id = "e22";
       title = "crash-fault tolerance: kill k of n supervised workers";

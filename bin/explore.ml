@@ -75,14 +75,6 @@ let scenario_of ~algo ~length ~prefill ~setup ~chaos_fail ~chaos_freeze
       Ok
         (Modelcheck.Scenario.array_deque ~hints:false ~name:"cli" ~length
            ~prefill ~setup threads)
-  | "array-batched" ->
-      Ok
-        (Modelcheck.Scenario.array_deque_batched ~name:"cli" ~length ~prefill
-           ~setup threads)
-  | "list-batched" ->
-      Ok
-        (Modelcheck.Scenario.list_deque_batched ~name:"cli" ~prefill ~setup
-           threads)
   | "list" ->
       Ok (Modelcheck.Scenario.list_deque ~name:"cli" ~prefill ~setup threads)
   | "list-recycle" ->
@@ -257,9 +249,8 @@ let algo =
     & opt string "array"
     & info [ "algo"; "a" ] ~docv:"ALGO"
         ~doc:
-          "Algorithm: array, array-no-hints, array-batched (ops as width-1 \
-           batches), list, list-recycle, list-batched, dummy, 3cas, \
-           greenwald1, greenwald2, st (Sundell-Tsigas single-word CAS), \
+          "Algorithm: array, array-no-hints, list, list-recycle, dummy, \
+           3cas, greenwald1, greenwald2, st (Sundell-Tsigas single-word CAS), \
            list-broken, st-broken (deliberately buggy), list-chaos, st-chaos \
            (fault injection), sharded (K-shard service front end; \
            invariant-checked, not linearizability-checked), sharded-nofence \

@@ -22,7 +22,6 @@
    DCAS, as the paper notes at the end of Section 3. *)
 
 module type ALGORITHM = Array_deque_intf.ALGORITHM
-module type BATCHED = Array_deque_intf.BATCHED
 
 module Make (M : Dcas.Memory_intf.MEMORY) = struct
   type 'a cell = Null | Item of 'a
@@ -246,210 +245,8 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     end
 end
 
-(* Batched operations over a CASN-capable memory: a k-item batch moves
-   the end index by k and fills/empties k cells in ONE (k+1)-entry CASN
-   — all-or-nothing, so an accepted batch linearizes as k consecutive
-   single operations at the CASN's decision point.  A short batch
-   (fewer than asked) additionally certifies the boundary: the CASN
-   carries a no-op entry on the blocking cell (the paper's
-   confirm-by-DCAS idea from Figures 2/3 lifted to N entries), so
-   "only j fit" means the deque really was full/empty once the j
-   transfers took effect.  The probe phase only reads; every cell it
-   saw is revalidated by the CASN, so a stale probe just retries. *)
-module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
-  include Make (M)
-
-  let push_many_right t vs =
-    match vs with
-    | [] -> 0
-    | _ ->
-        let vals = Array.of_list vs in
-        let k = Array.length vals in
-        let n = t.length in
-        let limit = min k n in
-        let b = Dcas.Backoff.create () in
-        let rec loop () =
-          let old_r = M.get t.r in
-          let rec probe j =
-            if j >= limit then (j, None)
-            else
-              match M.get t.s.((old_r + j) %% n) with
-              | Null -> probe (j + 1)
-              | Item _ as c -> (j, Some c)
-          in
-          match probe 0 with
-          | 0, Some c0 ->
-              (* possibly full: confirm the (index, item cell) pair
-                 atomically, exactly as the single push does *)
-              if M.dcas t.r t.s.(old_r) old_r c0 old_r c0 then 0
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
-          | 0, None -> assert false (* limit >= 1 *)
-          | j, blocker ->
-              let entries = ref [ M.Cass (t.r, old_r, (old_r + j) %% n) ] in
-              for i = j - 1 downto 0 do
-                entries :=
-                  M.Cass (t.s.((old_r + i) %% n), Null, Item vals.(i))
-                  :: !entries
-              done;
-              (* [blocker <> None] implies j < k: the no-op entry makes
-                 the CASN certify fullness after the j accepted items *)
-              (match blocker with
-              | Some c ->
-                  entries := M.Cass (t.s.((old_r + j) %% n), c, c) :: !entries
-              | None -> ());
-              if M.casn !entries then j
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
-        in
-        loop ()
-
-  let push_many_left t vs =
-    match vs with
-    | [] -> 0
-    | _ ->
-        let vals = Array.of_list vs in
-        let k = Array.length vals in
-        let n = t.length in
-        let limit = min k n in
-        let b = Dcas.Backoff.create () in
-        let rec loop () =
-          let old_l = M.get t.l in
-          let rec probe j =
-            if j >= limit then (j, None)
-            else
-              match M.get t.s.((old_l - j) %% n) with
-              | Null -> probe (j + 1)
-              | Item _ as c -> (j, Some c)
-          in
-          match probe 0 with
-          | 0, Some c0 ->
-              if M.dcas t.l t.s.(old_l) old_l c0 old_l c0 then 0
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
-          | 0, None -> assert false
-          | j, blocker ->
-              let entries = ref [ M.Cass (t.l, old_l, (old_l - j) %% n) ] in
-              for i = j - 1 downto 0 do
-                entries :=
-                  M.Cass (t.s.((old_l - i) %% n), Null, Item vals.(i))
-                  :: !entries
-              done;
-              (match blocker with
-              | Some c ->
-                  entries := M.Cass (t.s.((old_l - j) %% n), c, c) :: !entries
-              | None -> ());
-              if M.casn !entries then j
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
-        in
-        loop ()
-
-  let pop_many_left t want =
-    if want <= 0 then []
-    else begin
-      let n = t.length in
-      let limit = min want n in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
-        let old_l = M.get t.l in
-        let rec probe j acc =
-          if j >= limit then (j, List.rev acc, false)
-          else
-            match M.get t.s.((old_l + 1 + j) %% n) with
-            | Item v as c -> probe (j + 1) ((v, c) :: acc)
-            | Null -> (j, List.rev acc, true)
-        in
-        let j, got, blocked = probe 0 [] in
-        if j = 0 then begin
-          (* possibly empty: confirm the (index, null cell) pair *)
-          if M.dcas t.l t.s.((old_l + 1) %% n) old_l Null old_l Null then []
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-        end
-        else begin
-          let entries =
-            M.Cass (t.l, old_l, (old_l + j) %% n)
-            :: List.mapi
-                 (fun i (_, c) -> M.Cass (t.s.((old_l + 1 + i) %% n), c, Null))
-                 got
-          in
-          let entries =
-            (* [blocked] implies j < want: certify emptiness after the
-               j removals with a no-op entry on the null cell *)
-            if blocked then
-              M.Cass (t.s.((old_l + 1 + j) %% n), Null, Null) :: entries
-            else entries
-          in
-          if M.casn entries then List.map fst got
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-        end
-      in
-      loop ()
-    end
-
-  let pop_many_right t want =
-    if want <= 0 then []
-    else begin
-      let n = t.length in
-      let limit = min want n in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
-        let old_r = M.get t.r in
-        let rec probe j acc =
-          if j >= limit then (j, List.rev acc, false)
-          else
-            match M.get t.s.((old_r - 1 - j) %% n) with
-            | Item v as c -> probe (j + 1) ((v, c) :: acc)
-            | Null -> (j, List.rev acc, true)
-        in
-        let j, got, blocked = probe 0 [] in
-        if j = 0 then begin
-          if M.dcas t.r t.s.((old_r - 1) %% n) old_r Null old_r Null then []
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-        end
-        else begin
-          let entries =
-            M.Cass (t.r, old_r, (old_r - j) %% n)
-            :: List.mapi
-                 (fun i (_, c) -> M.Cass (t.s.((old_r - 1 - i) %% n), c, Null))
-                 got
-          in
-          let entries =
-            if blocked then
-              M.Cass (t.s.((old_r - 1 - j) %% n), Null, Null) :: entries
-            else entries
-          in
-          if M.casn entries then List.map fst got
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-        end
-      in
-      loop ()
-    end
-end
-
-(* Ready-made instantiations on the four memory models (all four offer
-   CASN, so all four get the batched operations). *)
-module Lockfree = Make_batched (Dcas.Mem_lockfree)
-module Locked = Make_batched (Dcas.Mem_lock)
-module Striped = Make_batched (Dcas.Mem_striped)
-module Sequential = Make_batched (Dcas.Mem_seq)
+(* Ready-made instantiations on the four memory models. *)
+module Lockfree = Make (Dcas.Mem_lockfree)
+module Locked = Make (Dcas.Mem_lock)
+module Striped = Make (Dcas.Mem_striped)
+module Sequential = Make (Dcas.Mem_seq)

@@ -15,29 +15,18 @@ module type ALGORITHM = Array_deque_intf.ALGORITHM
     [unsafe_to_list] and [check_invariant] (the executable Figure 18
     representation invariant) are for quiescent states only. *)
 
-module type BATCHED = Array_deque_intf.BATCHED
-(** {!ALGORITHM} plus atomic batch transfers: [push_many_*] commits a
-    prefix of the batch and [pop_many_*] removes up to [k] items with
-    one (k+1)-entry CASN, so the whole batch occupies a single
-    linearization point.  A short batch certifies the full/empty
-    boundary atomically via a no-op entry on the blocking cell. *)
-
 module Make (M : Dcas.Memory_intf.MEMORY) : ALGORITHM
 (** The algorithm over an arbitrary memory model — the production
     substrates below, or the model checker's instrumented memory. *)
 
-module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) : BATCHED
-(** {!Make} plus the batched operations, over any CASN-capable
-    memory. *)
-
-module Lockfree : BATCHED
+module Lockfree : ALGORITHM
 (** Over {!Dcas.Mem_lockfree}: the fully non-blocking instantiation. *)
 
-module Locked : BATCHED
+module Locked : ALGORITHM
 (** Over {!Dcas.Mem_lock} (blocking DCAS emulation). *)
 
-module Striped : BATCHED
+module Striped : ALGORITHM
 (** Over {!Dcas.Mem_striped} (striped-lock DCAS emulation). *)
 
-module Sequential : BATCHED
+module Sequential : ALGORITHM
 (** Over {!Dcas.Mem_seq}: single-threaded use only. *)

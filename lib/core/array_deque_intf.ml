@@ -15,23 +15,3 @@ module type ALGORITHM = sig
   val unsafe_to_list : 'a t -> 'a list
   val check_invariant : 'a t -> (unit, string) result
 end
-
-module type BATCHED = sig
-  include ALGORITHM
-
-  val push_many_right : 'a t -> 'a list -> int
-  (** [push_many_right t vs] atomically pushes a prefix of [vs] from
-      the right and returns its length [j].  Linearizes as [j]
-      consecutive single pushes; [j < List.length vs] only if the
-      deque was full once those [j] items were in. *)
-
-  val push_many_left : 'a t -> 'a list -> int
-
-  val pop_many_right : 'a t -> int -> 'a list
-  (** [pop_many_right t k] atomically pops up to [k] items from the
-      right, returned in pop order (rightmost first).  Linearizes as
-      [j] consecutive single pops; fewer than [k] only if the deque
-      was empty after them. *)
-
-  val pop_many_left : 'a t -> int -> 'a list
-end

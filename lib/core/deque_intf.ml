@@ -34,47 +34,3 @@ let res_of_push : push_result -> 'a Spec.Op.res = function
 let res_of_pop : 'a pop_result -> 'a Spec.Op.res = function
   | `Value v -> Spec.Op.Got v
   | `Empty -> Spec.Op.Empty
-
-(* Generic batch operations for deques without native batching (the
-   list deques): a plain fold of single operations.  NOT atomic — each
-   item commits individually — but the same prefix semantics as
-   {!Array_deque.Make_batched}: a push stops at the first [`Full], a
-   pop at the first [`Empty], so callers can treat the two uniformly
-   when they do not need the batch to be one linearization point. *)
-module Batch (D : S) = struct
-  let push_many_right d vs =
-    let rec go n = function
-      | [] -> n
-      | v :: tl -> (
-          match D.push_right d v with `Okay -> go (n + 1) tl | `Full -> n)
-    in
-    go 0 vs
-
-  let push_many_left d vs =
-    let rec go n = function
-      | [] -> n
-      | v :: tl -> (
-          match D.push_left d v with `Okay -> go (n + 1) tl | `Full -> n)
-    in
-    go 0 vs
-
-  let pop_many_right d k =
-    let rec go n acc =
-      if n >= k then List.rev acc
-      else
-        match D.pop_right d with
-        | `Value v -> go (n + 1) (v :: acc)
-        | `Empty -> List.rev acc
-    in
-    go 0 []
-
-  let pop_many_left d k =
-    let rec go n acc =
-      if n >= k then List.rev acc
-      else
-        match D.pop_left d with
-        | `Value v -> go (n + 1) (v :: acc)
-        | `Empty -> List.rev acc
-    in
-    go 0 []
-end

@@ -169,9 +169,13 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
       match M.get ll.value with
       | Null ->
           (* lines 16-26: two logically deleted nodes remain; try to
-             point the sentinels at each other (Figure 16). *)
+             point the sentinels at each other (Figure 16).  SL's
+             pointer must still name [ll]: read after [ll]'s null, it
+             may name a later deleted node with live items between it
+             and [target], which the DCAS would unlink (see DESIGN.md,
+             "The two-null adjacency check"). *)
           let old_r = M.get t.sl.right in
-          if old_r.deleted then begin
+          if old_r.deleted && points_at old_r ll then begin
             if M.dcas t.sr.left t.sl.right old_l old_r t.to_sl t.to_sr then begin
               (* both null nodes became unreachable *)
               retire t target;
@@ -205,8 +209,9 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
       let rr = node_of old_rr in
       match M.get rr.value with
       | Null ->
+          (* the mirror of [delete_right_from]'s adjacency check *)
           let old_l = M.get t.sr.left in
-          if old_l.deleted then begin
+          if old_l.deleted && points_at old_l rr then begin
             if M.dcas t.sl.right t.sr.left old_r old_l t.to_sr t.to_sl then begin
               retire t target;
               retire t (node_of old_l.ptr)

@@ -121,8 +121,10 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
         let old_ll = node_of (M.get target.left) in
         match M.get old_ll.value with
         | Null ->
+            (* SL must still name [old_ll]: the adjacency check of
+               [List_deque.delete_right_from] *)
             let old_r = read_link t.sl.right in
-            if old_r.deleted then begin
+            if old_r.deleted && old_r.ptr == old_ll then begin
               if
                 M.dcas t.sr.left t.sl.right old_l.raw old_r.raw (direct t.sl)
                   (direct t.sr)
@@ -166,7 +168,7 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
         match M.get old_rr.value with
         | Null ->
             let old_l = read_link t.sr.left in
-            if old_l.deleted then begin
+            if old_l.deleted && old_l.ptr == old_rr then begin
               if
                 M.dcas t.sl.right t.sr.left old_r.raw old_l.raw (direct t.sr)
                   (direct t.sl)

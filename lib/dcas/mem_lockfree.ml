@@ -488,9 +488,9 @@ let dcas_strong l1 l2 o1 o2 n1 n2 =
 (* Generic N-word CASN over the same locations: the natural
    generalization the paper's Section 6 alludes to when discussing
    "synchronization primitives that can access more than one shared
-   memory location".  A two-entry CASN — e.g. a batched array-deque
-   operation of one item — is a [dcas], so width 2 has one path;
-   every other width takes the [Casn] layout. *)
+   memory location".  A two-entry CASN is a [dcas], so width 2 has
+   one path; every other width (the 3-word CAS of [List_deque_casn])
+   takes the [Casn] layout. *)
 let casn = function
   | [] -> true
   | [ Cass (l1, o1, n1); Cass (l2, o2, n2) ] ->

@@ -30,9 +30,7 @@ type t = {
 (* --- Ready-made instances over the model memory --- *)
 
 module Array_model = Deque.Array_deque.Make (Mem_model)
-module Array_batched_model = Deque.Array_deque.Make_batched (Mem_model)
 module List_model = Deque.List_deque.Make (Mem_model)
-module List_batch = Deque.Deque_intf.Batch (List_model)
 module List_dummy_model = Deque.List_deque_dummy.Make (Mem_model)
 module List_casn_model = Deque.List_deque_casn.Make (Mem_model)
 module Greenwald_v2_model = Baselines.Greenwald_v2.Make (Mem_model)
@@ -64,25 +62,6 @@ let apply_via push_right push_left pop_right pop_left d (op : int Spec.Op.op) :
   | Spec.Op.Push_left v -> Deque.Deque_intf.res_of_push (push_left d v)
   | Spec.Op.Pop_right -> Deque.Deque_intf.res_of_pop (pop_right d)
   | Spec.Op.Pop_left -> Deque.Deque_intf.res_of_pop (pop_left d)
-
-(* Route every scripted single op through the batch entry points (as
-   width-1 batches), so the explorer exhaustively interleaves the
-   batched probe/CASN code paths — including the 2-entry CASN, which
-   the production substrate runs as a [dcas] — while the single-op
-   linearizability oracle still applies. *)
-let apply_batched push_many_right push_many_left pop_many_right pop_many_left d
-    (op : int Spec.Op.op) : int Spec.Op.res =
-  match op with
-  | Spec.Op.Push_right v -> (
-      match push_many_right d [ v ] with 1 -> Spec.Op.Okay | _ -> Spec.Op.Full)
-  | Spec.Op.Push_left v -> (
-      match push_many_left d [ v ] with 1 -> Spec.Op.Okay | _ -> Spec.Op.Full)
-  | Spec.Op.Pop_right -> (
-      match pop_many_right d 1 with
-      | [ v ] -> Spec.Op.Got v
-      | _ -> Spec.Op.Empty)
-  | Spec.Op.Pop_left -> (
-      match pop_many_left d 1 with [ v ] -> Spec.Op.Got v | _ -> Spec.Op.Empty)
 
 let dump_ints to_list d () =
   to_list d |> List.map string_of_int |> String.concat ","
@@ -125,25 +104,6 @@ let array_deque ?(hints = true) ?(setup = []) ~name ~length ~prefill threads =
           Array_model.pop_right Array_model.pop_left d,
         Some (fun () -> Array_model.check_invariant d),
         Some (dump_ints Array_model.unsafe_to_list d) ))
-
-let array_deque_batched ?(hints = true) ?(setup = []) ~name ~length ~prefill
-    threads =
-  build ~name ~capacity:(Some length) ~prefill ~setup ~threads
-    ~make_instance:(fun () ->
-      let d = Array_batched_model.make ~hints ~length () in
-      ( apply_batched Array_batched_model.push_many_right
-          Array_batched_model.push_many_left Array_batched_model.pop_many_right
-          Array_batched_model.pop_many_left d,
-        Some (fun () -> Array_batched_model.check_invariant d),
-        Some (dump_ints Array_batched_model.unsafe_to_list d) ))
-
-let list_deque_batched ?(setup = []) ~name ~prefill threads =
-  build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      let d = List_model.make ~recycle:false () in
-      ( apply_batched List_batch.push_many_right List_batch.push_many_left
-          List_batch.pop_many_right List_batch.pop_many_left d,
-        Some (fun () -> List_model.check_invariant d),
-        Some (dump_ints List_model.unsafe_to_list d) ))
 
 let list_deque ?(recycle = false) ?(setup = []) ~name ~prefill threads =
   build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->

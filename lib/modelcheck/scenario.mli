@@ -33,30 +33,6 @@ val array_deque :
   int Spec.Op.op list list ->
   t
 
-val array_deque_batched :
-  ?hints:bool ->
-  ?setup:int Spec.Op.op list ->
-  name:string ->
-  length:int ->
-  prefill:int list ->
-  int Spec.Op.op list list ->
-  t
-(** The array deque with every scripted op routed through the batched
-    entry points as a width-1 batch, so the explorer and the fuzzer
-    exercise the probe + (k+1)-entry CASN code path — the one the
-    production substrate takes through its flat [Dcas2] descriptor —
-    against the single-op linearizability oracle and the Figure 18
-    representation invariant. *)
-
-val list_deque_batched :
-  ?setup:int Spec.Op.op list ->
-  name:string ->
-  prefill:int list ->
-  int Spec.Op.op list list ->
-  t
-(** The list deque through {!Deque.Deque_intf.Batch}'s generic
-    one-at-a-time fallback, as width-1 batches. *)
-
 val list_deque :
   ?recycle:bool ->
   ?setup:int Spec.Op.op list ->

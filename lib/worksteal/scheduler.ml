@@ -32,7 +32,6 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
            reads stay safe *)
     pending : int Atomic.t;
     workers : int;
-    steal_max : int;  (* tasks taken per steal; 1 = classic steal-one *)
     capacity : int;  (* per-deque capacity, for replacement deques *)
     raised : int Atomic.t;  (* task bodies that raised *)
     first_error : exn option Atomic.t;
@@ -100,24 +99,25 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     else if Atomic.get ctx.w.fenced then give_back ctx
 
   (* One full steal sweep over every other worker's deque, starting at
-     a random victim for fairness.  Returning [] certifies that a
-     complete pass found every deque empty — the certificate the
-     supervisor's quiescence tracker counts (see {!Supervisor}); a
-     single random victim probe could miss a queued task forever. *)
+     a random victim for fairness; the first victim that has a task
+     gives up its oldest.  Returning [None] certifies that a complete
+     pass found every deque empty — the certificate the supervisor's
+     quiescence tracker counts (see {!Supervisor}); a single random
+     victim probe could miss a queued task forever. *)
   let steal_scan ctx =
     let n = ctx.pool.workers in
-    if n <= 1 then []
+    if n <= 1 then None
     else begin
       let start = Dcas.Splitmix.int ctx.rng ~bound:n in
       let rec go k =
-        if k >= n then []
+        if k >= n then None
         else
           let v = (start + k) mod n in
           if v = ctx.worker then go (k + 1)
           else
-            match D.steal_batch ctx.pool.deques.(v) ~max:ctx.pool.steal_max with
-            | [] -> go (k + 1)
-            | ts -> ts
+            match D.steal ctx.pool.deques.(v) with
+            | None -> go (k + 1)
+            | found -> found
       in
       go 0
     end
@@ -135,31 +135,24 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
         | None ->
             if Atomic.get ctx.pool.pending = 0 then ()
             else begin
+              (* a stolen task is already counted in [pending]; a fence
+                 raised while it runs is seen at the loop head, before
+                 this worker could scan again *)
               (match steal_scan ctx with
-              | [] ->
+              | None ->
                   Atomic.incr w.scans;
                   Domain.cpu_relax ()
-              | t :: rest ->
-                  (* stolen tasks are already counted in [pending], so
-                     they are re-queued directly, not via [spawn]; one
-                     that does not fit runs inline rather than be lost.
-                     A fence raised meanwhile is seen at the loop head,
-                     before this worker could scan again. *)
-                  List.iter
-                    (fun t' -> if not (D.push ctx.deque t') then execute ctx t')
-                    rest;
-                  execute ctx t);
+              | Some t -> execute ctx t);
               loop ()
             end
     in
     loop ()
 
-  let make_pool ?wd ~workers ~capacity ~steal_max () =
+  let make_pool ?wd ~workers ~capacity () =
     {
       deques = Array.init workers (fun _ -> D.create ~capacity ());
       pending = Atomic.make 0;
       workers;
-      steal_max;
       capacity;
       raised = Atomic.make 0;
       first_error = Atomic.make None;
@@ -171,17 +164,15 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     let rng = Dcas.Splitmix.split rng in
     { pool; worker = slot; rng; deque = pool.deques.(slot); w }
 
-  let check_args ~who ~workers ~steal_batch =
+  let check_args ~who ~workers =
     if workers < 1 then
-      invalid_arg (Printf.sprintf "Scheduler.%s: workers must be >= 1" who);
-    if steal_batch < 1 then
-      invalid_arg (Printf.sprintf "Scheduler.%s: steal_batch must be >= 1" who)
+      invalid_arg (Printf.sprintf "Scheduler.%s: workers must be >= 1" who)
 
   (* the pool and its initial workers, with the root task seeded on
      worker 0's deque *)
-  let setup ?wd ~seed ~steal_batch ~workers ~capacity root =
+  let setup ?wd ~seed ~workers ~capacity root =
     let master = Dcas.Splitmix.create ~seed in
-    let pool = make_pool ?wd ~workers ~capacity ~steal_max:steal_batch () in
+    let pool = make_pool ?wd ~workers ~capacity () in
     let ctxs =
       List.init workers (fun slot -> make_ctx pool ~rng:master ~slot)
     in
@@ -193,9 +184,9 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
   let reraise pool =
     match Atomic.get pool.first_error with Some e -> raise e | None -> ()
 
-  let run ?(seed = 0xD0E5) ?(steal_batch = 8) ~workers ~capacity root =
-    check_args ~who:"run" ~workers ~steal_batch;
-    let _, pool, ctxs = setup ~seed ~steal_batch ~workers ~capacity root in
+  let run ?(seed = 0xD0E5) ~workers ~capacity root =
+    check_args ~who:"run" ~workers;
+    let _, pool, ctxs = setup ~seed ~workers ~capacity root in
     Harness.Runner.join_all
       (List.map (fun ctx -> Domain.spawn (fun () -> worker_loop ctx)) ctxs);
     reraise pool
@@ -210,9 +201,9 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
   let replace pool ~rng ~adopted (old : unit Supervisor.worker) =
     let slot = old.slot in
     let rec drain acc =
-      match D.steal_batch pool.deques.(slot) ~max:pool.steal_max with
-      | [] -> acc
-      | ts -> drain (acc @ ts)
+      match D.steal pool.deques.(slot) with
+      | None -> List.rev acc
+      | Some t -> drain (t :: acc)
     in
     let tasks = drain [] in
     adopted := !adopted + List.length tasks;
@@ -225,13 +216,11 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
           tasks;
         worker_loop ctx )
 
-  let run_supervised ?(seed = 0xD0E5) ?(steal_batch = 8)
-      ?(config = Supervisor.default) ?watchdog ~workers ~capacity root =
-    check_args ~who:"run_supervised" ~workers ~steal_batch;
+  let run_supervised ?(seed = 0xD0E5) ?(config = Supervisor.default)
+      ?watchdog ~workers ~capacity root =
+    check_args ~who:"run_supervised" ~workers;
     Supervisor.validate config;
-    let master, pool, ctxs =
-      setup ?wd:watchdog ~seed ~steal_batch ~workers ~capacity root
-    in
+    let master, pool, ctxs = setup ?wd:watchdog ~seed ~workers ~capacity root in
     Option.iter Harness.Watchdog.start watchdog;
     let rng = Dcas.Splitmix.split master and adopted = ref 0 in
     let o =
@@ -281,18 +270,6 @@ module Abp_adapter : Worksteal_intf.WORKSTEAL_DEQUE = struct
     match Baselines.Abp_deque.steal_retry d with
     | `Value v -> Some v
     | `Empty -> None
-
-  (* The ABP deque can only steal one item per CAS; a batch is a
-     sequence of single steals (each its own linearization point). *)
-  let steal_batch d ~max =
-    let rec go n acc =
-      if n >= max then List.rev acc
-      else
-        match steal d with
-        | Some v -> go (n + 1) (v :: acc)
-        | None -> List.rev acc
-    in
-    go 0 []
 end
 
 (* Any general deque runs the same role by restriction: the owner uses
@@ -301,56 +278,14 @@ module Restrict (D : Deque.Deque_intf.S) : Worksteal_intf.WORKSTEAL_DEQUE =
 struct
   type 'a t = 'a D.t
 
-  module B = Deque.Deque_intf.Batch (D)
-
   let name = D.name
   let create = D.create
   let push d v = match D.push_right d v with `Okay -> true | `Full -> false
   let pop d = match D.pop_right d with `Value v -> Some v | `Empty -> None
   let steal d = match D.pop_left d with `Value v -> Some v | `Empty -> None
-  let steal_batch d ~max = B.pop_many_left d max
 end
 
 module Abp_scheduler = Make (Abp_adapter)
-
-(* The array deque restricts like any deque but steals batches with its
-   native atomic [pop_many_left]: one CASN takes the whole batch. *)
-module Array_deque_adapter : Worksteal_intf.WORKSTEAL_DEQUE = struct
-  module A = Deque.Array_deque.Lockfree
-
-  type 'a t = 'a A.t
-
-  let name = A.name
-  let create = A.create
-  let push d v = match A.push_right d v with `Okay -> true | `Full -> false
-  let pop d = match A.pop_right d with `Value v -> Some v | `Empty -> None
-  let steal d = match A.pop_left d with `Value v -> Some v | `Empty -> None
-  let steal_batch d ~max = A.pop_many_left d max
-end
-
-module List_deque_adapter = Restrict (struct
-  include Deque.List_deque.Lockfree
-
-  let name = Deque.List_deque.Lockfree.name
-end)
-
-module Lock_deque_adapter = Restrict (struct
-  include Baselines.Lock_deque
-
-  let name = Baselines.Lock_deque.name
-end)
-
-(* The Sundell–Tsigas single-word-CAS deque restricts like any general
-   deque; steal_batch is the generic one-at-a-time fallback (each steal
-   its own marking CAS — there is no multi-word primitive to batch
-   under). *)
-module St_deque_adapter = Restrict (struct
-  include Baselines.St_deque
-
-  let name = Baselines.St_deque.name
-end)
-
-module Array_scheduler = Make (Array_deque_adapter)
-module List_scheduler = Make (List_deque_adapter)
-module Lock_scheduler = Make (Lock_deque_adapter)
-module St_scheduler = Make (St_deque_adapter)
+module Array_scheduler = Make (Restrict (Deque.Array_deque.Lockfree))
+module List_scheduler = Make (Restrict (Deque.List_deque.Lockfree))
+module Lock_scheduler = Make (Restrict (Baselines.Lock_deque))

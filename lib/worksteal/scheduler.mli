@@ -24,21 +24,7 @@ module Restrict (D : Deque.Deque_intf.S) : Worksteal_intf.WORKSTEAL_DEQUE
 (** Any general deque, restricted: owner on the right end, thieves pop
     the left end. *)
 
-module Array_deque_adapter : Worksteal_intf.WORKSTEAL_DEQUE
-(** The lock-free array deque, restricted — except that [steal_batch]
-    uses the native atomic [pop_many_left]: the thief takes the whole
-    batch at one linearization point (one CASN) instead of one CAS per
-    stolen task. *)
-
-module St_deque_adapter : Worksteal_intf.WORKSTEAL_DEQUE
-(** The Sundell–Tsigas single-word-CAS deque ({!Baselines.St_deque}),
-    restricted via {!Restrict}; [steal_batch] is the generic
-    one-steal-at-a-time fallback. *)
-
 module Abp_scheduler : Worksteal_intf.SCHEDULER
 module Array_scheduler : Worksteal_intf.SCHEDULER
 module List_scheduler : Worksteal_intf.SCHEDULER
 module Lock_scheduler : Worksteal_intf.SCHEDULER
-
-module St_scheduler : Worksteal_intf.SCHEDULER
-(** The scheduler over {!St_deque_adapter}. *)

@@ -305,7 +305,14 @@ module Make (D : Deque.Deque_intf.S) = struct
         let item =
           { v = value; enq = t0; expiry; home = S.shard_of st.service ~key }
         in
-        match S.push ?deadline:cfg.deadline ~urgent st.service ~key item with
+        let pushed =
+          (* constant lanes: [~urgent] of a variable boxes [Some urgent]
+             on every request *)
+          if urgent then
+            S.push ?deadline:cfg.deadline ~urgent:true st.service ~key item
+          else S.push ?deadline:cfg.deadline st.service ~key item
+        in
+        match pushed with
         | `Okay ->
             ring st;
             `Okay

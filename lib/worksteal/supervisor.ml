@@ -19,8 +19,8 @@
    - the task it was {e executing} never finishes (1 unit);
    - a child it was {e spawning} dies inside the push, so the increment
      happened but the task may never have become visible (1 unit);
-   - a batch it had {e stolen} — popped from the victim, not yet
-     re-queued or run — vanishes with it (up to [steal_batch] units).
+   - a task it had {e stolen} — popped from the victim, not yet run —
+     vanishes with it (1 unit).
 
    Whatever the dead worker queued is NOT lost: the replacement takes
    it over (the scheduler drains the deque from the thief end, the

@@ -9,9 +9,9 @@
     while alive.  The monitor fences such a worker before the caller
     replaces its slot, so a worker presumed dead that wakes up never
     runs beside its replacement.  What a death can actually lose is the
-    task it was executing, a child mid-push, and a stolen batch in
-    hand — at most [steal_batch + 2] pending units per death, written
-    off by reconciliation once provably phantom. *)
+    task it was executing, a child mid-push, and a stolen task in
+    hand — at most 3 pending units per death, written off by
+    reconciliation once provably phantom. *)
 
 type config = {
   interval : float;

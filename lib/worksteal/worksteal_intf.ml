@@ -19,14 +19,8 @@ module type WORKSTEAL_DEQUE = sig
   (** Owner only. *)
 
   val steal : 'a t -> 'a option
-  (** Any thread. *)
-
-  val steal_batch : 'a t -> max:int -> 'a list
-  (** Any thread: take up to [max] tasks from the thief end in one go,
-      oldest first.  Deques with native batched operations (the array
-      deque) commit the whole batch at a single linearization point;
-      the others take what a sequence of single steals would.  [steal]
-      is the [max = 1] special case. *)
+  (** Any thread: take the oldest task, from the end the owner does
+      not use. *)
 end
 
 module type SCHEDULER = sig
@@ -44,18 +38,10 @@ module type SCHEDULER = sig
       worker's deque is full). *)
 
   val run :
-    ?seed:int ->
-    ?steal_batch:int ->
-    workers:int ->
-    capacity:int ->
-    (ctx -> unit) ->
-    unit
+    ?seed:int -> workers:int -> capacity:int -> (ctx -> unit) -> unit
   (** Run the root task to global quiescence on [workers] domains, each
-      owning a deque of [capacity] tasks.  A thief takes up to
-      [steal_batch] tasks per steal (default 8): it runs the first and
-      re-queues the rest on its own deque, amortizing the steal's
-      synchronization over the batch; [steal_batch = 1] is classic
-      steal-one.
+      owning a deque of [capacity] tasks.  A thief takes one task per
+      steal, the victim's oldest, and runs it.
 
       A task body that raises does not kill its worker: the exception
       is caught by a per-task barrier, the task retires normally so
@@ -67,7 +53,6 @@ module type SCHEDULER = sig
 
   val run_supervised :
     ?seed:int ->
-    ?steal_batch:int ->
     ?config:Supervisor.config ->
     ?watchdog:Harness.Watchdog.t ->
     workers:int ->
@@ -87,10 +72,10 @@ module type SCHEDULER = sig
       and once fenced pops its deque dry, runs what it finds inline and
       retires — so a push that raced the drain is either drained or
       taken back.  Pending units irrecoverably lost with a death — the
-      task it was executing, a child mid-push, a stolen batch in hand;
-      at most [steal_batch + 2] per death — are written off
-      ([reconciled]) once the monitor's quiescence certificate shows
-      no live task remains anywhere.  Every terminating run satisfies
+      task it was executing, a child mid-push, a stolen task in hand;
+      at most 3 per death — are written off ([reconciled]) once the
+      monitor's quiescence certificate shows no live task remains
+      anywhere.  Every terminating run satisfies
       {!Supervisor.conserved}: [spawned = executed + reconciled].
 
       [watchdog], when given, must cover [workers] threads and not yet

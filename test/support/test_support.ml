@@ -237,6 +237,73 @@ let stress_conservation ?seed ?watchdog ?(per_op = fun ~tid:_ ~i:_ -> ()) impl
         "pops <= pushes" true
         (Hashtbl.length all_popped <= Hashtbl.length all_pushed)
 
+(* --- Owner/thief conservation ---
+
+   The work-stealing shape on a general deque: the owner domain pushes
+   fresh values onto the right end and pops that end, while a thief
+   domain pops the left end in bursts of 8.  The deque stays near
+   empty, so both ends keep meeting.  Each trial runs [duration]
+   seconds and joins the thief; the invariant must then hold, and
+   after a drain every pushed value must have come out exactly once.
+   Returns one message per failing trial, so a caller can report the
+   failure rate. *)
+let owner_thief_failures impl ~trials ~duration =
+  let trial seed =
+    let h = impl.fresh ~capacity:4096 in
+    let stop = Atomic.make false in
+    let thief =
+      Domain.spawn (fun () ->
+          let got = ref [] in
+          while not (Atomic.get stop) do
+            for _ = 1 to 8 do
+              match h.apply Op.Pop_left with
+              | Op.Got v -> got := v :: !got
+              | Op.Empty | Op.Okay | Op.Full -> ()
+            done
+          done;
+          !got)
+    in
+    let rng = Dcas.Splitmix.create ~seed in
+    let owned = ref [] and next = ref 0 in
+    let t_end = Unix.gettimeofday () +. duration in
+    while Unix.gettimeofday () < t_end do
+      for _ = 1 to 64 do
+        if Dcas.Splitmix.int rng ~bound:2 = 0 then begin
+          if h.apply (Op.Push_right (!next + 1)) = Op.Okay then incr next
+        end
+        else
+          match h.apply Op.Pop_right with
+          | Op.Got v -> owned := v :: !owned
+          | Op.Empty | Op.Okay | Op.Full -> ()
+      done
+    done;
+    Atomic.set stop true;
+    let stolen = Domain.join thief in
+    let inv = match h.invariant with Some check -> check () | None -> Ok () in
+    let seen = Array.make (!next + 1) 0 in
+    let count v = seen.(v) <- seen.(v) + 1 in
+    List.iter count !owned;
+    List.iter count stolen;
+    let rec drain () =
+      match h.apply Op.Pop_left with
+      | Op.Got v ->
+          count v;
+          drain ()
+      | Op.Empty | Op.Okay | Op.Full -> ()
+    in
+    drain ();
+    let lost = ref 0 and twice = ref 0 in
+    for v = 1 to !next do
+      if seen.(v) = 0 then incr lost else if seen.(v) > 1 then incr twice
+    done;
+    if !lost > 0 || !twice > 0 then
+      Some
+        (Printf.sprintf "%d of %d items lost, %d popped twice" !lost !next
+           !twice)
+    else match inv with Ok () -> None | Error e -> Some ("invariant: " ^ e)
+  in
+  List.filter_map trial (List.init trials (fun i -> i + 1))
+
 (* --- Linearizability of real concurrent histories --- *)
 
 let record_round impl ~threads ~ops_per_thread ~capacity ~seed =

@@ -155,175 +155,6 @@ let test_hints_equivalence () =
   in
   Alcotest.(check bool) "hint and no-hint runs agree" true (run true = run false)
 
-(* --- batched entry points (push_many/pop_many) --- *)
-
-(* The batched ops promise exactly the semantics of folding the single
-   ops — same accepted prefix, same popped values, same final state —
-   with the whole batch committed at one linearization point.  The
-   reference below is that fold, run on a second instance. *)
-let ref_push_many push d vs =
-  let rec go n = function
-    | [] -> n
-    | v :: tl -> ( match push d v with `Okay -> go (n + 1) tl | `Full -> n)
-  in
-  go 0 vs
-
-let ref_pop_many pop d k =
-  let rec go acc k =
-    if k = 0 then List.rev acc
-    else
-      match pop d with
-      | `Value v -> go (v :: acc) (k - 1)
-      | `Empty -> List.rev acc
-  in
-  go [] k
-
-let test_batched_basics () =
-  let d = A.make ~length:5 () in
-  Alcotest.(check int) "empty batch accepted trivially" 0
-    (A.push_many_right d []);
-  Alcotest.(check (list int)) "pop 0 is empty" [] (A.pop_many_left d 0);
-  Alcotest.(check int) "whole batch fits" 3 (A.push_many_right d [ 1; 2; 3 ]);
-  check_inv d;
-  Alcotest.(check int) "prefix accepted at full" 2
-    (A.push_many_right d [ 4; 5; 6 ]);
-  check_inv d;
-  Alcotest.(check int) "full: nothing accepted" 0 (A.push_many_right d [ 7 ]);
-  Alcotest.(check int) "full from the left too" 0 (A.push_many_left d [ 7 ]);
-  Alcotest.(check (list int)) "pop order is left-to-right" [ 1; 2 ]
-    (A.pop_many_left d 2);
-  check_inv d;
-  Alcotest.(check (list int)) "right pops in pop order" [ 5; 4 ]
-    (A.pop_many_right d 2);
-  Alcotest.(check (list int)) "truncated at empty" [ 3 ] (A.pop_many_left d 9);
-  Alcotest.(check (list int)) "empty deque pops nothing" []
-    (A.pop_many_left d 1);
-  check_inv d
-
-let test_batched_left_mirror () =
-  let d = A.make ~length:4 () in
-  Alcotest.(check int) "left batch accepted" 3 (A.push_many_left d [ 1; 2; 3 ]);
-  check_inv d;
-  (* successive left pushes stack leftwards: contents are 3,2,1 *)
-  Alcotest.(check (list int)) "contents" [ 3; 2; 1 ] (A.unsafe_to_list d);
-  Alcotest.(check (list int)) "right end sees 1 then 2" [ 1; 2 ]
-    (A.pop_many_right d 2);
-  check_inv d
-
-let test_batched_length_one () =
-  let d = A.make ~length:1 () in
-  Alcotest.(check int) "one of two fits" 1 (A.push_many_right d [ 8; 9 ]);
-  Alcotest.(check int) "full" 0 (A.push_many_left d [ 1 ]);
-  Alcotest.(check (list int)) "drain" [ 8 ] (A.pop_many_left d 5);
-  Alcotest.(check (list int)) "empty" [] (A.pop_many_right d 1);
-  check_inv d
-
-let test_batched_wraparound () =
-  let d = A.make ~length:5 () in
-  (* rotate the occupied segment so batches cross the array seam *)
-  for cycle = 1 to 20 do
-    Alcotest.(check int)
-      (Printf.sprintf "cycle %d push" cycle)
-      3
-      (A.push_many_right d [ cycle; cycle + 100; cycle + 200 ]);
-    check_inv d;
-    Alcotest.(check (list int))
-      (Printf.sprintf "cycle %d pop" cycle)
-      [ cycle; cycle + 100; cycle + 200 ]
-      (A.pop_many_left d 3);
-    check_inv d
-  done
-
-(* qcheck: a random mixed sequence of batched ops agrees step-for-step
-   with the fold of single ops on a second instance, and the run
-   conserves the multiset of values: prefill + accepted pushes =
-   popped + final contents. *)
-let qcheck_batched_matches_fold =
-  let gen =
-    QCheck2.Gen.(
-      pair (1 -- 6)
-        (list_size (1 -- 40)
-           (oneof
-              [
-                map (fun vs -> `Push_r vs) (list_size (0 -- 7) (int_bound 99));
-                map (fun vs -> `Push_l vs) (list_size (0 -- 7) (int_bound 99));
-                map (fun k -> `Pop_r k) (0 -- 7);
-                map (fun k -> `Pop_l k) (0 -- 7);
-              ])))
-  in
-  let print (cap, ops) =
-    let vs l = String.concat "," (List.map string_of_int l) in
-    Printf.sprintf "cap=%d ops=[%s]" cap
-      (String.concat ";"
-         (List.map
-            (function
-              | `Push_r l -> Printf.sprintf "pushR[%s]" (vs l)
-              | `Push_l l -> Printf.sprintf "pushL[%s]" (vs l)
-              | `Pop_r k -> Printf.sprintf "popR:%d" k
-              | `Pop_l k -> Printf.sprintf "popL:%d" k)
-            ops))
-  in
-  QCheck2.Test.make ~name:"batched ops agree with fold of singles + conserve"
-    ~count:300 ~print gen (fun (cap, ops) ->
-      let d = A.make ~length:cap () in
-      let r = A.make ~length:cap () in
-      let pushed = ref [] and popped = ref [] in
-      let take n l = List.filteri (fun i _ -> i < n) l in
-      let step_ok =
-        List.for_all
-          (fun op ->
-            let ok =
-              match op with
-              | `Push_r vs ->
-                  let n = A.push_many_right d vs in
-                  pushed := take n vs @ !pushed;
-                  n = ref_push_many A.push_right r vs
-              | `Push_l vs ->
-                  let n = A.push_many_left d vs in
-                  pushed := take n vs @ !pushed;
-                  n = ref_push_many A.push_left r vs
-              | `Pop_r k ->
-                  let got = A.pop_many_right d k in
-                  popped := got @ !popped;
-                  got = ref_pop_many A.pop_right r k
-              | `Pop_l k ->
-                  let got = A.pop_many_left d k in
-                  popped := got @ !popped;
-                  got = ref_pop_many A.pop_left r k
-            in
-            ok
-            && A.unsafe_to_list d = A.unsafe_to_list r
-            && A.check_invariant d = Ok ())
-          ops
-      in
-      let sorted l = List.sort compare l in
-      step_ok
-      && sorted !pushed = sorted (!popped @ A.unsafe_to_list d))
-
-(* The batched ops on the production (lock-free) instantiation under
-   real memory: same fold-of-singles agreement, exercising the 2-entry
-   CASN that runs as a [dcas] (k=1) and wider CASN descriptors alike. *)
-let test_batched_lockfree_agrees () =
-  let module L = Deque.Array_deque.Lockfree in
-  let d = L.make ~length:5 () in
-  let r = A.make ~length:5 () in
-  let rng = Dcas.Splitmix.create ~seed:4242 in
-  for i = 1 to 400 do
-    let k = Dcas.Splitmix.int rng ~bound:4 in
-    let vs = List.init k (fun j -> (10 * i) + j) in
-    let agree =
-      match Dcas.Splitmix.int rng ~bound:4 with
-      | 0 -> L.push_many_right d vs = ref_push_many A.push_right r vs
-      | 1 -> L.push_many_left d vs = ref_push_many A.push_left r vs
-      | 2 -> L.pop_many_right d k = ref_pop_many A.pop_right r k
-      | _ -> L.pop_many_left d k = ref_pop_many A.pop_left r k
-    in
-    Alcotest.(check bool) (Printf.sprintf "step %d agrees" i) true agree;
-    Alcotest.(check (list int))
-      (Printf.sprintf "step %d state" i)
-      (A.unsafe_to_list r) (L.unsafe_to_list d)
-  done
-
 let qcheck_tests =
   List.concat_map
     (fun (module M : Deque.Array_deque.ALGORITHM) ->
@@ -356,16 +187,6 @@ let () =
           Alcotest.test_case "invalid length" `Quick test_invalid_length;
           Alcotest.test_case "hints ablation equivalence" `Quick
             test_hints_equivalence;
-        ] );
-      ( "batched ops",
-        [
-          Alcotest.test_case "basics and boundaries" `Quick test_batched_basics;
-          Alcotest.test_case "left mirror" `Quick test_batched_left_mirror;
-          Alcotest.test_case "length one" `Quick test_batched_length_one;
-          Alcotest.test_case "wraparound" `Quick test_batched_wraparound;
-          Alcotest.test_case "lock-free instantiation agrees" `Quick
-            test_batched_lockfree_agrees;
-          QCheck_alcotest.to_alcotest qcheck_batched_matches_fold;
         ] );
       ("oracle equivalence", qcheck_capacity_one :: qcheck_tests);
     ]

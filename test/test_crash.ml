@@ -20,7 +20,7 @@
 
 module Crash = Harness.Crash
 module C_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
-module C_array = Deque.Array_deque.Make_batched (C_mem)
+module C_array = Deque.Array_deque.Make (C_mem)
 module C_list = Deque.List_deque.Make (C_mem)
 module C_dummy = Deque.List_deque_dummy.Make (C_mem)
 module C_casn = Deque.List_deque_casn.Make (C_mem)
@@ -217,20 +217,9 @@ let barrier_case (module S : Worksteal.Worksteal_intf.SCHEDULER) () =
 
 (* --- supervised scheduling over crash-wrapped deques --- *)
 
-(* The scheduler over a batched array deque on an instrumented memory *)
-module Array_adapter (A : Deque.Array_deque.BATCHED) :
-  Worksteal.Worksteal_intf.WORKSTEAL_DEQUE = struct
-  type 'a t = 'a A.t
-
-  let name = A.name
-  let create ~capacity () = A.make ~length:capacity ()
-  let push d v = match A.push_right d v with `Okay -> true | `Full -> false
-  let pop d = match A.pop_right d with `Value v -> Some v | `Empty -> None
-  let steal d = match A.pop_left d with `Value v -> Some v | `Empty -> None
-  let steal_batch d ~max = A.pop_many_left d max
-end
-
-module C_sched = Worksteal.Scheduler.Make (Array_adapter (C_array))
+(* The scheduler over the array deque on an instrumented memory *)
+module C_sched =
+  Worksteal.Scheduler.Make (Worksteal.Scheduler.Restrict (C_array))
 
 (* a fork-join tree of [degree]^[depth] leaves, counting leaf visits *)
 let tree_root ~degree ~depth counter ctx =
@@ -292,9 +281,9 @@ let supervised_kill () =
     (Crash.mid_casn_kills ())
     r.Worksteal.Supervisor.orphans_helped;
   (* the death loses at most the executing task, one mid-push child
-     and one stolen batch *)
+     and one stolen task *)
   Alcotest.(check bool) "reconciliation bounded" true
-    (r.Worksteal.Supervisor.reconciled <= 8 + 2);
+    (r.Worksteal.Supervisor.reconciled <= 3);
   (* every leaf not lost with the victim was visited exactly once *)
   let lost = r.Worksteal.Supervisor.reconciled in
   let visited = Atomic.get counter in
@@ -321,8 +310,7 @@ let supervised_storm () =
     (Crash.mid_casn_kills ())
     r.Worksteal.Supervisor.orphans_helped;
   Alcotest.(check bool) "reconciliation bounded" true
-    (r.Worksteal.Supervisor.reconciled
-    <= r.Worksteal.Supervisor.killed * 10);
+    (r.Worksteal.Supervisor.reconciled <= r.Worksteal.Supervisor.killed * 3);
   let visited = Atomic.get counter in
   if visited > 729 then Alcotest.failf "leaves visited twice: %d" visited;
   if visited < 729 - (r.Worksteal.Supervisor.reconciled * 729) then

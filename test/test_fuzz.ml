@@ -101,15 +101,6 @@ let clean_tests =
       (Modelcheck.Scenario.array_deque ~name:"arr" ~length:3 ~prefill:[ 1; 2 ]
          [ [ Pop_right; Push_right 5 ]; [ Pop_left; Push_left 6 ] ])
       (Modelcheck.Fuzz.Pct 3) 13;
-    clean "batched array deque survives pct"
-      (Modelcheck.Scenario.array_deque_batched ~name:"arr-b" ~length:3
-         ~prefill:[ 1; 2 ]
-         [ [ Pop_right; Push_right 5 ]; [ Pop_left; Push_left 6 ] ])
-      (Modelcheck.Fuzz.Pct 3) 13;
-    clean "batched list fallback survives uniform"
-      (Modelcheck.Scenario.list_deque_batched ~name:"list-b" ~prefill:[ 1; 2 ]
-         [ [ Pop_right; Push_right 3 ]; [ Pop_left ] ])
-      Modelcheck.Fuzz.Uniform 17;
     clean "list deque under chaos survives uniform"
       (Modelcheck.Scenario.list_deque_chaos ~fail_prob:0.15 ~chaos_seed:5
          ~name:"chaos" ~prefill:[ 1; 2 ]

@@ -237,6 +237,40 @@ let test_allocation_budget () =
     (Printf.sprintf "%.1f words per pair <= 130" per_pair)
     true (per_pair <= 130.)
 
+(* The two-null branch of a physical delete (Figure 16) DCASes both
+   sentinels together.  Without checking that the opposite sentinel
+   still names the null neighbour it read, it can unlink live nodes:
+   here t1's popLeft reads SL.R = <N1,del>, N1.R = N2 and N2's null;
+   meanwhile t0 splices N2 out, pushes 3 and 4 after N1 and pops 4; t1
+   then reads SR.L = <N4,del>, and its DCAS unlinked the live N3.  The
+   token is the explorer's shrunk counterexample, with each DCAS one
+   atomic step. *)
+let two_null_token =
+  "dqf1/pr:2,qr,pr:3,pr:4,qr|ql,ql,ql/1.0.0.0.0.0.0.0.1.0.0.1.0.1.1.0.1.1.1.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1"
+
+let test_two_null_replay () =
+  let scenario =
+    Modelcheck.Scenario.list_deque ~name:"two-null" ~prefill:[ 1 ] []
+  in
+  match Modelcheck.Fuzz.replay scenario ~token:two_null_token with
+  | Error e -> Alcotest.fail e
+  | Ok (_, Some f) ->
+      Alcotest.failf "replay failed: %s" f.Modelcheck.Fuzz.reason
+  | Ok (_, None) -> ()
+
+(* The same race on real domains: an owner on the right end, a thief
+   popping the left end in bursts of 8 (see
+   {!Test_support.owner_thief_failures}). *)
+let test_owner_thief (module L : Deque.List_deque.ALGORITHM) () =
+  match
+    Test_support.owner_thief_failures (impl_of (module L)) ~trials:60
+      ~duration:0.1
+  with
+  | [] -> ()
+  | first :: _ as failed ->
+      Alcotest.failf "%s: %d of 60 trials failed; first: %s" L.name
+        (List.length failed) first
+
 let () =
   Alcotest.run "list_deque"
     [
@@ -265,6 +299,15 @@ let () =
             test_recycling_reuses_nodes;
           Alcotest.test_case "no ABA under exhaustive reuse" `Slow
             test_recycling_model_checked;
+        ] );
+      ( "two-null adjacency",
+        [
+          Alcotest.test_case "replay: no live node unlinked" `Quick
+            test_two_null_replay;
+          Test_support.tiered "owner/thief conserves (locked)" `Slow
+            (test_owner_thief (module Deque.List_deque.Locked));
+          Test_support.tiered "owner/thief conserves (lock-free)" `Slow
+            (test_owner_thief (module Deque.List_deque.Lockfree));
         ] );
       ("oracle equivalence", qcheck_tests);
     ]

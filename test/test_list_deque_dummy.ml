@@ -104,6 +104,35 @@ let qcheck_tests =
         (Test_support.qcheck_sequential (impl_of (module M))))
     algorithms
 
+(* The two-null adjacency check under the dummy encoding: the
+   explorer's shrunk counterexample, in which a left delete's
+   two-null DCAS unlinked a live node (see test_list_deque.ml). *)
+let two_null_token =
+  "dqf1/pr:2,qr,pr:3,pr:4,qr|ql,ql,ql/0.0.0.0.1.0.0.0.1.0.0.0.0.1.1.1.1.1.1.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1"
+
+let test_two_null_replay () =
+  let scenario =
+    Modelcheck.Scenario.list_deque_dummy ~name:"two-null" ~prefill:[ 1 ] []
+  in
+  match Modelcheck.Fuzz.replay scenario ~token:two_null_token with
+  | Error e -> Alcotest.fail e
+  | Ok (_, Some f) ->
+      Alcotest.failf "replay failed: %s" f.Modelcheck.Fuzz.reason
+  | Ok (_, None) -> ()
+
+(* The same race on real domains: an owner on the right end, a thief
+   popping the left end in bursts of 8 (see
+   {!Test_support.owner_thief_failures}). *)
+let test_owner_thief (module L : Deque.List_deque_dummy.ALGORITHM) () =
+  match
+    Test_support.owner_thief_failures (impl_of (module L)) ~trials:60
+      ~duration:0.1
+  with
+  | [] -> ()
+  | first :: _ as failed ->
+      Alcotest.failf "%s: %d of 60 trials failed; first: %s" L.name
+        (List.length failed) first
+
 let () =
   Alcotest.run "list_deque_dummy"
     [
@@ -114,6 +143,15 @@ let () =
             test_equivalent_to_deleted_bit;
           Alcotest.test_case "allocator semantics" `Quick test_allocator;
           Alcotest.test_case "deletes idempotent" `Quick test_deletes_idempotent;
+        ] );
+      ( "two-null adjacency",
+        [
+          Alcotest.test_case "replay: no live node unlinked" `Quick
+            test_two_null_replay;
+          Test_support.tiered "owner/thief conserves (locked)" `Slow
+            (test_owner_thief (module Deque.List_deque_dummy.Locked));
+          Test_support.tiered "owner/thief conserves (lock-free)" `Slow
+            (test_owner_thief (module Deque.List_deque_dummy.Lockfree));
         ] );
       ("oracle equivalence", qcheck_tests);
     ]

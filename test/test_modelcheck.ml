@@ -71,47 +71,6 @@ let test_wrap_boundary () =
           ~setup:[ Pop_left; Pop_left; Push_right 4 ]
           [ [ Pop_right ]; [ Pop_left ]; [ Push_left 5 ] ]))
 
-(* --- Batched entry points: the scripted single ops routed through
-   push_many/pop_many as width-1 batches, so every schedule exercises
-   the probe + (k+1)-entry CASN path — the 2-entry case is exactly what
-   the production substrate runs as a [dcas] — against the unchanged
-   single-op oracle. --- *)
-
-let test_batched_fig6 () =
-  assert_ok "batched array pop/pop on 1 element"
-    (explore
-       (Modelcheck.Scenario.array_deque_batched ~name:"bfig6" ~length:4
-          ~prefill:[ 42 ]
-          [ [ Pop_right ]; [ Pop_left ] ]))
-
-let test_batched_last_slot () =
-  assert_ok "batched array push/push on last slot"
-    (explore
-       (Modelcheck.Scenario.array_deque_batched ~name:"b-last" ~length:3
-          ~prefill:[ 1; 2 ]
-          [ [ Push_right 8 ]; [ Push_left 9 ] ]))
-
-let test_batched_empty_boundary () =
-  assert_ok "batched array push vs pops near empty"
-    (explore
-       (Modelcheck.Scenario.array_deque_batched ~name:"b-pp" ~length:3
-          ~prefill:[ 5 ]
-          [ [ Pop_left; Pop_right ]; [ Push_right 6 ] ]))
-
-let test_batched_wrap () =
-  assert_ok "batched array contention across the wrap point"
-    (explore
-       (Modelcheck.Scenario.array_deque_batched ~name:"b-wrap" ~length:3
-          ~prefill:[ 1; 2; 3 ]
-          ~setup:[ Pop_left; Pop_left; Push_right 4 ]
-          [ [ Pop_right ]; [ Pop_left ]; [ Push_left 5 ] ]))
-
-let test_batched_list_fig6 () =
-  assert_ok "batched list pop/pop on 1 element"
-    (explore
-       (Modelcheck.Scenario.list_deque_batched ~name:"blfig6" ~prefill:[ 42 ]
-          [ [ Pop_right ]; [ Pop_left ] ]))
-
 (* --- E3: the list deque's empty-state family and deletions --- *)
 
 let test_fig6_list () =
@@ -276,14 +235,6 @@ let fuzz_tests =
     QCheck_alcotest.to_alcotest
       (fuzz_test "fuzz: list scenarios (recycle)" (fun ~prefill threads ->
            Modelcheck.Scenario.list_deque ~recycle:true ~name:"fz-r" ~prefill
-             threads));
-    QCheck_alcotest.to_alcotest
-      (fuzz_test "fuzz: batched array scenarios" (fun ~prefill threads ->
-           Modelcheck.Scenario.array_deque_batched ~name:"fz-ab" ~length:3
-             ~prefill threads));
-    QCheck_alcotest.to_alcotest
-      (fuzz_test "fuzz: batched list scenarios" (fun ~prefill threads ->
-           Modelcheck.Scenario.list_deque_batched ~name:"fz-lb" ~prefill
              threads));
     QCheck_alcotest.to_alcotest
       (fuzz_test "fuzz: dummy scenarios" (fun ~prefill threads ->
@@ -512,17 +463,6 @@ let () =
             test_push_vs_pop_empty_boundary;
           Alcotest.test_case "three threads" `Slow test_three_threads_array;
           Alcotest.test_case "wraparound contention" `Slow test_wrap_boundary;
-        ] );
-      ( "batched ops",
-        [
-          Alcotest.test_case "figure 6 pop vs pop" `Slow test_batched_fig6;
-          Alcotest.test_case "push vs push last slot" `Slow
-            test_batched_last_slot;
-          Alcotest.test_case "push vs pops near empty" `Slow
-            test_batched_empty_boundary;
-          Alcotest.test_case "wraparound contention" `Slow test_batched_wrap;
-          Alcotest.test_case "list fallback figure 6" `Slow
-            test_batched_list_fig6;
         ] );
       ( "list (E3)",
         [

@@ -53,73 +53,37 @@ let inline_fallback_tests =
           Alcotest.(check int) "leaf count despite tiny deques" 256 got))
     schedulers
 
-(* --- steal_batch: the deque-level contract and the scheduler knob --- *)
+(* --- the steal contract --- *)
 
-(* Every adapter must steal oldest-first, take at most [max] tasks, and
-   leave the remainder for the owner — whether the batch commits in one
-   CASN (array deque) or one steal at a time (ABP, Restrict). *)
-let steal_batch_adapters :
+(* Every adapter's thief takes one task per steal, the oldest, and
+   finds [None] on an empty deque, while the owner pops the newest. *)
+let steal_adapters :
     (string * (module Worksteal.Worksteal_intf.WORKSTEAL_DEQUE)) list =
+  let open Worksteal.Scheduler in
   [
-    ("abp", (module Worksteal.Scheduler.Abp_adapter));
-    ("array-deque", (module Worksteal.Scheduler.Array_deque_adapter));
+    ("abp", (module Abp_adapter));
+    ("array-deque", (module Restrict (Deque.Array_deque.Lockfree)));
+    ("list-deque", (module Restrict (Deque.List_deque.Lockfree)));
+    ("lock-deque", (module Restrict (Baselines.Lock_deque)));
   ]
 
-let steal_batch_semantics_tests =
+let steal_contract_tests =
   List.map
     (fun (name, (module D : Worksteal.Worksteal_intf.WORKSTEAL_DEQUE)) ->
-      Alcotest.test_case (name ^ ": steal_batch contract") `Quick (fun () ->
+      Alcotest.test_case (name ^ ": steal contract") `Quick (fun () ->
           let d = D.create ~capacity:32 () in
-          for v = 1 to 10 do
+          Alcotest.(check (option int)) "empty: nothing stolen" None (D.steal d);
+          for v = 1 to 4 do
             Alcotest.(check bool) "push" true (D.push d v)
           done;
-          Alcotest.(check (list int)) "max 0 steals nothing" [] (D.steal_batch d ~max:0);
-          Alcotest.(check (list int))
-            "oldest four, oldest first" [ 1; 2; 3; 4 ]
-            (D.steal_batch d ~max:4);
-          Alcotest.(check (list int))
-            "truncated at empty" [ 5; 6; 7; 8; 9; 10 ]
-            (D.steal_batch d ~max:99);
-          Alcotest.(check (list int)) "now empty" [] (D.steal_batch d ~max:1);
-          (* interleaves with owner pops: owner keeps the newest end *)
-          for v = 20 to 25 do
-            ignore (D.push d v)
-          done;
-          Alcotest.(check (option int)) "owner pops newest" (Some 25) (D.pop d);
-          Alcotest.(check (list int))
-            "thief takes the oldest pair" [ 20; 21 ]
-            (D.steal_batch d ~max:2)))
-    steal_batch_adapters
-
-(* The scheduler's ~steal_batch knob must not change results, only
-   stealing granularity; 0 is rejected. *)
-let steal_batch_scheduler_tests =
-  let tree_with sb =
-    let module S = Worksteal.Scheduler.Array_scheduler in
-    let acc = Atomic.make 0 in
-    let rec task depth ctx =
-      if depth = 0 then Atomic.incr acc
-      else
-        for _ = 1 to 2 do
-          S.spawn ctx (task (depth - 1))
-        done
-    in
-    S.run ?steal_batch:sb ~workers:3 ~capacity:1024 (task 8);
-    Atomic.get acc
-  in
-  [
-    Test_support.tiered "steal-one and steal-half agree on the result" `Slow
-      (fun () ->
-        Alcotest.(check int) "steal_batch=1" 256 (tree_with (Some 1));
-        Alcotest.(check int) "steal_batch=32" 256 (tree_with (Some 32));
-        Alcotest.(check int) "default" 256 (tree_with None));
-    Alcotest.test_case "steal_batch 0 rejected" `Quick (fun () ->
-        Alcotest.check_raises "validated"
-          (Invalid_argument "Scheduler.run: steal_batch must be >= 1")
-          (fun () ->
-            Worksteal.Scheduler.Array_scheduler.run ~steal_batch:0 ~workers:1
-              ~capacity:8 (fun _ -> ())));
-  ]
+          Alcotest.(check (option int)) "oldest first" (Some 1) (D.steal d);
+          Alcotest.(check (option int)) "then the next oldest" (Some 2)
+            (D.steal d);
+          Alcotest.(check (option int)) "owner pops newest" (Some 4) (D.pop d);
+          Alcotest.(check (option int)) "the last task" (Some 3) (D.steal d);
+          Alcotest.(check (option int)) "empty again" None (D.steal d);
+          Alcotest.(check (option int)) "owner finds it empty" None (D.pop d)))
+    steal_adapters
 
 (* Determinism of the RNG plumbing: same seed, same single-worker
    schedule, same result (trivially), but also repeated multi-worker
@@ -140,7 +104,6 @@ let () =
       ("fib", fib_tests);
       ("tree", tree_tests);
       ("inline fallback", inline_fallback_tests);
-      ( "steal batching",
-        steal_batch_semantics_tests @ steal_batch_scheduler_tests );
+      ("steal contract", steal_contract_tests);
       ("repeatability", repeatability);
     ]
