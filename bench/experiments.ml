@@ -1291,8 +1291,8 @@ let e21 ~quick =
   let finite f = if Float.is_finite f then f else 0. in
   (* The two-location slow path, single domain, uncontended.  "write"
      changes both words (the shape of a successful push/pop); "half"
-     changes one and keeps the other, whose release value elision
-     reinstalls; "confirm" is a no-op on both (the shape of the
+     changes one and keeps the other, which is still released to a
+     fresh block; "confirm" is a no-op on both (the shape of the
      empty/full boundary confirmations), which the read-only path
      answers without a descriptor. *)
   let quota = if quick then 0.2 else 0.4 in
@@ -1356,7 +1356,7 @@ let e21 ~quick =
     alloc_rows;
   note
     "uncontended successful DCAS on two int locations; 'half' keeps one\n\
-     location, whose original block value elision reinstalls; 'confirm'\n\
+     location's value, which is still released to a fresh block; 'confirm'\n\
      is the no-op shape of the deques' boundary checks, answered from\n\
      three reads with no descriptor"
 

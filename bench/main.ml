@@ -102,10 +102,10 @@ let quantile_of ~experiment ~row k r =
 
 (* E21 carries enough structure to cross-check the perf claims, not
    just the schema: a writing DCAS takes one flat two-location
-   descriptor, its two value blocks and at most the protocol's 25 minor
-   words; on "half" value elision saves a release allocation, so it
-   takes one value block and fewer words than "write"; the no-op
-   "confirm" takes no descriptor and allocates nothing. *)
+   descriptor, its two value blocks and at most the protocol's 19 minor
+   words; "half" releases its unchanged location to a fresh block too,
+   so it takes two value blocks and exactly the words of "write"; the
+   no-op "confirm" takes no descriptor and allocates nothing. *)
 let check_e21 rows =
   let open Harness.Json in
   let fail fmt =
@@ -136,11 +136,11 @@ let check_e21 rows =
   expect "write" "descriptor_allocs_per_op" 1.;
   expect "write" "dcas2_hits_per_op" 1.;
   expect "write" "value_allocs_per_op" 2.;
-  if not (words "write" <= 25.) then
-    fail "write allocates %.1f w/op, above the protocol's 25" (words "write");
-  expect "half" "value_allocs_per_op" 1.;
-  if not (words "half" < words "write") then
-    fail "half allocates %.1f w/op, no fewer than write's %.1f" (words "half")
+  if not (words "write" <= 19.) then
+    fail "write allocates %.1f w/op, above the protocol's 19" (words "write");
+  expect "half" "value_allocs_per_op" 2.;
+  if words "half" <> words "write" then
+    fail "half allocates %.1f w/op, not write's %.1f" (words "half")
       (words "write");
   expect "confirm" "descriptor_allocs_per_op" 0.;
   expect "confirm" "dcas2_hits_per_op" 0.;

@@ -89,17 +89,16 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     | Item v ->
         (* Lines 12-20: try to claim the item. *)
         if t.hints then begin
-          let ok, got_r, got_s =
-            M.dcas_strong t.r t.s.(new_r) old_r old_s new_r Null
-          in
-          if ok then `Value v
-          else if got_r = old_r && got_s == Null then
-            (* Lines 17-18: index unchanged, so the cell changed; if it
-               is now null a competing pop on the other side stole the
-               last item (Figure 6) and the deque was empty at the
-               DCAS. *)
-            `Empty
-          else pop_right_from t (Dcas.Backoff.failed b)
+          match M.dcas_strong t.r t.s.(new_r) old_r old_s new_r Null with
+          | Swapped -> `Value v
+          | Saw (got_r, got_s) ->
+              if got_r = old_r && got_s == Null then
+                (* Lines 17-18: index unchanged, so the cell changed; if
+                   it is now null a competing pop on the other side stole
+                   the last item (Figure 6) and the deque was empty at
+                   the DCAS. *)
+                `Empty
+              else pop_right_from t (Dcas.Backoff.failed b)
         end
         else if M.dcas t.r t.s.(new_r) old_r old_s new_r Null then `Value v
         else pop_right_from t (Dcas.Backoff.failed b)
@@ -122,15 +121,14 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     | Null ->
         (* Lines 12-19: try to insert. *)
         if t.hints then begin
-          let ok, got_r, _got_s =
-            M.dcas_strong t.r t.s.(old_r) old_r old_s new_r (Item v)
-          in
-          if ok then `Okay
-          else if got_r = old_r then
-            (* Lines 17-18: index unchanged, so the cell gained a value:
-               whatever it is, the deque is full. *)
-            `Full
-          else push_right_from t v (Dcas.Backoff.failed b)
+          match M.dcas_strong t.r t.s.(old_r) old_r old_s new_r (Item v) with
+          | Swapped -> `Okay
+          | Saw (got_r, _) ->
+              if got_r = old_r then
+                (* Lines 17-18: index unchanged, so the cell gained a
+                   value: whatever it is, the deque is full. *)
+                `Full
+              else push_right_from t v (Dcas.Backoff.failed b)
         end
         else if M.dcas t.r t.s.(old_r) old_r old_s new_r (Item v) then `Okay
         else push_right_from t v (Dcas.Backoff.failed b)
@@ -151,12 +149,11 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
         else pop_left_from t (Dcas.Backoff.failed b)
     | Item v ->
         if t.hints then begin
-          let ok, got_l, got_s =
-            M.dcas_strong t.l t.s.(new_l) old_l old_s new_l Null
-          in
-          if ok then `Value v
-          else if got_l = old_l && got_s == Null then `Empty
-          else pop_left_from t (Dcas.Backoff.failed b)
+          match M.dcas_strong t.l t.s.(new_l) old_l old_s new_l Null with
+          | Swapped -> `Value v
+          | Saw (got_l, got_s) ->
+              if got_l = old_l && got_s == Null then `Empty
+              else pop_left_from t (Dcas.Backoff.failed b)
         end
         else if M.dcas t.l t.s.(new_l) old_l old_s new_l Null then `Value v
         else pop_left_from t (Dcas.Backoff.failed b)
@@ -177,12 +174,11 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
         else push_left_from t v (Dcas.Backoff.failed b)
     | Null ->
         if t.hints then begin
-          let ok, got_l, _got_s =
-            M.dcas_strong t.l t.s.(old_l) old_l old_s new_l (Item v)
-          in
-          if ok then `Okay
-          else if got_l = old_l then `Full
-          else push_left_from t v (Dcas.Backoff.failed b)
+          match M.dcas_strong t.l t.s.(old_l) old_l old_s new_l (Item v) with
+          | Swapped -> `Okay
+          | Saw (got_l, _) ->
+              if got_l = old_l then `Full
+              else push_left_from t v (Dcas.Backoff.failed b)
         end
         else if M.dcas t.l t.s.(old_l) old_l old_s new_l (Item v) then `Okay
         else push_left_from t v (Dcas.Backoff.failed b)

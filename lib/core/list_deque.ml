@@ -50,8 +50,7 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     to_sr : 'a pointer;
         (* [{ptr = Node sl; deleted = false}] and its SR twin, built once:
            pushes and splices store them instead of rebuilding the same
-           record.  Sound because [pointer_equal] is structural; sharing
-           can only make more value elisions hit in the substrate. *)
+           record.  Sound because [pointer_equal] is structural. *)
   }
 
   let name = "list-deque/" ^ M.name

@@ -45,11 +45,12 @@ let dcas_strong l1 l2 o1 o2 n1 n2 =
   end;
   Mutex.unlock mutex;
   if ok then Opstats.incr_success b;
-  (ok, v1, v2)
+  if ok then Memory_intf.Swapped else Memory_intf.Saw (v1, v2)
 
 let dcas l1 l2 o1 o2 n1 n2 =
-  let ok, _, _ = dcas_strong l1 l2 o1 o2 n1 n2 in
-  ok
+  match dcas_strong l1 l2 o1 o2 n1 n2 with
+  | Memory_intf.Swapped -> true
+  | Memory_intf.Saw _ -> false
 
 type cass = Cass : 'a loc * 'a * 'a -> cass
 

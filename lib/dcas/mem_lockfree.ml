@@ -3,71 +3,57 @@
    compare-and-swap (CASN) built from single-word CAS with descriptors
    and helping, after Harris, Fraser and Pratt.
 
-   Each location holds a [state]: either a plain [Value], or [Owned] by
-   a CASN descriptor together with the location's value before and
-   after that CASN.  The logical value of an [Owned] location is
-   decided by the descriptor's status: [before] until the status word
-   is CASed to [Succeeded] (which is the linearization point of the
-   whole CASN), [after] from then on.  Any thread that encounters an
-   undecided descriptor while installing its own helps it to completion
-   first, so a stalled thread can never block others.
+   Each location holds a [state]: a plain [Value], or a reference to
+   the CASN descriptor that owns it.  An owned location reads as the
+   descriptor's [before] value for it until the status word is CASed to
+   [Succeeded] (the linearization point of the whole CASN), and as its
+   [after] value from then on.  Any thread that meets an undecided
+   descriptor while installing its own helps it to completion first,
+   so a stalled thread can never block others.  Once decided, each
+   location the descriptor still owns is released to a fresh [Value].
 
-   Descriptors come in two layouts, chosen by width.  The flat [Dcas2]
-   inlines both locations and values into one record — no entry
-   blocks, no array, no per-index bounds checks — and serves every
-   two-location CASN, which is every deque operation in the paper; the
-   generic [Casn] carries an entry array and serves every other width.
-   Both run one protocol by construction: [step] is the only code that
-   acquires an entry (read the state, help or release a foreign
-   descriptor, compare, install, publish), and each layout keeps only a
-   driver that re-reads the status, sequences its entries and decides.
+   Descriptors come in two layouts, chosen by width.  The flat [dcas2]
+   record holds both locations and their values and serves every
+   two-location CASN, which is every deque operation in the paper; a
+   location it owns holds [A d] or [B d], two words that resolve
+   through the descriptor's own fields.  The generic [casn] carries an
+   entry array and serves every other width; a location it owns holds
+   an [Owned] block with the entry's values.  Both run one protocol:
+   [step] is the only code that acquires an entry, and each layout
+   keeps only a driver that re-reads the status, sequences its entries
+   and decides.
 
-   Two properties of OCaml make the simple two-phase CASN (without the
-   RDCSS sub-protocol of Harris et al.) correct here:
+   Every write installs a freshly allocated block (an ownership block,
+   or the [Value] of a release or a [set]), and the garbage collector
+   keeps an address from being reused while anything refers to it
+   (the paper's deques rely on GC the same way, Section 1.1).  So the
+   same block at two reads means no write in between.  Two arguments
+   rest on that:
 
-   - installation uses a physical compare-and-set against the exact
-     state block read in the same attempt, and a state block stays
-     current only while the location's logical value is unchanged:
-     every logical change installs a fresh [Value] block.  A release
-     that would write back the unchanged logical value may reinstall
-     the original block (value elision, below); a stale helper whose
-     physical CAS then succeeds has therefore validated a still-current
-     logical value, and the decided descriptor it installs resolves to
-     that same value, so the re-installation is harmless and is undone
-     by the helper's own release phase; and
+   - [step] reads the location's state, then the descriptor's status,
+     then installs by a CAS against the block it read.  If the status
+     read [Undecided] and the CAS succeeds, the location held that
+     [Value] block throughout.  A descriptor that succeeds holds each
+     of its locations at its decide (an ownership block is displaced
+     only once its descriptor is decided), so it was decided after the
+     install, which therefore acquired the entry.  If it failed in
+     between, the install reads as [before], equal to the value it
+     replaced, until a release puts a fresh [Value] back.  Without the
+     status read, a helper that saw [Undecided] before the descriptor
+     succeeded and was released could install it over a later write
+     that restored [before], and the location would jump to [after].
 
-   - the garbage collector reclaims descriptors, exactly as the paper's
-     deques rely on GC to reclaim list nodes (Section 1.1).
-
-   The first argument fails for a [Succeeded] descriptor, and [step] is
-   where: a driver reads [Undecided], the descriptor is then decided,
-   released, and its location moved back to [before] by a fresh
-   [Value]; [step]'s state read finds that block, [equal] accepts it,
-   its install CAS succeeds, and the release then writes [after] back
-   (ROADMAP.md, item 1).  The fix, an install conditional on the
-   status, belongs in [step] alone.
+   - A DCAS whose new values are physically its expected ones writes
+     nothing: it is the paper's empty/full confirmation (Figures 2/3
+     lines 6-11, Figure 11 lines 8-12), and [dcas_strong]'s failing
+     view.  [dcas] answers it without a descriptor when three reads
+     agree: [l1] holds a [Value] block [s1] whose value is [o1], [l2]
+     resolves to [o2], and [l1] still holds [s1].  [l1] then held [o1]
+     between the two reads, so success linearizes at [l2]'s read.
+     When the reads disagree the call takes the full path below.
 
    Entries are acquired in ascending location-id order, which bounds
-   helping chains and yields lock-freedom by the standard argument.
-
-   A DCAS whose new values are physically its expected ones writes
-   nothing: it is the paper's empty/full confirmation (Figures 2/3
-   lines 6-11, Figure 11 lines 8-12), and [dcas_strong]'s failing view.
-   [dcas] answers it without a descriptor when three reads agree: [l1]
-   holds a [Value] block [s1] whose value is [o1], [l2] resolves to
-   [o2], and [l1] still holds [s1].  Success linearizes at [l2]'s read.
-   The argument: a [Value] block returns to a location only through
-   value elision, from the [Owned] block that displaced it.  That block
-   reads as its [before], which its install matched against the
-   displaced value, until its descriptor succeeds and it reads as
-   [after]; elision reinstalls the displaced block only when the
-   released value is that block's own.  Every other write, ROADMAP.md
-   item 1's stale install included, puts a fresh block there.  So [l1]
-   held [o1] (under its equality) for the whole window between the two
-   reads of [s1].  The path installs nothing, so it neither fixes nor
-   enters the stale-install sequence.  When the reads disagree — [l1]
-   is [Owned], its block changed, a value differs — the call takes the
-   pre-validation and descriptor path below, unchanged. *)
+   helping chains and yields lock-freedom by the standard argument. *)
 
 type status = Undecided | Failed | Succeeded
 
@@ -79,24 +65,23 @@ type 'a loc = {
 
 and 'a state =
   | Value of 'a
-  | Owned of { desc : desc; before : 'a; after : 'a; orig : 'a state }
-      (* [orig] is the [Value] block this acquisition displaced; release
-         reinstalls it when the logical value comes out unchanged *)
+  | A : ('a, 'b) dcas2 -> 'a state
+  | B : ('a, 'b) dcas2 -> 'b state
+  | Owned : { desc : casn; before : 'a; after : 'a } -> 'a state
 
-and desc =
-  | Dcas2 : {
-      status : status Atomic.t;
-      owner : int;  (* domain id of the operation's initiator *)
-      loc_a : 'a loc;  (* invariant: loc_a.id < loc_b.id *)
-      before_a : 'a;
-      after_a : 'a;
-      loc_b : 'b loc;
-      before_b : 'b;
-      after_b : 'b;
-    }
-      -> desc
+and ('a, 'b) dcas2 = {
+  status : status Atomic.t;  (* also the descriptor's identity *)
+  owner : int;  (* domain id of the operation's initiator *)
+  loc_a : 'a loc;  (* invariant: loc_a.id < loc_b.id *)
+  before_a : 'a;
+  after_a : 'a;
+  loc_b : 'b loc;
+  before_b : 'b;
+  after_b : 'b;
+}
+
+and casn =
   | Casn of { status : status Atomic.t; owner : int; entries : entry array }
-
 and entry = Entry : { loc : 'a loc; before : 'a; after : 'a } -> entry
 
 type cass = Cass : 'a loc * 'a * 'a -> cass
@@ -106,9 +91,15 @@ let counters = Opstats.create ()
 let stats () = Opstats.snapshot counters
 let reset_stats () = Opstats.reset counters
 
-let status_of = function
-  | Dcas2 { status; _ } -> status
-  | Casn { status; _ } -> status
+(* The status word of the descriptor an ownership block names.  A
+   [Value] names none, and [unowned] is no descriptor's word. *)
+let unowned = Atomic.make Failed
+
+let[@inline] holder : type a. a state -> status Atomic.t = function
+  | Value _ -> unowned
+  | A d -> d.status
+  | B d -> d.status
+  | Owned { desc = Casn c; _ } -> c.status
 
 (* --- Fail-stop crash bookkeeping (driven by {!Harness.Crash}) ---
 
@@ -127,21 +118,25 @@ let dead_count = Atomic.make 0
 let dead_list = Atomic.make ([] : int list)
 
 (* Orphan registry: every descriptor published by an already-dead
-   domain.  A dying domain publishes at most one (it is killed at its
-   first publish), so the registry is exactly the set of descriptors
-   the paper's helping protocol must complete on the crashed domain's
-   behalf; [help_orphans] lets a supervisor force that completion
+   domain, kept as the ownership block that published it.  A dying
+   domain publishes at most one (it is killed at its first publish),
+   so the registry is exactly the set of descriptors the paper's
+   helping protocol must complete on the crashed domain's behalf;
+   [help_orphans] lets a supervisor force that completion
    deterministically instead of waiting for a survivor to collide with
    the owned locations.  Reads alone never decide a descriptor
    ([resolve] consults the status without helping), so without this a
    quiescent orphan could stay undecided forever. *)
-let orphan_registry = Atomic.make ([] : desc list)
+type orphan = Orphan : 'a state -> orphan
 
-let rec register_orphan d =
+let orphan_registry = Atomic.make ([] : orphan list)
+
+let rec register_orphan : type a. a state -> unit =
+ fun own ->
   let cur = Atomic.get orphan_registry in
-  if List.memq d cur then ()
-  else if not (Atomic.compare_and_set orphan_registry cur (d :: cur)) then
-    register_orphan d
+  if List.exists (fun (Orphan o) -> holder o == holder own) cur then ()
+  else if not (Atomic.compare_and_set orphan_registry cur (Orphan own :: cur))
+  then register_orphan own
 
 let orphans () = List.length (Atomic.get orphan_registry)
 
@@ -172,22 +167,23 @@ let clear_publish_hook () =
 
 let self_id () = (Domain.self () :> int)
 
-let owner_of = function
-  | Dcas2 { owner; _ } -> owner
-  | Casn { owner; _ } -> owner
-
-(* The initiator just installed its own descriptor: give the crash
-   layer its chance to kill the domain right here, mid-CASN.  Helpers
-   installing someone else's descriptor never trigger the hook.  The
-   owner is read back out of [desc] (rather than passed in) so the
-   acquire functions take nothing beyond what the fault-free protocol
-   already needs. *)
-let published desc =
+(* A domain just installed ownership block [own]: if it is the
+   descriptor's initiator, give the crash layer its chance to kill the
+   domain right here, mid-CASN.  Helpers installing someone else's
+   descriptor never trigger the hook. *)
+let published : type a. a state -> unit =
+ fun own ->
   if Atomic.get hook_armed then begin
-    let owner = owner_of desc in
+    let owner =
+      match own with
+      | A d -> d.owner
+      | B d -> d.owner
+      | Owned { desc = Casn c; _ } -> c.owner
+      | Value _ -> -1
+    in
     if owner = self_id () then begin
       if Atomic.get dead_count > 0 && List.memq owner (Atomic.get dead_list)
-      then register_orphan desc;
+      then register_orphan own;
       (Atomic.get publish_hook) ()
     end
   end
@@ -196,12 +192,12 @@ let published desc =
    dead domain and we are not it, a survivor has completed a crashed
    thread's operation.  Status is monotonic, so this runs exactly once
    per descriptor. *)
-let decided owner =
+let decided b owner =
   if
     Atomic.get dead_count > 0
     && owner <> self_id ()
     && List.memq owner (Atomic.get dead_list)
-  then Opstats.incr_orphan (Opstats.bucket counters)
+  then Opstats.incr_orphan b
 
 let make ?(equal = ( = )) v =
   { id = Id.next (); state = Atomic.make (Value v); equal }
@@ -213,152 +209,141 @@ let make_padded ?(equal = ( = )) v =
 (* The logical value of a state block, given the owning descriptor's
    current status.  Status is monotonic (Undecided -> Failed/Succeeded,
    then frozen), so reading the state block and then its status yields a
-   linearizable read: see DESIGN.md, lib/dcas notes.  On the common
-   already-released [Value] case this allocates nothing. *)
-let resolve : type a. a state -> a = function
+   linearizable read: see DESIGN.md, lib/dcas notes.  It allocates
+   nothing. *)
+let[@inline] resolve : type a. a state -> a = function
   | Value v -> v
-  | Owned { desc; before; after; _ } -> (
-      match Atomic.get (status_of desc) with
-      | Succeeded -> after
-      | Undecided | Failed -> before)
+  | A d -> if Atomic.get d.status = Succeeded then d.after_a else d.before_a
+  | B d -> if Atomic.get d.status = Succeeded then d.after_b else d.before_b
+  | Owned { desc = Casn c; before; after } ->
+      if Atomic.get c.status = Succeeded then after else before
 
 let get loc =
   Opstats.incr_read (Opstats.bucket counters);
   resolve (Atomic.get loc.state)
 
-(* Replace a decided descriptor's hold on [loc] with a plain [Value];
-   failure means somebody else already moved the location on.  When the
-   logical value comes out unchanged — the descriptor failed, or this
-   was the unchanged entry of a DCAS that writes only its other
-   location — the displaced original block is reinstalled instead of
-   allocating a fresh one (value elision; exact for unboxed values like
-   the deque indices, conservative otherwise via physical equality). *)
-let release_one (type a) (loc : a loc) (cur : a state) =
-  match cur with
-  | Value _ -> ()
-  | Owned { before; after; orig; desc } ->
-      let v =
-        match Atomic.get (status_of desc) with
-        | Succeeded -> after
-        | Undecided | Failed -> before
-      in
-      let replacement =
-        match orig with
-        | Value v0 when v0 == v -> orig
-        | Value _ | Owned _ ->
-            Opstats.incr_value_alloc (Opstats.bucket counters);
-            Value v
-      in
-      ignore (Atomic.compare_and_set loc.state cur replacement)
+(* Replace a decided descriptor's ownership block [cur] with a fresh
+   [Value] of what it resolves to, counted on the caller's bucket;
+   failure means somebody else already moved the location on. *)
+let release_one (type a) b (loc : a loc) (cur : a state) =
+  Opstats.incr_value_alloc b;
+  ignore (Atomic.compare_and_set loc.state cur (Value (resolve cur)))
 
-(* Eagerly release [loc] if [desc] still owns it, so later operations
-   on it take the fast [Value] path. *)
-let release_own (type a) desc (loc : a loc) =
-  match Atomic.get loc.state with
-  | Owned { desc = d; _ } as cur when d == desc -> release_one loc cur
-  | Value _ | Owned _ -> ()
+(* Eagerly release [loc] if the descriptor with status word [status]
+   still owns it, so later operations on it take the fast [Value]
+   path. *)
+let release_own (type a) b status (loc : a loc) =
+  let cur = Atomic.get loc.state in
+  if holder cur == status then release_one b loc cur
 
 (* What one acquire step found: the entry is held by the descriptor;
    the location must be read again (another descriptor held it and was
-   helped or released, or the install CAS lost a race); or its value is
-   not the expected one.  Constant constructors, so a step allocates
-   only the [Owned] block it installs. *)
+   helped or released, the install CAS lost a race, or the descriptor
+   is already decided); or its value is not the expected one.
+   Constant constructors, so a step allocates only the ownership block
+   it installs. *)
 type verdict = Acquired | Retry | Mismatch
 
 (* The per-entry protocol, the same for both layouts: read the state;
    help an undecided foreign descriptor or release a decided one; else
-   compare with [equal] and install by CAS, and tell the crash layer
-   when the initiator has published.  [help] comes in as an argument
-   so that [step] stays outside the recursive group below and is
-   inlined into each driver: called out of line, it made two-domain
-   list-deque traffic about 10% slower at p50 and p90. *)
+   compare with [equal], re-read the status, and install [own d before
+   after] by CAS, telling the crash layer when the initiator has
+   published.  The status re-read sits between the state read and the
+   CAS (see the header).  [help] comes in as an argument so that
+   [step] stays outside the recursive group below and is inlined into
+   each driver: called out of line, it made two-domain list-deque
+   traffic about 10% slower at p50 and p90. *)
 let[@inline] step :
-    type a. (desc -> unit) -> desc -> a loc -> a -> a -> verdict =
- fun help desc loc before after ->
-  let cur = Atomic.get loc.state in
-  match cur with
-  | Owned { desc = d; _ } when d == desc -> Acquired
-  | Owned { desc = d; _ } ->
-      if Atomic.get (status_of d) = Undecided then help d
-      else release_one loc cur;
-      Retry
-  | Value v ->
-      if not (loc.equal v before) then Mismatch
-      else if
-        Atomic.compare_and_set loc.state cur
-          (Owned { desc; before; after; orig = cur })
-      then begin
-        published desc;
-        Acquired
-      end
-      else Retry
-
-(* Helping runs on every DCAS, so its loops are closed top-level
-   functions that take all their state as arguments: a local recursive
-   closure over the descriptor's fields would be allocated afresh on
-   every call.  The drivers return true iff this call's CAS decided the
-   status, so the orphan accounting ([decided]) runs after them and the
-   fault-free path allocates only what the protocol needs: the
-   descriptor, its [Owned] blocks and the released [Value]s. *)
-let rec help desc =
-  match desc with
-  | Dcas2 { status; owner; loc_a; before_a; after_a; loc_b; before_b; after_b }
-    ->
-      if drive_dcas2 desc status false loc_a before_a after_a loc_b before_b
-           after_b
-      then decided owner;
-      release_own desc loc_a;
-      release_own desc loc_b
-  | Casn { status; owner; entries } ->
-      if drive_casn desc status entries 0 then decided owner;
-      for i = 0 to Array.length entries - 1 do
-        let (Entry { loc; _ }) = entries.(i) in
-        release_own desc loc
-      done
-
-(* The [Dcas2] driver: entry a, then entry b ([on_b]), the status
-   re-read before every step.  Its fields stay arguments, so helping a
-   flat descriptor touches no entry block. *)
-and drive_dcas2 :
-    type a b.
-    desc ->
+    type a d.
+    (Opstats.bucket -> a state -> unit) ->
+    Opstats.bucket ->
+    (d -> a -> a -> a state) ->
+    d ->
     status Atomic.t ->
-    bool ->
     a loc ->
     a ->
     a ->
-    b loc ->
-    b ->
-    b ->
-    bool =
- fun desc status on_b loc_a before_a after_a loc_b before_b after_b ->
-  Atomic.get status = Undecided
+    verdict =
+ fun help b own d status loc before after ->
+  let cur = Atomic.get loc.state in
+  match cur with
+  | Value v ->
+      if not (loc.equal v before) then Mismatch
+      else if Atomic.get status <> Undecided then Retry
+      else
+        let mine = own d before after in
+        if Atomic.compare_and_set loc.state cur mine then begin
+          published mine;
+          Acquired
+        end
+        else Retry
+  | A _ | B _ | Owned _ ->
+      let s = holder cur in
+      if s == status then Acquired
+      else begin
+        if Atomic.get s = Undecided then help b cur else release_one b loc cur;
+        Retry
+      end
+
+let own_a d _ _ = A d
+let own_b d _ _ = B d
+let own_entry desc before after = Owned { desc; before; after }
+
+(* Helping runs on every DCAS, so its loops are closed top-level
+   functions that take all their state as arguments: a local recursive
+   closure over the descriptor would be allocated afresh on every call.
+   The drivers return true iff this call's CAS decided the status, so
+   the orphan accounting ([decided]) runs after them, and every count
+   lands on the bucket [b] the operation fetched once.  The fault-free
+   path allocates only what the protocol needs: the descriptor, its
+   ownership blocks and the released [Value]s. *)
+let rec help : type a. Opstats.bucket -> a state -> unit =
+ fun b -> function
+  | Value _ -> ()
+  | A d -> help_dcas2 b d
+  | B d -> help_dcas2 b d
+  | Owned { desc; _ } -> help_casn b desc
+
+and help_dcas2 : type a c. Opstats.bucket -> (a, c) dcas2 -> unit =
+ fun b d ->
+  if drive_dcas2 b d false then decided b d.owner;
+  release_own b d.status d.loc_a;
+  release_own b d.status d.loc_b
+
+and help_casn b (Casn c as desc) =
+  if drive_casn b desc 0 then decided b c.owner;
+  for i = 0 to Array.length c.entries - 1 do
+    let (Entry { loc; _ }) = c.entries.(i) in
+    release_own b c.status loc
+  done
+
+(* The [dcas2] driver: entry a, then entry b ([on_b]), the status
+   re-read before every step. *)
+and drive_dcas2 : type a c. Opstats.bucket -> (a, c) dcas2 -> bool -> bool =
+ fun b d on_b ->
+  Atomic.get d.status = Undecided
   &&
   match
-    if on_b then step help desc loc_b before_b after_b
-    else step help desc loc_a before_a after_a
+    if on_b then step help b own_b d d.status d.loc_b d.before_b d.after_b
+    else step help b own_a d d.status d.loc_a d.before_a d.after_a
   with
-  | Acquired when on_b -> Atomic.compare_and_set status Undecided Succeeded
-  | Acquired ->
-      drive_dcas2 desc status true loc_a before_a after_a loc_b before_b
-        after_b
-  | Retry ->
-      drive_dcas2 desc status on_b loc_a before_a after_a loc_b before_b
-        after_b
-  | Mismatch -> Atomic.compare_and_set status Undecided Failed
+  | Acquired when on_b -> Atomic.compare_and_set d.status Undecided Succeeded
+  | Acquired -> drive_dcas2 b d true
+  | Retry -> drive_dcas2 b d on_b
+  | Mismatch -> Atomic.compare_and_set d.status Undecided Failed
 
-(* The [Casn] driver: entries [i] on, in order. *)
-and drive_casn desc status entries i =
-  if i >= Array.length entries then
-    Atomic.compare_and_set status Undecided Succeeded
+(* The [casn] driver: entries [i] on, in order. *)
+and drive_casn b (Casn c as desc) i =
+  if i >= Array.length c.entries then
+    Atomic.compare_and_set c.status Undecided Succeeded
   else
-    Atomic.get status = Undecided
+    Atomic.get c.status = Undecided
     &&
-    let (Entry { loc; before; after }) = entries.(i) in
-    match step help desc loc before after with
-    | Acquired -> drive_casn desc status entries (i + 1)
-    | Retry -> drive_casn desc status entries i
-    | Mismatch -> Atomic.compare_and_set status Undecided Failed
+    let (Entry { loc; before; after }) = c.entries.(i) in
+    match step help b own_entry desc c.status loc before after with
+    | Acquired -> drive_casn b desc (i + 1)
+    | Retry -> drive_casn b desc i
+    | Mismatch -> Atomic.compare_and_set c.status Undecided Failed
 
 (* Complete every orphaned descriptor on the crashed owners' behalf:
    the survivors' side of Theorems 3.1/4.1 made into an API.  Helping
@@ -367,17 +352,16 @@ and drive_casn desc status entries i =
    already completed some orphans is safe and counts nothing twice —
    [helped_orphans] ticks only at the single successful status CAS. *)
 let help_orphans () =
+  let b = Opstats.bucket counters in
   let ds = Atomic.get orphan_registry in
-  List.iter help ds;
+  List.iter (fun (Orphan own) -> help b own) ds;
   List.length ds
 
 let rec set loc v =
   let b = Opstats.bucket counters in
   Opstats.incr_write b;
   let cur = Atomic.get loc.state in
-  (match cur with
-  | Owned { desc; _ } when Atomic.get (status_of desc) = Undecided -> help desc
-  | Value _ | Owned _ -> ());
+  if Atomic.get (holder cur) = Undecided then help b cur;
   Opstats.incr_value_alloc b;
   if not (Atomic.compare_and_set loc.state cur (Value v)) then set loc v
 
@@ -392,7 +376,7 @@ let set_private loc v = Atomic.set loc.state (Value v)
    indistinguishable from installing a descriptor and losing — except
    that it allocates nothing and performs no CAS, which under
    contention is the difference between a cache-line read and a
-   read-for-ownership storm.  Mismatch against an [Owned] state needs
+   read-for-ownership storm.  Mismatch against an owned state needs
    no helping either: the owner's status word alone decides the logical
    value. *)
 let doomed (type a) (loc : a loc) (expected : a) =
@@ -406,44 +390,33 @@ let confirmed (type a b) (l1 : a loc) (l2 : b loc) (o1 : a) (o2 : b) =
       v == o1
       && resolve (Atomic.get l2.state) == o2
       && Atomic.get l1.state == s1
-  | Owned _ -> false
+  | A _ | B _ | Owned _ -> false
 
-(* Build the flat two-location descriptor, normalizing to ascending
-   location-id order (the acquire order that bounds helping chains). *)
-let make_dcas2 l1 l2 o1 o2 n1 n2 =
-  let owner = self_id () in
-  if l1.id < l2.id then
-    Dcas2
-      {
-        status = Atomic.make Undecided;
-        owner;
-        loc_a = l1;
-        before_a = o1;
-        after_a = n1;
-        loc_b = l2;
-        before_b = o2;
-        after_b = n2;
-      }
-  else
-    Dcas2
-      {
-        status = Atomic.make Undecided;
-        owner;
-        loc_a = l2;
-        before_a = o2;
-        after_a = n2;
-        loc_b = l1;
-        before_b = o1;
-        after_b = n1;
-      }
-
-(* The slow path's tail, shared by both layouts: help the fresh
-   descriptor through, then read its verdict. *)
-let complete b desc =
-  help desc;
-  let ok = Atomic.get (status_of desc) = Succeeded in
+(* The slow path's tail, shared by both layouts: read the verdict of a
+   descriptor just helped through. *)
+let succeeded b status =
+  let ok = Atomic.get status = Succeeded in
   if ok then Opstats.incr_success b;
   ok
+
+(* The flat descriptor over [loc_a] and [loc_b], which the caller
+   orders by ascending id (the acquire order that bounds helping
+   chains), helped through. *)
+let dcas2 b loc_a loc_b before_a before_b after_a after_b =
+  let d =
+    {
+      status = Atomic.make Undecided;
+      owner = self_id ();
+      loc_a;
+      before_a;
+      after_a;
+      loc_b;
+      before_b;
+      after_b;
+    }
+  in
+  help_dcas2 b d;
+  succeeded b d.status
 
 let dcas l1 l2 o1 o2 n1 n2 =
   if l1.id = l2.id then invalid_arg "Mem_lockfree.dcas: locations must differ";
@@ -460,7 +433,8 @@ let dcas l1 l2 o1 o2 n1 n2 =
   else begin
     Opstats.incr_desc_alloc b;
     Opstats.incr_dcas2 b;
-    complete b (make_dcas2 l1 l2 o1 o2 n1 n2)
+    if l1.id < l2.id then dcas2 b l1 l2 o1 o2 n1 n2
+    else dcas2 b l2 l1 o2 o1 n2 n1
   end
 
 (* The strong form obtains its failing atomic view with the same trick
@@ -471,18 +445,19 @@ let dcas l1 l2 o1 o2 n1 n2 =
    sent us around the loop means the locations are contended right now,
    and re-colliding immediately mostly fails the other operations'
    DCASes too.  The backoff state is allocated only once a retry has
-   failed, keeping the success path allocation-equal to [dcas]. *)
+   failed, and success is a constant, so the success path allocates
+   what [dcas] does. *)
 let rec dcas_strong_retry l1 l2 o1 o2 n1 n2 b =
   let v1 = get l1 in
   let v2 = get l2 in
   if l1.equal v1 o1 && l2.equal v2 o2 then
-    if dcas l1 l2 o1 o2 n1 n2 then (true, o1, o2)
+    if dcas l1 l2 o1 o2 n1 n2 then Memory_intf.Swapped
     else dcas_strong_retry l1 l2 o1 o2 n1 n2 (Backoff.failed b)
-  else if dcas l1 l2 v1 v2 v1 v2 then (false, v1, v2)
+  else if dcas l1 l2 v1 v2 v1 v2 then Memory_intf.Saw (v1, v2)
   else dcas_strong_retry l1 l2 o1 o2 n1 n2 (Backoff.failed b)
 
 let dcas_strong l1 l2 o1 o2 n1 n2 =
-  if dcas l1 l2 o1 o2 n1 n2 then (true, o1, o2)
+  if dcas l1 l2 o1 o2 n1 n2 then Memory_intf.Swapped
   else dcas_strong_retry l1 l2 o1 o2 n1 n2 Backoff.idle
 
 (* Generic N-word CASN over the same locations: the natural
@@ -490,7 +465,7 @@ let dcas_strong l1 l2 o1 o2 n1 n2 =
    "synchronization primitives that can access more than one shared
    memory location".  A two-entry CASN is a [dcas], so width 2 has
    one path; every other width (the 3-word CAS of [List_deque_casn])
-   takes the [Casn] layout. *)
+   takes the [casn] layout. *)
 let casn = function
   | [] -> true
   | [ Cass (l1, o1, n1); Cass (l2, o2, n2) ] ->
@@ -522,6 +497,7 @@ let casn = function
       end
       else begin
         Opstats.incr_desc_alloc b;
-        complete b
-          (Casn { status = Atomic.make Undecided; owner = self_id (); entries })
+        let status = Atomic.make Undecided in
+        help_casn b (Casn { status; owner = self_id (); entries });
+        succeeded b status
       end

@@ -3,9 +3,15 @@
     emulation [8, 30]").
 
     This is the production memory model: all operations are lock-free.
+    A location holds either a plain value block or a two-word reference
+    to the descriptor that owns it, and an owned location resolves
+    through the descriptor's status and its own before/after fields.
     Reads never help; they resolve an owning descriptor's status
     in-place.  Writers and DCAS operations help any undecided descriptor
     they encounter, so a preempted operation can never block others.
+    An install reads the location's state, then the descriptor's status,
+    then CASes, so a descriptor already decided is never installed over
+    a later write.  Every write installs a freshly allocated block.
     Descriptor reclamation relies on the garbage collector, mirroring
     the paper's reliance on GC for list nodes.
 
@@ -14,13 +20,11 @@
     view — is first tried from reads alone: when [l1] holds a plain
     value block of [o1], [l2] reads [o2], and a re-read of [l1] finds
     the same block, it succeeds with no descriptor, linearized at the
-    read of [l2].  A value block comes back to a location only when a
-    descriptor that displaced it leaves the logical value unchanged, so
-    [l1] held [o1] throughout.  It counts one attempt and one success
-    and no descriptor; any other outcome takes the pre-validation and
-    descriptor path.  The path takes physical equality for a match, so
-    it assumes [equal] is reflexive, as it is for every location the
-    deques make. *)
+    read of [l2]: the same block means no write in between.  It counts
+    one attempt and one success and no descriptor; any other outcome
+    takes the pre-validation and descriptor path.  The path takes
+    physical equality for a match, so it assumes [equal] is reflexive,
+    as it is for every location the deques make. *)
 
 include Memory_intf.MEMORY_CASN
 (** [casn entries] atomically compares-and-swaps every entry with

@@ -17,7 +17,7 @@ type stats = {
           in [dcas_attempts]; always 0 for substrates with no slow
           path to avoid. *)
   dcas2_hits : int;
-      (** how many slow paths built the flat two-location [Dcas2]
+      (** how many slow paths built the flat two-location [dcas2]
           descriptor ({!Mem_lockfree}: every two-location one — a
           [dcas] or a two-entry [casn] — does, and every other width
           builds the entry-array one); always 0 for other
@@ -27,10 +27,9 @@ type stats = {
           pre-validation and took a slow path ({!Mem_lockfree}; a
           no-op DCAS its read-only path confirms takes none). *)
   value_allocs : int;
-      (** fresh [Value] state blocks allocated by writes and descriptor
-          releases ({!Mem_lockfree}).  Elided releases — the location's
-          logical value was unchanged, so the original block is
-          reinstalled — do not count. *)
+      (** [Value] state blocks allocated by writes and descriptor
+          releases ({!Mem_lockfree}).  Every release allocates one, so
+          a writing two-location DCAS counts exactly two. *)
   helped_orphans : int;
       (** descriptors published by a domain since marked dead
           ({!Mem_lockfree.mark_dead}) whose status was decided by a
@@ -89,6 +88,11 @@ let pp_stats ppf s =
   if s.helped_orphans > 0 then
     Format.fprintf ppf " orphans-helped=%d" s.helped_orphans
 
+(** What {!MEMORY.dcas_strong} returns: [Swapped] when it succeeded,
+    or [Saw (v1, v2)], the atomic view of the two locations that made it
+    fail.  Success is a constant, so it allocates nothing. *)
+type ('a, 'b) strong = Swapped | Saw of 'a * 'b
+
 module type MEMORY = sig
   (** A linearizable shared memory providing the operations of Section 2:
       [Read], [Write] and the two forms of [DCAS] from Figure 1. *)
@@ -138,12 +142,12 @@ module type MEMORY = sig
 
       @raise Invalid_argument if [l1] and [l2] are the same location. *)
 
-  val dcas_strong : 'a loc -> 'b loc -> 'a -> 'b -> 'a -> 'b -> bool * 'a * 'b
+  val dcas_strong : 'a loc -> 'b loc -> 'a -> 'b -> 'a -> 'b -> ('a, 'b) strong
   (** [dcas_strong l1 l2 o1 o2 n1 n2] is the atomic-view form of
       Figure 1 (third and fourth arguments are pointers to the old
       values in the paper's C rendition).  On success it behaves like
-      {!dcas} and returns [(true, o1, o2)]; on failure it returns
-      [(false, v1, v2)] where [(v1, v2)] is an {e atomic} snapshot of
+      {!dcas} and returns [Swapped]; on failure it returns
+      [Saw (v1, v2)] where [(v1, v2)] is an {e atomic} snapshot of
       the two locations observed at some instant during the call, with
       [(v1, v2) <> (o1, o2)] under the locations' equalities. *)
 

@@ -40,7 +40,7 @@
 type bucket = int array
 (* counter indices, each stored at [pad + index]: 0 = reads,
    1 = writes, 2 = dcas attempts, 3 = dcas successes, 4 = dcas
-   fast-fails, 5 = Dcas2 fast-path hits, 6 = descriptor allocations,
+   fast-fails, 5 = dcas2 fast-path hits, 6 = descriptor allocations,
    7 = Value block allocations (5-7 used by Mem_lockfree), 8 = orphaned
    descriptors helped to completion by survivors (crash injection).
    The layout is the field order of Memory_intf.stats: snapshot

@@ -38,7 +38,7 @@ val incr_fastfail : bucket -> unit
     {!Memory_intf.stats.dcas_fastfails}). *)
 
 val incr_dcas2 : bucket -> unit
-(** Count a slow path that built the flat two-location [Dcas2]
+(** Count a slow path that built the flat two-location [dcas2]
     descriptor ({!Mem_lockfree}); see
     {!Memory_intf.stats.dcas2_hits}. *)
 
@@ -46,8 +46,7 @@ val incr_desc_alloc : bucket -> unit
 (** Count a CASN descriptor allocation ({!Mem_lockfree}). *)
 
 val incr_value_alloc : bucket -> unit
-(** Count a fresh [Value] state-block allocation ({!Mem_lockfree});
-    elided releases do not count. *)
+(** Count a [Value] state-block allocation ({!Mem_lockfree}). *)
 
 val incr_orphan : bucket -> unit
 (** Count an orphaned descriptor — published by a domain marked dead —

@@ -68,11 +68,12 @@ let dcas_strong l1 l2 o1 o2 n1 n2 =
     l2.content <- n2;
     incr dcas_successes
   end;
-  (ok, v1, v2)
+  if ok then Dcas.Memory_intf.Swapped else Dcas.Memory_intf.Saw (v1, v2)
 
 let dcas l1 l2 o1 o2 n1 n2 =
-  let ok, _, _ = dcas_strong l1 l2 o1 o2 n1 n2 in
-  ok
+  match dcas_strong l1 l2 o1 o2 n1 n2 with
+  | Dcas.Memory_intf.Swapped -> true
+  | Dcas.Memory_intf.Saw _ -> false
 
 (* Run [f] with yields transparently continued: for code the explorer
    itself needs to run outside any scheduled thread (building the

@@ -237,53 +237,82 @@ let stress_conservation ?seed ?watchdog ?(per_op = fun ~tid:_ ~i:_ -> ()) impl
         "pops <= pushes" true
         (Hashtbl.length all_popped <= Hashtbl.length all_pushed)
 
-(* --- Owner/thief conservation ---
+(* --- Two-domain conservation trials ---
 
-   The work-stealing shape on a general deque: the owner domain pushes
-   fresh values onto the right end and pops that end, while a thief
-   domain pops the left end in bursts of 8.  The deque stays near
-   empty, so both ends keep meeting.  Each trial runs [duration]
-   seconds and joins the thief; the invariant must then hold, and
-   after a drain every pushed value must have come out exactly once.
+   Two domains share one deque, and each draws its operations from its
+   own [script].  The main domain runs bursts of 64 until [duration]
+   seconds have passed; then it stops the peer, which runs bursts of 8,
+   and joins it.  The invariant must then hold, and after a drain every
+   pushed value (each one unique) must have come out exactly once.
    Returns one message per failing trial, so a caller can report the
    failure rate. *)
-let owner_thief_failures impl ~trials ~duration =
+
+type script =
+  Dcas.Splitmix.t -> [ `Push_right | `Push_left | `Pop_right | `Pop_left ]
+
+(* The work-stealing shape: the owner pushes and pops the right end,
+   the thief pops the left end, and the deque stays near empty, so
+   both ends keep meeting. *)
+let owner : script =
+ fun rng ->
+  if Dcas.Splitmix.int rng ~bound:2 = 0 then `Push_right else `Pop_right
+
+let thief : script = fun _ -> `Pop_left
+
+(* Uniform push and pop on both ends: both domains work each end. *)
+let both_ends : script =
+ fun rng ->
+  match Dcas.Splitmix.int rng ~bound:4 with
+  | 0 -> `Push_right
+  | 1 -> `Push_left
+  | 2 -> `Pop_right
+  | _ -> `Pop_left
+
+let conservation_failures impl ~capacity ~trials ~duration ~main ~peer =
   let trial seed =
-    let h = impl.fresh ~capacity:4096 in
-    let stop = Atomic.make false in
-    let thief =
-      Domain.spawn (fun () ->
-          let got = ref [] in
-          while not (Atomic.get stop) do
-            for _ = 1 to 8 do
-              match h.apply Op.Pop_left with
-              | Op.Got v -> got := v :: !got
-              | Op.Empty | Op.Okay | Op.Full -> ()
-            done
-          done;
-          !got)
+    let h = impl.fresh ~capacity in
+    (* worker [w] pushes 2k + w at its k-th successful push *)
+    let burst w (script : script) rng n pushed got =
+      let push op = if h.apply op = Op.Okay then incr pushed in
+      let pop op =
+        match h.apply op with
+        | Op.Got v -> got := v :: !got
+        | Op.Empty | Op.Okay | Op.Full -> ()
+      in
+      for _ = 1 to n do
+        let v = (2 * (!pushed + 1)) + w in
+        match script rng with
+        | `Push_right -> push (Op.Push_right v)
+        | `Push_left -> push (Op.Push_left v)
+        | `Pop_right -> pop Op.Pop_right
+        | `Pop_left -> pop Op.Pop_left
+      done
     in
     let rng = Dcas.Splitmix.create ~seed in
-    let owned = ref [] and next = ref 0 in
+    let peer_rng = Dcas.Splitmix.split rng in
+    let stop = Atomic.make false in
+    let peer_done =
+      Domain.spawn (fun () ->
+          let pushed = ref 0 and got = ref [] in
+          while not (Atomic.get stop) do
+            burst 1 peer peer_rng 8 pushed got
+          done;
+          (!pushed, !got))
+    in
+    let pushed = ref 0 and got = ref [] in
     let t_end = Unix.gettimeofday () +. duration in
     while Unix.gettimeofday () < t_end do
-      for _ = 1 to 64 do
-        if Dcas.Splitmix.int rng ~bound:2 = 0 then begin
-          if h.apply (Op.Push_right (!next + 1)) = Op.Okay then incr next
-        end
-        else
-          match h.apply Op.Pop_right with
-          | Op.Got v -> owned := v :: !owned
-          | Op.Empty | Op.Okay | Op.Full -> ()
-      done
+      burst 0 main rng 64 pushed got
     done;
     Atomic.set stop true;
-    let stolen = Domain.join thief in
+    let peer_pushed, peer_got = Domain.join peer_done in
     let inv = match h.invariant with Some check -> check () | None -> Ok () in
-    let seen = Array.make (!next + 1) 0 in
+    (* room for a refused push's value too, should a broken deque
+       return it *)
+    let seen = Array.make ((2 * max !pushed peer_pushed) + 4) 0 in
     let count v = seen.(v) <- seen.(v) + 1 in
-    List.iter count !owned;
-    List.iter count stolen;
+    List.iter count !got;
+    List.iter count peer_got;
     let rec drain () =
       match h.apply Op.Pop_left with
       | Op.Got v ->
@@ -293,13 +322,18 @@ let owner_thief_failures impl ~trials ~duration =
     in
     drain ();
     let lost = ref 0 and twice = ref 0 in
-    for v = 1 to !next do
-      if seen.(v) = 0 then incr lost else if seen.(v) > 1 then incr twice
-    done;
+    let check w n =
+      for k = 1 to n do
+        let v = (2 * k) + w in
+        if seen.(v) = 0 then incr lost else if seen.(v) > 1 then incr twice
+      done
+    in
+    check 0 !pushed;
+    check 1 peer_pushed;
     if !lost > 0 || !twice > 0 then
       Some
-        (Printf.sprintf "%d of %d items lost, %d popped twice" !lost !next
-           !twice)
+        (Printf.sprintf "%d of %d items lost, %d popped twice" !lost
+           (!pushed + peer_pushed) !twice)
     else match inv with Ok () -> None | Error e -> Some ("invariant: " ^ e)
   in
   List.filter_map trial (List.init trials (fun i -> i + 1))

@@ -173,6 +173,26 @@ let qcheck_capacity_one =
     (Test_support.qcheck_sequential ~capacity:1 ~count:100
        (impl_of (module Deque.Array_deque.Sequential)))
 
+(* Two domains doing uniform push and pop on both ends of one
+   lock-free deque, so each end has two writers.  Before [step]
+   re-read the descriptor's status ahead of its install CAS, a helper
+   could install a descriptor already decided and released over a
+   later write that restored its expected value, rolling an index or a
+   cell back: trials ended with e.g. "R=519 inconsistent with L=65494
+   and 559 items". *)
+let test_both_ends () =
+  let trials = 60 in
+  match
+    Test_support.conservation_failures
+      (impl_of (module Deque.Array_deque.Lockfree))
+      ~capacity:65_536 ~trials ~duration:0.5 ~main:Test_support.both_ends
+      ~peer:Test_support.both_ends
+  with
+  | [] -> ()
+  | first :: _ as failed ->
+      Alcotest.failf "%d of %d trials failed; first: %s" (List.length failed)
+        trials first
+
 let () =
   Alcotest.run "array_deque"
     [
@@ -189,4 +209,10 @@ let () =
             test_hints_equivalence;
         ] );
       ("oracle equivalence", qcheck_capacity_one :: qcheck_tests);
+      (* slow tier: SKIP unless DCAS_SLOW_TESTS=1 *)
+      ( "two domains",
+        [
+          Test_support.tiered "lockfree: both ends conserve" `Slow
+            test_both_ends;
+        ] );
     ]

@@ -75,14 +75,14 @@ let basic_tests =
         with_config (fun () -> Chaos.configure ~fail_prob:1.0 ~seed:7 ())
           (fun () ->
             let a = C.make 1 and b = C.make 2 in
-            let ok, v1, v2 = C.dcas_strong a b 1 2 10 20 in
-            Alcotest.(check bool) "succeeds despite fail_prob=1" true ok;
-            Alcotest.(check int) "old a" 1 v1;
-            Alcotest.(check int) "old b" 2 v2;
+            Alcotest.(check bool) "succeeds despite fail_prob=1" true
+              (C.dcas_strong a b 1 2 10 20 = Swapped);
             (* a genuine failure still returns the differing view *)
-            let ok, v1, _ = C.dcas_strong a b 99 99 0 0 in
-            Alcotest.(check bool) "real mismatch still fails" false ok;
-            Alcotest.(check int) "true view" 10 v1));
+            match C.dcas_strong a b 99 99 0 0 with
+            | Saw (v1, v2) ->
+                Alcotest.(check int) "true view of a" 10 v1;
+                Alcotest.(check int) "true view of b" 20 v2
+            | Swapped -> Alcotest.fail "real mismatch succeeded"));
     Alcotest.test_case "set_private never faulted" `Quick (fun () ->
         with_config
           (fun () ->

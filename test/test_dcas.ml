@@ -54,15 +54,16 @@ let seq_tests (module M : MEM) =
     Alcotest.test_case (name "strong form returns view on failure") `Quick
       (fun () ->
         let a = M.make 1 and b = M.make 2 in
-        let ok, v1, v2 = M.dcas_strong a b 5 5 0 0 in
-        Alcotest.(check bool) "failed" false ok;
-        Alcotest.(check int) "saw a" 1 v1;
-        Alcotest.(check int) "saw b" 2 v2;
-        let ok, v1, v2 = M.dcas_strong a b 1 2 10 20 in
-        Alcotest.(check bool) "succeeded" true ok;
-        Alcotest.(check int) "old a" 1 v1;
-        Alcotest.(check int) "old b" 2 v2;
-        Alcotest.(check int) "new a" 10 (M.get a));
+        (match M.dcas_strong a b 5 5 0 0 with
+        | Saw (v1, v2) ->
+            Alcotest.(check int) "saw a" 1 v1;
+            Alcotest.(check int) "saw b" 2 v2
+        | Swapped -> Alcotest.fail "a mismatch succeeded");
+        (match M.dcas_strong a b 1 2 10 20 with
+        | Swapped -> ()
+        | Saw _ -> Alcotest.fail "a match failed");
+        Alcotest.(check int) "new a" 10 (M.get a);
+        Alcotest.(check int) "new b" 20 (M.get b));
     Alcotest.test_case (name "custom equality") `Quick (fun () ->
         (* physical-equality cells: structurally equal but physically
            distinct expected values must NOT match *)
@@ -181,8 +182,9 @@ let strong_view_test (module M : MEM) () =
     for _ = 1 to 10_000 do
       (* expected values never match (negative), so this always fails
          and must return an atomic view *)
-      let ok, va, vb = M.dcas_strong a b (-1) (-1) 0 0 in
-      if ok || va <> vb then Atomic.incr violations
+      match M.dcas_strong a b (-1) (-1) 0 0 with
+      | Saw (va, vb) -> if va <> vb then Atomic.incr violations
+      | Swapped -> Atomic.incr violations
     done
   in
   let w = Domain.spawn writer in
@@ -384,7 +386,7 @@ let casn_matches_reference =
 (* --- the pre-validation fast path (Mem_lockfree) --- *)
 
 (* A DCAS whose expected values are already stale must fail from two
-   plain reads: no descriptor allocated, no [Owned] placeholder ever
+   plain reads: no descriptor allocated, no ownership block ever
    installed, the locations untouched.  These tests pin each piece of
    that contract. *)
 let fastpath_tests =
@@ -426,12 +428,12 @@ let fastpath_tests =
         done;
         Alcotest.(check int) "a unchanged" 10 (M.get a);
         Alcotest.(check int) "b unchanged" 20 (M.get b);
-        (* no Owned left behind: a correct DCAS must still succeed, and
-           the strong form must report the plain values *)
-        let ok, va, vb = M.dcas_strong a b 10 20 11 21 in
-        Alcotest.(check bool) "clean success afterwards" true ok;
-        Alcotest.(check int) "saw a" 10 va;
-        Alcotest.(check int) "saw b" 20 vb);
+        (* no ownership block left behind: a correct strong DCAS must
+           still succeed and write both plain values *)
+        Alcotest.(check bool) "clean success afterwards" true
+          (M.dcas_strong a b 10 20 11 21 = Swapped);
+        Alcotest.(check int) "wrote a" 11 (M.get a);
+        Alcotest.(check int) "wrote b" 21 (M.get b));
     Alcotest.test_case "no-op: confirmed without a descriptor" `Quick
       (fun () ->
         (* the empty/full confirmation shape: every new value is its
@@ -598,13 +600,13 @@ let striped_matches_seq =
           | `Dcas (i, j, o1, o2, n1, n2) ->
               let tr = T.dcas ts.(i) ts.(j) o1 o2 n1 n2 in
               let sr = S.dcas ss.(i) ss.(j) o1 o2 n1 n2 in
-              let tok, tv1, tv2 = T.dcas_strong ts.(i) ts.(j) o1 o2 n1 n2 in
-              let sok, sv1, sv2 = S.dcas_strong ss.(i) ss.(j) o1 o2 n1 n2 in
-              tr = sr && tok = sok && tv1 = sv1 && tv2 = sv2)
+              let tv = T.dcas_strong ts.(i) ts.(j) o1 o2 n1 n2 in
+              let sv = S.dcas_strong ss.(i) ss.(j) o1 o2 n1 n2 in
+              tr = sr && tv = sv)
           && agree ())
         ops)
 
-(* --- the flat two-location descriptor (Dcas2) --- *)
+(* --- the flat two-location descriptor (dcas2) --- *)
 
 let dcas2_tests =
   let module M = Dcas.Mem_lockfree in
@@ -634,10 +636,11 @@ let dcas2_tests =
           (M.casn [ M.Cass (a, 10, 11); M.Cass (b, 20, 21); M.Cass (c, 3, 30) ]);
         Alcotest.(check int) "3-entry stays generic" 1 (M.stats ()).dcas2_hits;
         Alcotest.(check int) "two descriptors" 2 (M.stats ()).descriptor_allocs);
-    Alcotest.test_case "dcas2: value elision on no-op entries" `Quick
+    Alcotest.test_case "dcas2: every release installs a fresh block" `Quick
       (fun () ->
-        (* the release phase reinstalls [a]'s original Value block, so
-           the only value block per op is the new [b] *)
+        (* a DCAS that leaves [a]'s value as it was still releases [a]
+           to a new Value block, never to the one its install displaced,
+           so the half shape counts what a write does *)
         let a = M.make 7 and b = M.make 0 in
         M.reset_stats ();
         for _ = 1 to 50 do
@@ -645,26 +648,40 @@ let dcas2_tests =
         done;
         let s = M.stats () in
         Alcotest.(check int) "one descriptor per op" 50 s.descriptor_allocs;
-        Alcotest.(check int) "unchanged entry elided" 50 s.value_allocs);
-    Alcotest.test_case "dcas2: elision reduces minor allocation" `Quick
+        Alcotest.(check int) "two value blocks per op" 100 s.value_allocs);
+    Alcotest.test_case "dcas2: a half dcas costs what a write costs" `Quick
       (fun () ->
-        (* the elided release is the only difference between the two
-           shapes: a half op allocates fewer words than a write *)
+        (* with no value elision the unchanged entry's release is a full
+           one, so a half op allocates exactly the words of a write *)
         let w_write = words_per_call (write (M.make 0) (M.make 0)) in
         let w_half = words_per_call (half (M.make 7) (M.make 0)) in
-        Alcotest.(check bool)
-          (Printf.sprintf "half %.1f < write %.1f minor words" w_half w_write)
-          true (w_half < w_write));
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "half %.1f = write %.1f minor words" w_half w_write)
+          w_write w_half);
     Alcotest.test_case "dcas2: allocation budget of a successful dcas" `Quick
       (fun () ->
         (* the protocol's own blocks only: the descriptor with its status
-           word (11 words), two [Owned] blocks (10) and two released
-           [Value] blocks (4).  Helping must add nothing — no closure,
-           no backoff. *)
+           word (11 words), two 2-word ownership blocks [A d] and [B d]
+           (4) and two released [Value] blocks (4).  Helping must add
+           nothing — no closure, no backoff. *)
         let per_call = words_per_call (write (M.make 0) (M.make 0)) in
         Alcotest.(check bool)
-          (Printf.sprintf "%.1f words <= 25" per_call)
-          true (per_call <= 25.));
+          (Printf.sprintf "%.1f words <= 19" per_call)
+          true (per_call <= 19.));
+    Alcotest.test_case "dcas2: a successful dcas_strong costs a dcas" `Quick
+      (fun () ->
+        (* success is the constant [Swapped]: no result tuple *)
+        let strong a b () =
+          let va = M.get a and vb = M.get b in
+          match M.dcas_strong a b va vb (va + 1) (vb + 1) with
+          | Swapped -> ()
+          | Saw _ -> Alcotest.fail "uncontended strong write failed"
+        in
+        let w_dcas = words_per_call (write (M.make 0) (M.make 0)) in
+        let w_strong = words_per_call (strong (M.make 0) (M.make 0)) in
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "dcas_strong %.1f = dcas %.1f" w_strong w_dcas)
+          w_dcas w_strong);
     Alcotest.test_case "dcas2: dcas and 2-entry casn agree with the reference"
       `Quick (fun () ->
         (* the same mixed op sequence — successful, failing, no-op and

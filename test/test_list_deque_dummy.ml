@@ -122,11 +122,12 @@ let test_two_null_replay () =
 
 (* The same race on real domains: an owner on the right end, a thief
    popping the left end in bursts of 8 (see
-   {!Test_support.owner_thief_failures}). *)
+   {!Test_support.conservation_failures}). *)
 let test_owner_thief (module L : Deque.List_deque_dummy.ALGORITHM) () =
   match
-    Test_support.owner_thief_failures (impl_of (module L)) ~trials:60
-      ~duration:0.1
+    Test_support.conservation_failures (impl_of (module L)) ~capacity:4096
+      ~trials:60 ~duration:0.1 ~main:Test_support.owner
+      ~peer:Test_support.thief
   with
   | [] -> ()
   | first :: _ as failed ->
