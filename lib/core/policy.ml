@@ -11,8 +11,11 @@
      [?deadline] (seconds of budget for this call).  Instead of the
      caller spinning on [`Full]/[`Empty], the wrapper retries with the
      substrate's randomized exponential {!Dcas.Backoff} and returns
-     [`Timeout] once the budget is spent.  Without a deadline, nothing
-     ever blocks: a single attempt (plus the configured bounded
+     [`Timeout] once the budget is spent.  The budget runs on
+     {!Dcas.Clock}, the stack's one monotonic clock, as an int-ns
+     expiry, so a deadlined call allocates nothing of its own and a
+     wall-clock step cannot stretch or cut it.  Without a deadline,
+     nothing ever blocks: a single attempt (plus the configured bounded
      retries) runs to completion.
 
    - {e graceful degradation at capacity} (bounded deques): a push that
@@ -84,15 +87,19 @@ module Make (D : Deque_intf.S) = struct
     }
 
   (* Deadline bookkeeping: [deadline] is a per-call budget in seconds,
-     turned at the call's entry into one absolute [expiry].  [None] = no
-     deadline: the clock is never read and nothing is allocated. *)
-  let expiry_of = function
-    | None -> None
-    | Some budget -> Some (Unix.gettimeofday () +. budget)
+     turned at the call's entry into one absolute [expiry], an int-ns
+     instant on {!Dcas.Clock} (saturating, so a huge or infinite budget
+     never expires).  A call without a deadline carries [no_deadline],
+     which lies below every instant the clock reads: the clock is never
+     read and nothing is allocated. *)
+  let no_deadline = -1
 
-  let expired = function
-    | None -> false
-    | Some expiry -> Unix.gettimeofday () >= expiry
+  let expiry_of = function
+    | None -> no_deadline
+    | Some budget -> Dcas.Clock.after ~now:(Dcas.Clock.now_ns ()) budget
+
+  let expired expiry =
+    expiry <> no_deadline && Dcas.Clock.now_ns () >= expiry
 
   (* --- push --- *)
 
@@ -149,10 +156,10 @@ module Make (D : Deque_intf.S) = struct
 
   (* Retrying is bounded two ways: the Retry policy caps the attempt
      COUNT (exhaustion surfaces as `Full — honest backpressure), while
-     a [?deadline] bounds the attempt WINDOW in wall-clock time
-     (expiry surfaces as `Timeout).  A deadline is an explicit opt-in
-     to waiting, so when one is given it governs: retrying continues
-     past the count cap until the budget is spent.
+     a [?deadline] bounds the attempt WINDOW in time (expiry surfaces
+     as `Timeout).  A deadline is an explicit opt-in to waiting, so
+     when one is given it governs: retrying continues past the count
+     cap until the budget is spent.
 
      The retry loops are closed recursive functions whose backoff is
      created at the first retry ([Dcas.Backoff.failed]), so a call that
@@ -176,7 +183,7 @@ module Make (D : Deque_intf.S) = struct
             let budgeted =
               match t.full with Retry { max_attempts } -> max_attempts | _ -> 1
             in
-            if expiry <> None then
+            if expiry <> no_deadline then
               if expired expiry then `Timeout
               else
                 let b = Dcas.Backoff.failed b in
@@ -210,7 +217,7 @@ module Make (D : Deque_intf.S) = struct
             Atomic.decr t.parked;
             got
         | `Empty ->
-            if expiry = None then `Empty
+            if expiry = no_deadline then `Empty
             else if expired expiry then `Timeout
             else
               let b = Dcas.Backoff.failed b in

@@ -50,13 +50,14 @@ module Make (D : Deque_intf.S) : sig
   val push_left : ?deadline:float -> 'a t -> 'a -> push_outcome
   val pop_right : ?deadline:float -> 'a t -> 'a pop_outcome
   val pop_left : ?deadline:float -> 'a t -> 'a pop_outcome
-  (** [deadline] is this call's wall-clock budget in seconds, measured
-      from entry.  With a deadline, a push that keeps finding the deque
-      full (and a pop that keeps finding it empty) retries with backoff
-      until the budget is spent, then returns [`Timeout]; the deadline
-      governs even under a {!Retry} policy's attempt cap.  Without a
-      deadline nothing waits: pops return [`Empty] at once, pushes
-      follow the [full] policy ({!Reject} = one attempt). *)
+  (** [deadline] is this call's budget in seconds, measured from entry
+      on {!Dcas.Clock}'s monotonic time; a huge or infinite budget
+      never expires.  With a deadline, a push that keeps finding the
+      deque full (and a pop that keeps finding it empty) retries with
+      backoff until the budget is spent, then returns [`Timeout]; the
+      deadline governs even under a {!Retry} policy's attempt cap.
+      Without a deadline nothing waits: pops return [`Empty] at once,
+      pushes follow the [full] policy ({!Reject} = one attempt). *)
 
   val push_simple : 'a t -> side:side -> 'a -> Deque_intf.push_result
   val pop_simple : 'a t -> side:side -> 'a Deque_intf.pop_result

@@ -16,10 +16,12 @@
    - {e per-shard policy wrapping}: every shard is a {!Policy.Make}
      wrapper, so deadlines surface as [`Timeout] and a full shard
      degrades by the configured {!Policy.full_policy} (Reject /
-     Retry / Spill) before the router even sees it.  If the home
-     shard still answers [`Full], the router tries the other live
-     shards once each — cross-shard overflow — and only then
-     surfaces [`Full].
+     Retry / Spill) before the router even sees it.  Deadlines run on
+     {!Dcas.Clock}, the stack's one monotonic clock, as int-ns
+     expiries, so a deadlined routed call allocates only what the
+     deque does.  If the home shard still answers [`Full], the router
+     tries the other live shards once each — cross-shard overflow —
+     and only then surfaces [`Full].
 
    - {e steal in place}: a pop that finds its home shard empty scans
      the others and serves one item popped off the first non-empty
@@ -284,7 +286,7 @@ module Make (D : Deque_intf.S) = struct
     match attempt t ~home ~side with
     | (`Value _ | `Timeout) as got -> got
     | `Empty ->
-        if Unix.gettimeofday () >= expiry then `Empty
+        if Dcas.Clock.now_ns () >= expiry then `Empty
         else attempt_until t ~home ~side ~expiry (Dcas.Backoff.failed b)
 
   let pop ?deadline ?(urgent = false) t ~key : 'a Policy.pop_outcome =
@@ -294,7 +296,7 @@ module Make (D : Deque_intf.S) = struct
     | None -> attempt t ~home ~side
     | Some budget ->
         attempt_until t ~home ~side
-          ~expiry:(Unix.gettimeofday () +. budget)
+          ~expiry:(Dcas.Clock.after ~now:(Dcas.Clock.now_ns ()) budget)
           Dcas.Backoff.idle
 
   (* --- quarantine / adoption --- *)

@@ -60,7 +60,9 @@ module Make (D : Deque_intf.S) : sig
       (default) the right.  The home shard's policy runs first
       (deadline → [`Timeout], Retry/Spill at capacity); a surviving
       [`Full] triggers one undeadlined attempt on each other live
-      shard before [`Full] is surfaced. *)
+      shard before [`Full] is surfaced.  A deadline runs on
+      {!Dcas.Clock} as an int-ns expiry, so the routed push allocates
+      nothing beyond the deque's push, with or without one. *)
 
   val note_sojourn : 'a t -> shard:int -> ns:int -> unit
   (** Report one request's end-to-end sojourn (enqueue to serve, or to
@@ -90,12 +92,13 @@ module Make (D : Deque_intf.S) : sig
       popped off the first non-empty peer's bulk end, credited to that
       peer — quarantined shards included, which is how items stranded
       by a crash stay reachable; a fully empty scan checks the limbo
-      stash last.  Without a deadline the routed call allocates
-      nothing beyond what the deque operations it reaches allocate.  With a
-      [deadline], the whole routed operation (home + scan + stash)
-      retries with backoff until the budget is spent; exhausting the
-      budget on no-finds returns [`Empty] (a certified full no-find
-      scan — consumers' quiescence certificates depend on it), never
+      stash last.  The routed call allocates nothing beyond what the
+      deque operations it reaches allocate, with or without a
+      deadline.  With a [deadline] (measured on {!Dcas.Clock}), the
+      whole routed operation (home + scan + stash) retries with
+      backoff until the budget is spent; exhausting the budget on
+      no-finds returns [`Empty] (a certified full no-find scan —
+      consumers' quiescence certificates depend on it), never
       [`Timeout]. *)
 
   val quarantine : 'a t -> shard:int -> unit

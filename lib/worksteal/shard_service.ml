@@ -24,13 +24,13 @@
    item per death, the same bound the scheduler proves.  [shed] is the
    deadline-enforcement path (E25): ops refused at admission (the home
    shard's observed p99 sojourn already exceeds the budget), ops whose
-   push ran out of budget, and ops popped after their stamped expiry
-   all resolve their pending unit as first-class timed-out outcomes —
-   they keep their spawned unit, so shedding is visible in the books,
-   never silent.  [leftover] is the final quiescent drain of every
-   shard, which must be empty precisely because a consumer's full
-   no-find scan (the certificate's ingredient) walks every shard,
-   quarantined ones included, primary and overflow both.
+   push ran out of budget, and ops popped after their expiry all
+   resolve their pending unit as first-class timed-out outcomes — they
+   keep their spawned unit, so shedding is visible in the books, never
+   silent.  [leftover] is the final quiescent drain of every shard,
+   which must be empty precisely because a consumer's full no-find
+   scan (the certificate's ingredient) walks every shard, quarantined
+   ones included, primary and overflow both.
 
    An idle consumer parks for at most 0.5ms, and a push that lands
    meanwhile wakes it: at once when its pop found nothing and no
@@ -39,6 +39,14 @@
    certificate scans on their cadence; the wake only cuts the wait.
    It rings on a self-pipe the run holds while it runs, because
    OCaml 5.1's [Condition] has no timed wait.
+
+   Time is {!Dcas.Clock}'s: one monotonic clock read as int ns, for
+   the items' enqueue stamps, deadlines, the open loop's pacing, the
+   hooks' [ns] and the supervisor's thresholds.  A producer reads it
+   twice per request and a consumer twice per served request (a third
+   read judges a deadline's overshoot); no read allocates.  In the
+   open loop, request k is due [k / rate] after request 0 was
+   released.
 
    Failure detection is the supervisor's: tick-based silence
    ([silence_after]) and progress-based zombie detection
@@ -55,12 +63,14 @@ type config = {
   consumers : int;
   capacity : int;  (* per-shard primary capacity *)
   full : Deque.Policy.full_policy;  (* per-shard full policy *)
-  rate : float;  (* per-producer arrivals/s; <= 0 = closed loop *)
+  rate : float;
+  (* per-producer arrivals/s, paced from request 0's release;
+     <= 0 = closed loop *)
   burst : int;  (* arrivals released per token-bucket refill *)
   urgent_share : float;  (* fraction of pushes entering the left end *)
   deadline : float option;
-  (* per-request budget, seconds: bounds the push, stamps the item
-     with an absolute expiry, and sheds it at dequeue if exceeded *)
+  (* per-request budget, seconds: bounds the push, and sheds the item
+     at dequeue once it has waited that long since its enqueue stamp *)
   admission : bool;
   (* refuse requests at enqueue when the home shard's observed p99
      sojourn already exceeds the deadline (no-op without one) *)
@@ -100,16 +110,16 @@ type report = {
   shed_admission : int;  (* ops refused at enqueue by admission control *)
   shed_expired : int;
   (* ops timed out with their unit retained: push ran out of budget,
-     or the item was popped after its stamped expiry *)
+     or the item was popped after its expiry *)
   leftover : int;  (* items found by the final quiescent drain *)
   pushed_ok : int;  (* pushes that landed: Sharded's landing count *)
   push_full : int;  (* pushes refused as `Full (unit returned) *)
   timeouts : int;  (* push/pop calls that ran out of deadline *)
   empty_scans : int;  (* consumers' full no-find scans *)
   overshoot_max_ns : int;
-  (* worst served-op completion past its stamped expiry: expired items
-     are shed at dequeue, so anything beyond a scheduling epsilon here
-     is an enforcement bug — the E25 gate *)
+  (* worst served-op completion past its expiry: expired items are
+     shed at dequeue, so anything beyond a scheduling epsilon here is
+     an enforcement bug — the E25 gate *)
   killed : int;  (* workers lost to Crash.Died *)
   presumed_dead : int;  (* silent workers replaced without certificate *)
   zombies_fenced : int;  (* ticking-but-stuck consumers fenced *)
@@ -178,16 +188,21 @@ module Make (D : Deque.Deque_intf.S) = struct
     + Atomic.get ws.own.timeout + Atomic.get ws.own.shed_adm
     + Atomic.get ws.own.shed_exp + Atomic.get ws.scans
 
-  (* What travels through the deques: the value plus its deadline
-     stamp.  [expiry] is absolute ([infinity] without a deadline) so a
-     consumer can shed an expired item with one clock read; [home] is
-     the key's home shard, so the sojourn lands on the shard admission
-     control will consult for the next request on that key. *)
-  type item = { v : int; enq : float; expiry : float; home : int }
+  (* What travels through the deques: the value plus its enqueue stamp
+     [enq], int ns on {!Dcas.Clock}.  An item has expired once
+     [now - enq >= budget_ns], so it needs no expiry of its own, and
+     the consumer's one clock read after its pop judges both the
+     sojourn and the shed; [home] is the key's home shard, so the
+     sojourn lands on the shard admission control will consult for the
+     next request on that key. *)
+  type item = { v : int; enq : int; home : int }
 
   type state = {
     service : item S.t;
     cfg : config;
+    budget_ns : int;
+    (* [cfg.deadline] in ns, saturating: [max_int] (never reached by
+       [now - enq]) without a deadline or for a huge one *)
     pending : int Atomic.t;
     stop : bool Atomic.t;  (* producers: stop injecting *)
     producers_running : int Atomic.t;
@@ -285,7 +300,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     Atomic.set ws.busy true;
     Atomic.incr st.pending;
     Atomic.incr ws.spawned;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dcas.Clock.now_ns () in
     let admitted =
       match cfg.deadline with
       | Some budget when cfg.admission ->
@@ -299,11 +314,8 @@ module Make (D : Deque.Deque_intf.S) = struct
         `Timeout
       end
       else
-        let expiry =
-          match cfg.deadline with None -> infinity | Some b -> t0 +. b
-        in
         let item =
-          { v = value; enq = t0; expiry; home = S.shard_of st.service ~key }
+          { v = value; enq = t0; home = S.shard_of st.service ~key }
         in
         let pushed =
           (* constant lanes: [~urgent] of a variable boxes [Some urgent]
@@ -329,17 +341,16 @@ module Make (D : Deque.Deque_intf.S) = struct
             Atomic.incr ws.own.timeout;
             `Timeout
     in
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+    let ns = Dcas.Clock.now_ns () - t0 in
     Atomic.set ws.busy false;
-    on_push ~tid:ws.slot ~ns out
+    on_push ~tid:ws.slot ~ns:(float_of_int ns) out
 
   let producer_loop st (ws : worker) ~on_push =
     let cfg = st.cfg in
     let rng =
       Dcas.Splitmix.create ~seed:(cfg.seed + (ws.slot * 7919) + 1)
     in
-    let t_start = Unix.gettimeofday () in
-    let sent = ref 0 in
+    let start0 = ref 0 and sent = ref 0 in
     while not (Atomic.get st.stop) && not (Atomic.get ws.fenced) do
       Atomic.incr ws.ticks;
       if Harness.Stall.Zombie.active ~tid:ws.slot then begin
@@ -353,11 +364,18 @@ module Make (D : Deque.Deque_intf.S) = struct
         incr sent
       end
       else begin
-        (* open loop: the token bucket owes [rate * elapsed] arrivals
-           regardless of completions; release them in bursts *)
+        (* open loop: the token bucket owes every arrival due by now,
+           regardless of completions, and releases them in bursts.
+           Request k is due [k / rate] after request 0 was released
+           ([start0]), so a first request that starts late (a slow
+           spawn, a zombified slot) moves the whole schedule instead
+           of being caught up in a burst that starts later requests
+           before they are due. *)
+        let now = Dcas.Clock.now_ns () in
+        if !sent = 0 then start0 := now;
         let owed =
-          int_of_float ((Unix.gettimeofday () -. t_start) *. cfg.rate)
-          - !sent
+          int_of_float (float_of_int (now - !start0) *. cfg.rate /. 1e9)
+          + 1 - !sent
         in
         if owed >= 1 then
           let n = min owed cfg.burst in
@@ -398,7 +416,7 @@ module Make (D : Deque.Deque_intf.S) = struct
       else begin
         Atomic.incr ws.ticks;
         Atomic.set ws.busy true;
-        let t0 = Unix.gettimeofday () in
+        let t0 = Dcas.Clock.now_ns () in
         (* urgent-side pops: left end first = urgent entries, then the
            oldest bulk — FIFO service with priority jumping.  A pop that
            comes back `Empty has scanned every shard (Sharded's steal
@@ -414,16 +432,15 @@ module Make (D : Deque.Deque_intf.S) = struct
           if Atomic.get st.stop then None else cfg.deadline
         in
         let out = S.pop ?deadline ~urgent:true st.service ~key in
-        let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+        let t1 = Dcas.Clock.now_ns () in
         let out' =
           match out with
           | `Value it ->
-              let now = Unix.gettimeofday () in
+              let sojourn = t1 - it.enq in
               (* the sojourn estimate must see the whole tail, shed
                  requests included — they ARE the tail *)
-              S.note_sojourn st.service ~shard:it.home
-                ~ns:(int_of_float ((now -. it.enq) *. 1e9));
-              if now >= it.expiry then begin
+              S.note_sojourn st.service ~shard:it.home ~ns:sojourn;
+              if sojourn >= st.budget_ns then begin
                 (* expired in queue: shed at dequeue — the op resolves
                    as a first-class timeout, its unit stays spawned *)
                 Atomic.incr ws.own.shed_exp;
@@ -436,10 +453,11 @@ module Make (D : Deque.Deque_intf.S) = struct
                 (* overshoot is judged at completion, on a fresh clock
                    read: the gap between the expiry check above and
                    here is exactly the scheduling epsilon E25 allows.
-                   An item without a deadline cannot overshoot. *)
-                if it.expiry < infinity then begin
+                   An item without a deadline cannot overshoot, so it
+                   costs no third read. *)
+                if st.budget_ns < max_int then begin
                   let late_ns =
-                    int_of_float ((Unix.gettimeofday () -. it.expiry) *. 1e9)
+                    Dcas.Clock.now_ns () - it.enq - st.budget_ns
                   in
                   if late_ns > Atomic.get ws.own.late_ns then
                     Atomic.set ws.own.late_ns late_ns
@@ -454,7 +472,7 @@ module Make (D : Deque.Deque_intf.S) = struct
               `Timeout
         in
         Atomic.set ws.busy false;
-        on_pop ~tid:ws.slot ~ns out';
+        on_pop ~tid:ws.slot ~ns:(float_of_int (t1 - t0)) out';
         if drained st then ()
         else begin
           (match out with
@@ -525,6 +543,10 @@ module Make (D : Deque.Deque_intf.S) = struct
       {
         service;
         cfg = config;
+        budget_ns =
+          (match config.deadline with
+          | None -> max_int
+          | Some b -> Dcas.Clock.ns_of_s b);
         pending = Dcas.Padding.make_atomic 0;
         stop = Dcas.Padding.make_atomic false;
         producers_running = Dcas.Padding.make_atomic config.producers;
@@ -538,7 +560,7 @@ module Make (D : Deque.Deque_intf.S) = struct
           let w = make_worker config ~slot in
           (w, worker_loop st w ~on_push ~on_pop))
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dcas.Clock.now_ns () in
     let adoptions = ref 0 and adopted_items = ref 0 in
     let driver () =
       Fun.protect
@@ -558,7 +580,7 @@ module Make (D : Deque.Deque_intf.S) = struct
             ~replace:(replace st ~adoptions ~adopted_items ~on_push ~on_pop)
             ~driver workers)
     in
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = float_of_int (Dcas.Clock.now_ns () - t0) /. 1e9 in
     (* survivors must decide every descriptor a dead domain left
        undecided before the quiescent drain reads past them *)
     let orphans_helped = Dcas.Mem_lockfree.help_orphans () in

@@ -18,8 +18,13 @@
     (which walk every shard, quarantined included) certify that
     nothing live remains.  [shed] is deadline enforcement (E25): ops
     refused at admission, timed out mid-push, or popped past their
-    stamped expiry resolve their unit as first-class timed-out
-    outcomes that stay on the books.
+    expiry resolve their unit as first-class timed-out outcomes that
+    stay on the books.
+
+    Every time the service reads — enqueue stamps, deadlines, pacing,
+    the hooks' [ns], the supervisor's thresholds — comes from
+    {!Dcas.Clock}, one monotonic int-ns clock whose reads allocate
+    nothing.
 
     An idle consumer parks for at most 0.5ms, and a push that lands
     meanwhile wakes it: it parks at once when its pop found nothing
@@ -40,14 +45,15 @@ type config = {
   capacity : int;  (** per-shard primary capacity *)
   full : Deque.Policy.full_policy;  (** per-shard full policy *)
   rate : float;
-      (** per-producer open-loop arrivals per second; [<= 0.] = closed
+      (** per-producer open-loop arrivals per second: request [k] is
+          due [k / rate] after request 0 was released; [<= 0.] = closed
           loop (inject as fast as the service absorbs) *)
   burst : int;  (** arrivals released per token-bucket refill *)
   urgent_share : float;  (** fraction of pushes entering the left end *)
   deadline : float option;
-      (** per-request budget, seconds: bounds the push call, stamps
-          the item with an absolute expiry, and sheds it at dequeue
-          once exceeded *)
+      (** per-request budget, seconds: bounds the push call, and sheds
+          the item at dequeue once it has waited that long since its
+          enqueue stamp; a huge or infinite budget never expires *)
   admission : bool;
       (** refuse requests at enqueue when the home shard's observed
           p99 sojourn already exceeds [deadline]
@@ -77,16 +83,16 @@ type report = {
       (** ops refused at enqueue by admission control (unit retained) *)
   shed_expired : int;
       (** ops timed out with their unit retained: the push ran out of
-          budget, or the item was popped past its stamped expiry *)
+          budget, or the item was popped past its expiry *)
   leftover : int;  (** items found by the final quiescent drain *)
   pushed_ok : int;  (** pushes that landed, as {!Deque.Sharded} counts them *)
   push_full : int;
   timeouts : int;  (** push/pop calls that ran out of deadline *)
   empty_scans : int;  (** consumers' full no-find scans *)
   overshoot_max_ns : int;
-      (** worst served-op completion past its stamped expiry; expired
-          items are shed at dequeue, so anything beyond a scheduling
-          epsilon is an enforcement bug — the E25 gate *)
+      (** worst served-op completion past its expiry; expired items
+          are shed at dequeue, so anything beyond a scheduling epsilon
+          is an enforcement bug — the E25 gate *)
   killed : int;  (** workers lost to {!Harness.Crash.Died} *)
   presumed_dead : int;  (** silent workers replaced without certificate *)
   zombies_fenced : int;
@@ -127,13 +133,14 @@ module Make (D : Deque.Deque_intf.S) : sig
     report
   (** Run the service for [duration] seconds of injection (values are
       ints: each producer pushes its own send counter).  [on_push] /
-      [on_pop] observe every operation with its wall-clock latency in
-      nanoseconds — the soaks' histogram feed; they run on the worker
-      domains, so they must be thread-safe and cheap.  [driver], when
-      given, runs on the calling domain {e while traffic flows} and
-      replaces the default [sleepf duration] — the E24/E25 soak runs a
-      {!Harness.Storm} schedule there; its return stops the producers,
-      after which the run drains, reconciles and joins.  If [driver]
+      [on_pop] observe every operation with its latency in
+      nanoseconds on {!Dcas.Clock} — the soaks' histogram feed; they
+      run on the worker domains, so they must be thread-safe and
+      cheap.  [driver], when given, runs on the calling domain {e while
+      traffic flows} and replaces the default [sleepf duration] — the
+      E24/E25 soak runs a {!Harness.Storm} schedule there; its return
+      stops the producers, after which the run drains, reconciles and
+      joins.  If [driver]
       raises, the producers stop just the same and [run] re-raises
       once every worker and the monitor have been joined.
 

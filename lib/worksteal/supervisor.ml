@@ -133,13 +133,15 @@ let sum o field =
 (* --- The monitor --- *)
 
 (* The monitor's view of one worker: when its ticks and its progress
-   last moved, and its scan count when the quiescence window opened. *)
+   last moved (int ns on {!Dcas.Clock}, so a sweep that sees movement
+   stores no boxed float), and its scan count when the quiescence
+   window opened. *)
 type 'a tracked = {
   w : 'a worker;
   mutable last_ticks : int;
-  mutable last_move : float;
+  mutable last_move : int;
   mutable last_progress : int;
-  mutable last_progress_move : float;
+  mutable last_progress_move : int;
   mutable scans0 : int;
 }
 
@@ -148,7 +150,12 @@ let scanned_twice t =
 
 let certifiers n t = if t.w.certifies && live t.w then n + 1 else n
 
+(* Thresholds and recovery times are measured on {!Dcas.Clock}: a
+   wall-clock step can neither presume a live worker silent nor hide a
+   stalled one. *)
 let monitor cfg ~pending ~quiet ~progress ~replace workers =
+  let silence_ns = Dcas.Clock.ns_of_s cfg.silence_after in
+  let zombie_ns = Dcas.Clock.ns_of_s cfg.zombie_after in
   let track w now =
     {
       w;
@@ -160,7 +167,7 @@ let monitor cfg ~pending ~quiet ~progress ~replace workers =
     }
   in
   let owners =
-    let now = Unix.gettimeofday () in
+    let now = Dcas.Clock.now_ns () in
     Array.of_list (List.map (fun w -> track w now) workers)
   in
   let all = ref (Array.to_list owners) and domains = ref [] in
@@ -175,7 +182,7 @@ let monitor cfg ~pending ~quiet ~progress ~replace workers =
     && List.for_all (fun t -> Atomic.get t.w.retired) !all
   in
   while not (finished ()) do
-    let now = Unix.gettimeofday () in
+    let now = Dcas.Clock.now_ns () in
     for slot = 0 to Array.length owners - 1 do
       let t = owners.(slot) in
       let w = t.w in
@@ -192,7 +199,7 @@ let monitor cfg ~pending ~quiet ~progress ~replace workers =
       let silent =
         cfg.silence_after > 0. && (not gone) && (not ticking)
         && (not (Atomic.get w.idling))
-        && now -. t.last_move >= cfg.silence_after
+        && now - t.last_move >= silence_ns
       in
       (* ticks moving, progress frozen: a zombie.  The ticks must be
          seen moving on the very sweep that crosses the threshold: a
@@ -211,7 +218,7 @@ let monitor cfg ~pending ~quiet ~progress ~replace workers =
         else
           ticking
           && (not (Atomic.get w.idling))
-          && now -. t.last_progress_move >= cfg.zombie_after
+          && now - t.last_progress_move >= zombie_ns
       in
       if Atomic.get w.died || silent || zombie then begin
         if silent then incr presumed;
@@ -221,8 +228,8 @@ let monitor cfg ~pending ~quiet ~progress ~replace workers =
         Atomic.set w.fenced true;
         let w', loop = replace w in
         domains := Domain.spawn (body w' loop) :: !domains;
-        let up = Unix.gettimeofday () in
-        recoveries := (up -. now) :: !recoveries;
+        let up = Dcas.Clock.now_ns () in
+        recoveries := (float_of_int (up - now) /. 1e9) :: !recoveries;
         owners.(slot) <- track w' up;
         all := owners.(slot) :: !all
       end

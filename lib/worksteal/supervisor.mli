@@ -11,7 +11,11 @@
     runs beside its replacement.  What a death can actually lose is the
     task it was executing, a child mid-push, and a stolen task in
     hand — at most 3 pending units per death, written off by
-    reconciliation once provably phantom. *)
+    reconciliation once provably phantom.
+
+    Silence and zombie thresholds and recovery times are measured on
+    {!Dcas.Clock}'s monotonic time, so a wall-clock step cannot presume
+    a live worker silent. *)
 
 type config = {
   interval : float;

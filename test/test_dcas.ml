@@ -806,6 +806,48 @@ let opstats_tests =
           s.dcas_fastfails);
   ]
 
+(* --- the monotonic int-ns clock --- *)
+
+let clock_tests =
+  let module C = Dcas.Clock in
+  [
+    Alcotest.test_case "now_ns allocates nothing" `Quick (fun () ->
+        let sink = ref 0 in
+        Alcotest.(check (float 0.)) "words per read" 0.
+          (words_per_call (fun () -> sink := !sink lxor C.now_ns ())));
+    (* Each domain checks that a read is at least the last value it
+       saw published by either domain before that read, and at least
+       its own previous read. *)
+    Alcotest.test_case "now_ns never decreases across two domains" `Quick
+      (fun () ->
+        let last = Atomic.make (C.now_ns ()) in
+        let reader () =
+          let back = ref 0 and prev = ref 0 in
+          for _ = 1 to 200_000 do
+            let seen = Atomic.get last in
+            let t = C.now_ns () in
+            if t < seen || t < !prev then incr back;
+            prev := t;
+            Atomic.set last t
+          done;
+          !back
+        in
+        let d = Domain.spawn reader in
+        let here = reader () in
+        Alcotest.(check int) "reads that went back" 0 (here + Domain.join d));
+    Alcotest.test_case "spans saturate instead of wrapping" `Quick (fun () ->
+        Alcotest.(check int) "0.25 s" 250_000_000 (C.ns_of_s 0.25);
+        Alcotest.(check int) "negative" 0 (C.ns_of_s (-1.));
+        Alcotest.(check int) "infinity" max_int (C.ns_of_s infinity);
+        Alcotest.(check int) "nan" max_int (C.ns_of_s nan);
+        Alcotest.(check int) "1e300 s" max_int (C.ns_of_s 1e300);
+        Alcotest.(check int) "after 1 us" 1_100 (C.after ~now:100 1e-6);
+        Alcotest.(check int) "after infinity" max_int
+          (C.after ~now:(C.now_ns ()) infinity);
+        Alcotest.(check int) "after 1 s, near max_int" max_int
+          (C.after ~now:(max_int - 5) 1.));
+  ]
+
 (* --- substrate odds and ends --- *)
 
 let misc_tests =
@@ -895,4 +937,5 @@ let () =
       ("stats-completeness", stats_completeness_tests);
       ("opstats", opstats_tests);
       ("substrate", misc_tests);
+      ("clock", clock_tests);
     ]

@@ -48,6 +48,103 @@ let test_splitmix_uniformish () =
         Alcotest.failf "bucket %d skewed: %d vs %d" i c expect)
     counts
 
+(* The first draws of each kind for five seeds, recorded from the
+   implementation that boxed its state in a mutable [int64] field.
+   The benchmark's op streams and every seeded test read these
+   streams, so a change of representation must keep them
+   bit-identical. *)
+type golden = {
+  seed : int;
+  next : int64 * int64;  (* the first two [next_int64] *)
+  ints : int * int;  (* the first two [int], bounds 1_000_000_007 and max_int *)
+  bools : string;  (* the first eight [bool], '1' for true *)
+  split : int64 * int64;  (* a split's first draw, then its parent's next *)
+}
+
+let splitmix_golden =
+  [
+    {
+      seed = 0;
+      next = (-2152535657050944081L, 7960286522194355700L);
+      ints = (162391415, 3348600503766967796);
+      bools = "10101010";
+      split = (-6411193824288604561L, 7960286522194355700L);
+    };
+    {
+      seed = 1;
+      next = (-7995527694508729151L, -4689498862643123097L);
+      ints = (751136326, 4533873174211652711);
+      bools = "11011011";
+      split = (6791897765849424158L, -4689498862643123097L);
+    };
+    {
+      seed = 7;
+      next = (7191089600892374487L, 309689372594955804L);
+      ints = (409161635, 309689372594955804);
+      bools = "10010100";
+      split = (-5137267319001854395L, 309689372594955804L);
+    };
+    {
+      seed = -1;
+      next = (-1956407806741107680L, -1612297016619662647L);
+      ints = (99332873, 2999389001807725257);
+      bools = "01100110";
+      split = (6755974106381971767L, -1612297016619662647L);
+    };
+    {
+      seed = max_int;
+      next = (4890637089070741670L, 1157452369933151741L);
+      ints = (690696290, 1157452369933151741);
+      bools = "01100101";
+      split = (-465555950222020276L, 1157452369933151741L);
+    };
+  ]
+
+let test_splitmix_golden () =
+  let module S = Dcas.Splitmix in
+  List.iter
+    (fun g ->
+      let name what = Printf.sprintf "seed %d: %s" g.seed what in
+      let t = S.create ~seed:g.seed in
+      let a = S.next_int64 t in
+      let b = S.next_int64 t in
+      Alcotest.(check (pair int64 int64)) (name "next_int64") g.next (a, b);
+      let t = S.create ~seed:g.seed in
+      let i1 = S.int t ~bound:1_000_000_007 in
+      let i2 = S.int t ~bound:max_int in
+      Alcotest.(check (pair int int)) (name "int") g.ints (i1, i2);
+      let t = S.create ~seed:g.seed in
+      let bools = String.init 8 (fun _ -> if S.bool t then '1' else '0') in
+      Alcotest.(check string) (name "bool") g.bools bools;
+      let t = S.create ~seed:g.seed in
+      let s = S.split t in
+      let s1 = S.next_int64 s in
+      Alcotest.(check (pair int64 int64)) (name "split") g.split
+        (s1, S.next_int64 t))
+    splitmix_golden
+
+(* A draw allocates nothing: the state is stored unboxed.  Words per
+   draw are the slope over the draw count, since [Gc.minor_words]
+   boxes its own result. *)
+let test_splitmix_allocates_nothing () =
+  let rng = Dcas.Splitmix.create ~seed:3 in
+  let sink = ref 0 in
+  let per_draw f =
+    let delta n =
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        f ()
+      done;
+      Gc.minor_words () -. before
+    in
+    ignore (delta 10);
+    (delta 10_010 -. delta 10) /. 10_000.
+  in
+  Alcotest.(check (float 0.)) "words per int draw" 0.
+    (per_draw (fun () -> sink := !sink + Dcas.Splitmix.int rng ~bound:10));
+  Alcotest.(check (float 0.)) "words per bool draw" 0.
+    (per_draw (fun () -> if Dcas.Splitmix.bool rng then incr sink))
+
 let test_table_render () =
   let s =
     Harness.Table.render
@@ -795,6 +892,9 @@ let () =
             test_splitmix_split_independent;
           Alcotest.test_case "bounds" `Quick test_splitmix_bounds;
           Alcotest.test_case "uniformity" `Quick test_splitmix_uniformish;
+          Alcotest.test_case "golden streams" `Quick test_splitmix_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_splitmix_allocates_nothing;
         ] );
       ( "table",
         [

@@ -173,9 +173,10 @@ let test_steal_rebalancing () =
    push costs what the bare deque's [push_right] costs, a pop served
    at home costs its [pop_left], a steal the victim's [pop_right] (the
    empty pops on the way cost nothing), and a pop over four empty
-   shards costs nothing.  The bare deque is measured here beside the
-   routed calls, so the pin holds whatever the DCAS layer underneath
-   allocates. *)
+   shards costs nothing.  A deadline adds nothing either: it is one
+   int-ns expiry on [Dcas.Clock], not a boxed float in an option.  The
+   bare deque is measured here beside the routed calls, so the pin
+   holds whatever the DCAS layer underneath allocates. *)
 let test_routed_allocation () =
   let module A = Deque.Array_deque.Lockfree in
   let n = 10_000 in
@@ -208,17 +209,32 @@ let test_routed_allocation () =
     done
   in
   let d = A.create ~capacity:calls () in
-  let t = Sh.create ~full:Deque.Policy.Reject ~shards:4 ~capacity:calls () in
+  let t =
+    Sh.create ~full:Deque.Policy.Reject ~shards:4 ~capacity:(2 * calls) ()
+  in
+  (* hoisted: an option built at the call site would box per call *)
+  let deadline = Some 60. in
   let key = 0 in
   let thief = key_off t ~shard:(Sh.shard_of t ~key) in
   let push_right = per_call (fun () -> pushed (A.push_right d 1)) in
   let routed_push = per_call (fun () -> pushed (Sh.push t ~key 1)) in
   Alcotest.(check (float 0.)) "push: the deque's push_right, nothing more"
     push_right routed_push;
+  let deadlined_push =
+    per_call (fun () -> pushed (Sh.push ?deadline t ~key 1))
+  in
+  Alcotest.(check (float 0.)) "deadlined push: the deque's push_right"
+    push_right deadlined_push;
   let pop_left = per_call (fun () -> served (A.pop_left d)) in
   let home_hit = per_call (fun () -> served (Sh.pop ~urgent:true t ~key)) in
   Alcotest.(check (float 0.)) "home-hit urgent pop: the deque's pop_left"
     pop_left home_hit;
+  let deadlined_hit =
+    per_call (fun () -> served (Sh.pop ?deadline ~urgent:true t ~key))
+  in
+  Alcotest.(check (float 0.))
+    "deadlined home-hit urgent pop: the deque's pop_left" pop_left
+    deadlined_hit;
   fill (fun () -> A.push_right d 1);
   fill (fun () -> Sh.push t ~key 1);
   let pop_right = per_call (fun () -> served (A.pop_right d)) in
@@ -346,6 +362,52 @@ let test_idle_consumer_woken () =
     Alcotest.failf "%d empty scans for %d served requests, above 8 per request"
       r.Svc.empty_scans r.Svc.executed;
   check_fds ~before
+
+(* Open-loop pacing starts at the first request: request k is due
+   [k / rate] after request 0 was released.  The producer's slot is
+   zombified for its first 5 ms, so request 0 starts late.  A schedule
+   anchored before the loop read 10 requests as owed at the cure and
+   started them in one burst, up to 5 ms before they were due.  Starts
+   are taken from the hooks on [Dcas.Clock], as the repository
+   benchmark takes them; request 0's hook start trails its release by
+   the first call's cold path (about 3 us), well inside the 50 us
+   allowed. *)
+let test_paced_from_first_request () =
+  Harness.Fault.reset ();
+  let rate = 2_000. in
+  let cfg = { base_config with Svc.producers = 1; consumers = 1; rate } in
+  let producer = 0 in
+  let starts = Array.make 1024 0 and sent = ref 0 in
+  (* runs on the producer domain only; read after [run] joins it *)
+  let on_push ~tid:_ ~ns _ =
+    if !sent < Array.length starts then
+      starts.(!sent) <- Dcas.Clock.now_ns () - int_of_float ns;
+    incr sent
+  in
+  let driver () =
+    Unix.sleepf 0.005;
+    Harness.Stall.Zombie.cure ~tid:producer;
+    Unix.sleepf 0.030
+  in
+  Harness.Stall.Zombie.zombify ~tid:producer;
+  let r =
+    Fun.protect ~finally:Harness.Fault.reset (fun () ->
+        Svc.Array_service.run ~config:cfg ~on_push ~driver ~duration:0. ())
+  in
+  check_conserved r;
+  let n = min !sent (Array.length starts) in
+  if n < 10 then Alcotest.failf "only %d requests sent in 30 ms" n;
+  let earliest = ref 0 and worst = ref 0 in
+  for k = 1 to n - 1 do
+    let due = starts.(0) + int_of_float (float_of_int k *. 1e9 /. rate) in
+    if due - starts.(k) > !earliest then begin
+      earliest := due - starts.(k);
+      worst := k
+    end
+  done;
+  if !earliest > 50_000 then
+    Alcotest.failf "request %d of %d started %d ns before it was due" !worst n
+      !earliest
 
 (* Multi-domain conservation under a crash storm: probabilistic
    fail-stop deaths land mid-traffic (some mid-CASN); the monitor
@@ -625,6 +687,8 @@ let () =
             test_idle_consumer_woken;
           Alcotest.test_case "raising driver: joined, re-raised, no leak"
             `Quick test_raising_driver_joins;
+          Alcotest.test_case "open loop paced from its first request" `Quick
+            test_paced_from_first_request;
           tiered "smoke: closed-loop traffic conserves" `Slow
             test_service_smoke;
           tiered "crash storm: conservation + replacement" `Slow
