@@ -1,8 +1,8 @@
 (* Shared machinery for the experiment tables: a bechamel wrapper that
-   turns named thunks into ns/op estimates, closure handles over every
-   deque implementation (so each experiment ranges over implementations
-   uniformly), and a multi-domain throughput driver built on
-   Harness.Runner. *)
+   turns named thunks into ns/op estimates, deque implementations as
+   first-class modules driven through their handles (so each experiment
+   ranges over implementations uniformly), and a multi-domain
+   throughput driver built on Harness.Runner. *)
 
 open Bechamel
 open Toolkit
@@ -38,127 +38,34 @@ let ns_per_op ?(quota = 0.5) (cases : (string * (unit -> unit)) list) :
       (name, est))
     cases
 
-(* --- Uniform closure handles over implementations --- *)
+(* --- Implementations under measurement --- *)
 
-type handle = {
-  h_name : string;
-  push_right : int -> bool;  (* true = okay *)
-  push_left : int -> bool;
-  pop_right : unit -> bool;  (* true = got a value *)
-  pop_left : unit -> bool;
-}
+(* Each run drives a fresh instance of the module through its
+   {!Deque.Deque_intf.handle}. *)
+type factory = (module Deque.Deque_intf.S)
 
-type factory = { f_name : string; make : capacity:int -> prefill:int -> handle }
+let name_of (module D : Deque.Deque_intf.S) = D.name
 
-let prefill_handle h ~prefill =
-  (* alternate ends so the content straddles the array's start point *)
+(* A fresh handle, prefilled alternating ends so the content straddles
+   the array's start point. *)
+let fresh (f : factory) ~capacity ~prefill =
+  let h = Deque.Deque_intf.create f ~capacity in
   for i = 1 to prefill do
-    let ok = if i mod 2 = 0 then h.push_right i else h.push_left i in
-    if not ok then invalid_arg "prefill exceeded capacity"
+    match if i mod 2 = 0 then h.push_right i else h.push_left i with
+    | `Okay -> ()
+    | `Full -> invalid_arg "prefill exceeded capacity"
   done;
   h
-
-let of_array (module A : Deque.Array_deque.ALGORITHM) ?hints () : factory =
-  let base_name =
-    match hints with
-    | Some false -> A.name ^ "(no-hints)"
-    | Some true | None -> A.name
-  in
-  {
-    f_name = base_name;
-    make =
-      (fun ~capacity ~prefill ->
-        let d = A.make ?hints ~length:capacity () in
-        prefill_handle ~prefill
-          {
-            h_name = base_name;
-            push_right = (fun v -> A.push_right d v = `Okay);
-            push_left = (fun v -> A.push_left d v = `Okay);
-            pop_right = (fun () -> A.pop_right d <> `Empty);
-            pop_left = (fun () -> A.pop_left d <> `Empty);
-          });
-  }
-
-let of_list (module L : Deque.List_deque.ALGORITHM) : factory =
-  {
-    f_name = L.name;
-    make =
-      (fun ~capacity:_ ~prefill ->
-        let d = L.make () in
-        prefill_handle ~prefill
-          {
-            h_name = L.name;
-            push_right = (fun v -> L.push_right d v = `Okay);
-            push_left = (fun v -> L.push_left d v = `Okay);
-            pop_right = (fun () -> L.pop_right d <> `Empty);
-            pop_left = (fun () -> L.pop_left d <> `Empty);
-          });
-  }
-
-let of_list_dummy (module L : Deque.List_deque_dummy.ALGORITHM) : factory =
-  {
-    f_name = L.name;
-    make =
-      (fun ~capacity:_ ~prefill ->
-        let d = L.make () in
-        prefill_handle ~prefill
-          {
-            h_name = L.name;
-            push_right = (fun v -> L.push_right d v = `Okay);
-            push_left = (fun v -> L.push_left d v = `Okay);
-            pop_right = (fun () -> L.pop_right d <> `Empty);
-            pop_left = (fun () -> L.pop_left d <> `Empty);
-          });
-  }
-
-let of_general (module D : Deque.Deque_intf.S) : factory =
-  {
-    f_name = D.name;
-    make =
-      (fun ~capacity ~prefill ->
-        let d = D.create ~capacity () in
-        prefill_handle ~prefill
-          {
-            h_name = D.name;
-            push_right = (fun v -> D.push_right d v = `Okay);
-            push_left = (fun v -> D.push_left d v = `Okay);
-            pop_right = (fun () -> D.pop_right d <> `Empty);
-            pop_left = (fun () -> D.pop_left d <> `Empty);
-          });
-  }
-
-let of_greenwald_v1 (module G : Baselines.Greenwald_v1.ALGORITHM) : factory =
-  {
-    f_name = G.name;
-    make =
-      (fun ~capacity ~prefill ->
-        let d = G.make ~length:capacity () in
-        prefill_handle ~prefill
-          {
-            h_name = G.name;
-            push_right = (fun v -> G.push_right d v = `Okay);
-            push_left = (fun v -> G.push_left d v = `Okay);
-            pop_right = (fun () -> G.pop_right d <> `Empty);
-            pop_left = (fun () -> G.pop_left d <> `Empty);
-          });
-  }
 
 (* --- Multi-domain throughput --- *)
 
 (* Total completed operations per second under [mix], with [threads]
    domains hammering one instance for [duration] seconds. *)
-let mixed_throughput ~threads ~duration ~mix (factory : factory) ~capacity
-    ~prefill =
-  let h = factory.make ~capacity ~prefill in
+let mixed_throughput ~threads ~duration ~mix f ~capacity ~prefill =
+  let h = fresh f ~capacity ~prefill in
   let r =
     Harness.Runner.run ~threads ~duration (fun ~tid ~rng ->
-        ignore
-          (Harness.Workload.apply
-             ~push_right:(fun v -> if h.push_right v then `Okay else `Full)
-             ~push_left:(fun v -> if h.push_left v then `Okay else `Full)
-             ~pop_right:(fun () -> if h.pop_right () then `Value 0 else `Empty)
-             ~pop_left:(fun () -> if h.pop_left () then `Value 0 else `Empty)
-             mix rng tid))
+        ignore (Harness.Workload.apply h mix rng tid))
   in
   Harness.Runner.throughput r
 
@@ -166,15 +73,15 @@ let mixed_throughput ~threads ~duration ~mix (factory : factory) ~capacity
    threads the left end (half pushes, half pops on their own end).
    This is the experiment E5 workload: with truly independent ends the
    two sides do not disturb each other. *)
-let two_end_throughput ~threads ~duration (factory : factory) ~capacity
-    ~prefill =
-  let h = factory.make ~capacity ~prefill in
+let two_end_throughput ~threads ~duration f ~capacity ~prefill =
+  let h = fresh f ~capacity ~prefill in
   let r =
     Harness.Runner.run ~threads ~duration (fun ~tid ~rng ->
         let push = Dcas.Splitmix.bool rng in
         if tid mod 2 = 0 then
-          ignore (if push then h.push_right tid else h.pop_right ())
-        else ignore (if push then h.push_left tid else h.pop_left ()))
+          if push then ignore (h.push_right tid) else ignore (h.pop_right ())
+        else if push then ignore (h.push_left tid)
+        else ignore (h.pop_left ()))
   in
   Harness.Runner.throughput r
 

@@ -9,17 +9,28 @@ let dur ~quick base = if quick then base /. 4. else base
 let cnt ~quick base = if quick then base / 4 else base
 
 (* Implementations used across experiments. *)
-let array_lockfree = of_array (module Deque.Array_deque.Lockfree) ()
-let array_nohints = of_array (module Deque.Array_deque.Lockfree) ~hints:false ()
-let array_locked = of_array (module Deque.Array_deque.Locked) ()
-let array_striped = of_array (module Deque.Array_deque.Striped) ()
-let list_lockfree = of_list (module Deque.List_deque.Lockfree)
-let list_locked = of_list (module Deque.List_deque.Locked)
-let list_striped = of_list (module Deque.List_deque.Striped)
-let dummy_lockfree = of_list_dummy (module Deque.List_deque_dummy.Lockfree)
-let lock_deque = of_general (module Baselines.Lock_deque)
-let spin_deque = of_general (module Baselines.Spin_deque)
-let greenwald1 = of_greenwald_v1 (module Baselines.Greenwald_v1.Lockfree)
+let array_lockfree : factory = (module Deque.Array_deque.Lockfree)
+let array_locked : factory = (module Deque.Array_deque.Locked)
+let array_striped : factory = (module Deque.Array_deque.Striped)
+let list_lockfree : factory = (module Deque.List_deque.Lockfree)
+let list_locked : factory = (module Deque.List_deque.Locked)
+let list_striped : factory = (module Deque.List_deque.Striped)
+let dummy_lockfree : factory = (module Deque.List_deque_dummy.Lockfree)
+let casn3_lockfree : factory = (module Deque.List_deque_casn.Lockfree)
+let lock_deque : factory = (module Baselines.Lock_deque)
+let spin_deque : factory = (module Baselines.Spin_deque)
+let greenwald1 : factory = (module Baselines.Greenwald_v1.Lockfree)
+
+(* The array deque without the optional hints of lines 7 and 17-18
+   (E10's ablation). *)
+module Array_nohints = struct
+  include Deque.Array_deque.Lockfree
+
+  let name = name ^ "(no-hints)"
+  let create ~capacity () = make ~hints:false ~length:capacity ()
+end
+
+let array_nohints : factory = (module Array_nohints)
 
 let fmt_tp = Harness.Table.ops_per_sec
 let fmt_ns = Harness.Table.ns
@@ -40,7 +51,9 @@ let e1 ~quick =
     List.map
       (fun length ->
         let module A = Deque.Array_deque.Lockfree in
+        let module W = Deque.Deque_intf.Wrap (A) in
         let d = A.make ~length () in
+        let h = W.handle d in
         let oracle = ref (Spec.Seq_deque.make ~capacity:length ()) in
         let rng = Dcas.Splitmix.create ~seed:(length * 31) in
         let okay = ref 0 and full = ref 0 and got = ref 0 and empty = ref 0 in
@@ -53,15 +66,7 @@ let e1 ~quick =
             | 2 -> Spec.Op.Pop_right
             | _ -> Spec.Op.Pop_left
           in
-          let res =
-            match op with
-            | Spec.Op.Push_right v ->
-                Deque.Deque_intf.res_of_push (A.push_right d v)
-            | Spec.Op.Push_left v ->
-                Deque.Deque_intf.res_of_push (A.push_left d v)
-            | Spec.Op.Pop_right -> Deque.Deque_intf.res_of_pop (A.pop_right d)
-            | Spec.Op.Pop_left -> Deque.Deque_intf.res_of_pop (A.pop_left d)
-          in
+          let res = Deque.Deque_intf.apply h op in
           (match res with
           | Spec.Op.Okay -> incr okay
           | Spec.Op.Full -> incr full
@@ -99,17 +104,11 @@ let e1 ~quick =
 let winner_stats scenario ~samples ~seed =
   (* run random schedules and record which thread won the element *)
   let right = ref 0 and left = ref 0 in
-  let state = ref (seed lor 1) in
-  let rand bound =
-    let s = !state in
-    let s = s lxor (s lsl 13) in
-    let s = s lxor (s lsr 7) in
-    let s = s lxor (s lsl 17) in
-    state := s land max_int;
-    !state mod bound
-  in
+  let rng = Dcas.Splitmix.create ~seed in
   for _ = 1 to samples do
-    let decide _depth enabled = rand (List.length enabled) in
+    let decide _depth enabled =
+      Dcas.Splitmix.int rng ~bound:(List.length enabled)
+    in
     let report = Modelcheck.Explorer.run_schedule scenario ~decide in
     Array.iter
       (fun (e : (int Spec.Op.op, int Spec.Op.res) Spec.History.entry) ->
@@ -290,7 +289,7 @@ let e5 ~quick =
               /. float_of_int s.Dcas.Memory_intf.dcas_attempts)
         in
         [
-          f.f_name;
+          name_of f;
           fmt_tp t1;
           fmt_tp t2;
           fmt_tp t4;
@@ -304,8 +303,9 @@ let e5 ~quick =
       [ "implementation"; "1 thr"; "2 thr (ends)"; "4 thr"; "2t/1t"; "dcas ok" ]
     rows;
   note
-    "even threads use the right end, odd the left (single-core box: the\n\
-     throughput deltas mostly reflect per-op cost, not parallelism)";
+    "even threads use the right end, odd the left (2-vCPU VM: at most two\n\
+     domains run at once, so past 2 threads the deltas mostly reflect\n\
+     per-op cost, not parallelism)";
   (* The hardware-independent signal: over ALL interleavings of one
      right-end op against one left-end op, does either ever have to
      retry?  DCAS attempts beyond one per operation mean the ends
@@ -422,7 +422,7 @@ let e7 ~quick =
               mixed_throughput ~threads:t ~duration ~mix f ~capacity ~prefill
             in
             let t1 = tp 1 and t2 = tp 2 and t4 = tp 4 in
-            [ f.f_name; fmt_tp t1; fmt_tp t2; fmt_tp t4 ])
+            [ name_of f; fmt_tp t1; fmt_tp t2; fmt_tp t4 ])
           factories
       in
       Printf.printf "\n-- mix: %s --\n" mix_name;
@@ -445,20 +445,13 @@ let e7_latency ~quick =
   let duration = dur ~quick 0.6 in
   let batch = 64 and threads = 4 in
   let measure (factory : factory) =
-    let h = factory.make ~capacity:1024 ~prefill:512 in
+    let h = fresh factory ~capacity:1024 ~prefill:512 in
     let hist = Dcas.Histogram.create () in
     let r =
       Harness.Runner.run ~threads ~duration (fun ~tid ~rng ->
           let t0 = Harness.Metrics.now () in
           for _ = 1 to batch do
-            ignore
-              (Harness.Workload.apply
-                 ~push_right:(fun v -> if h.push_right v then `Okay else `Full)
-                 ~push_left:(fun v -> if h.push_left v then `Okay else `Full)
-                 ~pop_right:(fun () ->
-                   if h.pop_right () then `Value 0 else `Empty)
-                 ~pop_left:(fun () -> if h.pop_left () then `Value 0 else `Empty)
-                 Harness.Workload.balanced rng tid)
+            ignore (Harness.Workload.apply h Harness.Workload.balanced rng tid)
           done;
           Dcas.Histogram.record hist
             (int_of_float
@@ -470,7 +463,7 @@ let e7_latency ~quick =
       /. float_of_int (batch * Harness.Runner.total r)
     in
     [
-      factory.f_name;
+      name_of factory;
       fmt_ns mean_ns;
       fmt_q (Dcas.Histogram.quantile hist 0.5);
       fmt_q (Dcas.Histogram.quantile hist 0.99);
@@ -542,84 +535,49 @@ let e9 ~quick =
   header "E9  throughput while one thread stalls mid-operation";
   let duration = dur ~quick 1.2 in
   let stall = 0.05 in
-  (* lock-free: staller sleeps between two shared accesses of a push *)
-  let lockfree_run ~with_staller =
-    let d = Stalling_array.make ~length:1024 () in
+  (* Two workers run the balanced mix on a half-full deque while a
+     staller repeats [stall_once] until the run's window closes.  The
+     staller stops on its own: a lock holder can starve both workers
+     inside [Mutex.lock], and the runner cannot return while they wait
+     there. *)
+  let run h ~stall_once =
     for i = 1 to 512 do
-      ignore (Stalling_array.push_right d i)
+      ignore (h.Deque.Deque_intf.push_right i)
     done;
-    let stop = Atomic.make false in
+    let t_end = Unix.gettimeofday () +. duration in
     let staller =
       Domain.spawn (fun () ->
-          while not (Atomic.get stop) do
-            if with_staller then begin
-              Harness.Stall.request ~after_ops:2 ~duration:stall;
-              ignore (Stalling_array.push_right d 0)
-            end
-            else Unix.sleepf stall
+          while Unix.gettimeofday () < t_end do
+            stall_once ()
           done)
     in
     let r =
       Harness.Runner.run ~threads:2 ~duration (fun ~tid ~rng ->
-          ignore
-            (Harness.Workload.apply
-               ~push_right:(fun v ->
-                 if Stalling_array.push_right d v = `Okay then `Okay else `Full)
-               ~push_left:(fun v ->
-                 if Stalling_array.push_left d v = `Okay then `Okay else `Full)
-               ~pop_right:(fun () ->
-                 match Stalling_array.pop_right d with
-                 | `Value _ -> `Value 0
-                 | `Empty -> `Empty)
-               ~pop_left:(fun () ->
-                 match Stalling_array.pop_left d with
-                 | `Value _ -> `Value 0
-                 | `Empty -> `Empty)
-               Harness.Workload.balanced rng tid))
+          ignore (Harness.Workload.apply h Harness.Workload.balanced rng tid))
     in
-    Atomic.set stop true;
     Domain.join staller;
     Harness.Runner.throughput r
   in
-  (* lock-based: staller sleeps holding the deque's mutex *)
+  let idle () = Unix.sleepf stall in
+  (* lock-free: the staller sleeps between two shared accesses of a push *)
+  let lockfree_run ~with_staller =
+    let module W = Deque.Deque_intf.Wrap (Stalling_array) in
+    let d = Stalling_array.create ~capacity:1024 () in
+    run (W.handle d)
+      ~stall_once:
+        (if with_staller then fun () ->
+           Harness.Stall.request ~after_ops:2 ~duration:stall;
+           ignore (Stalling_array.push_right d 0)
+         else idle)
+  in
+  (* lock-based: the staller sleeps holding the deque's mutex *)
   let lock_run ~with_staller =
-    let d = Baselines.Lock_deque.create ~capacity:1024 () in
-    for i = 1 to 512 do
-      ignore (Baselines.Lock_deque.push_right d i)
-    done;
-    let stop = Atomic.make false in
-    let staller =
-      Domain.spawn (fun () ->
-          while not (Atomic.get stop) do
-            if with_staller then
-              Baselines.Lock_deque.with_lock_held d (fun () ->
-                  Unix.sleepf stall)
-            else Unix.sleepf stall
-          done)
-    in
-    let r =
-      Harness.Runner.run ~threads:2 ~duration (fun ~tid ~rng ->
-          ignore
-            (Harness.Workload.apply
-               ~push_right:(fun v ->
-                 if Baselines.Lock_deque.push_right d v = `Okay then `Okay
-                 else `Full)
-               ~push_left:(fun v ->
-                 if Baselines.Lock_deque.push_left d v = `Okay then `Okay
-                 else `Full)
-               ~pop_right:(fun () ->
-                 match Baselines.Lock_deque.pop_right d with
-                 | `Value _ -> `Value 0
-                 | `Empty -> `Empty)
-               ~pop_left:(fun () ->
-                 match Baselines.Lock_deque.pop_left d with
-                 | `Value _ -> `Value 0
-                 | `Empty -> `Empty)
-               Harness.Workload.balanced rng tid))
-    in
-    Atomic.set stop true;
-    Domain.join staller;
-    Harness.Runner.throughput r
+    let module L = Baselines.Lock_deque in
+    let module W = Deque.Deque_intf.Wrap (L) in
+    let d = L.create ~capacity:1024 () in
+    run (W.handle d)
+      ~stall_once:
+        (if with_staller then fun () -> L.with_lock_held d idle else idle)
   in
   let rows =
     [
@@ -809,7 +767,7 @@ let e12 ~quick =
                 ~mix:Harness.Workload.balanced f ~capacity:1024 ~prefill:512
             in
             let t1 = tp 1 and t4 = tp 4 in
-            [ f.f_name; fmt_tp t1; fmt_tp t4; Harness.Table.ratio (t4 /. t1) ])
+            [ name_of f; fmt_tp t1; fmt_tp t4; Harness.Table.ratio (t4 /. t1) ])
           factories
       in
       Printf.printf "\n-- %s deque --\n" g;
@@ -906,26 +864,9 @@ let e13 ~quick =
     [ label; string_of_int rounds; string_of_int !total_ops;
       string_of_int !failures ]
   in
-  let array_apply () =
-    let module A = Deque.Array_deque.Lockfree in
-    let d = A.make ~length:4 () in
-    fun (op : int Spec.Op.op) ->
-      match op with
-      | Push_right v -> Deque.Deque_intf.res_of_push (A.push_right d v)
-      | Push_left v -> Deque.Deque_intf.res_of_push (A.push_left d v)
-      | Pop_right -> Deque.Deque_intf.res_of_pop (A.pop_right d)
-      | Pop_left -> Deque.Deque_intf.res_of_pop (A.pop_left d)
-  in
-  let list_apply () =
-    let module L = Deque.List_deque.Lockfree in
-    let d = L.make () in
-    fun (op : int Spec.Op.op) ->
-      match op with
-      | Push_right v -> Deque.Deque_intf.res_of_push (L.push_right d v)
-      | Push_left v -> Deque.Deque_intf.res_of_push (L.push_left d v)
-      | Pop_right -> Deque.Deque_intf.res_of_pop (L.pop_right d)
-      | Pop_left -> Deque.Deque_intf.res_of_pop (L.pop_left d)
-  in
+  let apply_fresh f () = Deque.Deque_intf.apply (fresh f ~capacity:4 ~prefill:0) in
+  let array_apply = apply_fresh array_lockfree in
+  let list_apply = apply_fresh list_lockfree in
   Harness.Table.print
     ~headers:[ "implementation"; "rounds"; "ops checked"; "failures" ]
     [
@@ -1085,8 +1026,6 @@ let e15 ~quick =
 (* ------------------------------------------------------------------ *)
 (* E17: what a 3-word CAS would buy (extension; Section 6's question)  *)
 (* ------------------------------------------------------------------ *)
-
-let casn3_lockfree = of_list_dummy (module Deque.List_deque_casn.Lockfree)
 
 let e17 ~quick =
   header "E17 extension: DCAS split pop vs single 3-word-CAS pop";
@@ -1531,36 +1470,33 @@ let e23_prefill = 128
 let e23_capacity = 512
 
 let e23_shooters : shooter list =
-  let general (type t) name ~(create : unit -> t)
-      ~(push_right : t -> int -> Deque.Deque_intf.push_result)
-      ~(push_left : t -> int -> Deque.Deque_intf.push_result)
-      ~(pop_right : t -> int Deque.Deque_intf.pop_result)
-      ~(pop_left : t -> int Deque.Deque_intf.pop_result) () =
+  let general name f =
     {
       sh_name = name;
       sh_make =
         (fun () ->
-          let d = create () in
-          for i = 1 to e23_prefill do
-            ignore (if i mod 2 = 0 then push_right d i else push_left d i)
-          done;
+          let h = fresh f ~capacity:e23_capacity ~prefill:e23_prefill in
           {
             sh_op =
               (fun ~tid:_ kind ->
                 match kind with
                 | Harness.Workload.Push_right ->
-                    if push_right d 1 = `Okay then `Pushed else `Miss
+                    if h.push_right 1 = `Okay then `Pushed else `Miss
                 | Harness.Workload.Push_left ->
-                    if push_left d 1 = `Okay then `Pushed else `Miss
+                    if h.push_left 1 = `Okay then `Pushed else `Miss
                 | Harness.Workload.Pop_right -> (
-                    match pop_right d with `Value _ -> `Popped | `Empty -> `Miss)
+                    match h.pop_right () with
+                    | `Value _ -> `Popped
+                    | `Empty -> `Miss)
                 | Harness.Workload.Pop_left -> (
-                    match pop_left d with `Value _ -> `Popped | `Empty -> `Miss));
+                    match h.pop_left () with
+                    | `Value _ -> `Popped
+                    | `Empty -> `Miss));
             sh_drain =
               (fun () ->
                 let n = ref 0 in
                 let rec go () =
-                  match pop_left d with
+                  match h.pop_left () with
                   | `Value _ ->
                       incr n;
                       go ()
@@ -1571,10 +1507,10 @@ let e23_shooters : shooter list =
           });
       sh_words =
         (fun () ->
-          let d = create () in
+          let h = fresh f ~capacity:e23_capacity ~prefill:0 in
           minor_words_per_op ~n:20_000 (fun () ->
-              ignore (push_right d 1);
-              ignore (pop_right d))
+              ignore (h.push_right 1);
+              ignore (h.pop_right ()))
           /. 2.);
     }
   in
@@ -1582,21 +1518,9 @@ let e23_shooters : shooter list =
     (* the row key predates the removal of the generic-descriptor
        ablation; it stays so [bench --compare] still matches it
        against BENCH_7/8/9 *)
-    (let module L = Deque.List_deque.Lockfree in
-    general "dcas-list/dcas2"
-      ~create:(fun () -> L.make ())
-      ~push_right:L.push_right ~push_left:L.push_left ~pop_right:L.pop_right
-      ~pop_left:L.pop_left ());
-    (let module D = Baselines.St_deque in
-    general "st-deque"
-      ~create:(fun () -> D.make ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left ());
-    (let module D = Baselines.Lock_deque in
-    general "lock"
-      ~create:(fun () -> D.create ~capacity:e23_capacity ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left ());
+    general "dcas-list/dcas2" list_lockfree;
+    general "st-deque" (module Baselines.St_deque);
+    general "lock" lock_deque;
     (let module A = Baselines.Abp_deque in
     {
       sh_name = "abp";
@@ -2100,12 +2024,11 @@ let e25 ~quick =
       seed = 0xE25;
       sup =
         {
-          Worksteal.Supervisor.default with
           (* silence detection off for E24's reason (an oversubscribed
              box makes busy-but-alive quiet spells nondeterministic);
              zombie detection is progress-based and stays armed — it is
              the detector this soak exists to exercise *)
-          silence_after = 0.;
+          Worksteal.Supervisor.silence_after = 0.;
           zombie_after = 0.08;
         };
     }

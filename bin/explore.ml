@@ -9,9 +9,10 @@
      pr:V  pushRight(V)      pl:V  pushLeft(V)
      qr    popRight()        ql    popLeft()
 
-   Modes: exhaustive DFS (default), random sampling (--sample N), and
-   the lock-freedom check (--victim I freezes thread I at every one of
-   its reachable step counts and requires the others to finish). *)
+   Modes: exhaustive DFS (default), schedule fuzzing (--fuzz N, --pct
+   N), replay (--replay TOKEN), the lock-freedom check (--victim I
+   freezes thread I at every one of its reachable step counts and
+   requires the others to finish) and crash recovery (--crash I). *)
 
 open Cmdliner
 
@@ -164,7 +165,7 @@ let run_replay scenario token ~max_steps =
 
 let is_sharded algo = algo = "sharded" || algo = "sharded-nofence"
 
-let run algo length prefill setup threads sample seed victim crash
+let run algo length prefill setup threads seed victim crash
     max_schedules max_steps fuzz pct depth no_shrink replay chaos_fail
     chaos_freeze chaos_freeze_spins chaos_seed shards adopt_token shed_token =
   match
@@ -176,12 +177,12 @@ let run algo length prefill setup threads sample seed victim crash
       2
   | Ok scenario
     when is_sharded algo
-         && (sample <> None || fuzz <> None || pct <> None || replay <> None)
+         && (fuzz <> None || pct <> None || replay <> None)
     ->
       ignore scenario;
-      (* sampling, fuzzing and replay hard-code the single-deque
-         linearizability oracle, which the sharded composite does not
-         satisfy by design *)
+      (* fuzzing and replay hard-code the single-deque linearizability
+         oracle, which the sharded composite does not satisfy by
+         design *)
       prerr_endline
         (algo
         ^ ": not linearizable to one deque; use plain explore \
@@ -189,8 +190,8 @@ let run algo length prefill setup threads sample seed victim crash
       2
   | Ok scenario ->
       let code =
-        match (crash, victim, replay, pct, fuzz, sample) with
-      | Some v, _, _, _, _, _ -> (
+        match (crash, victim, replay, pct, fuzz) with
+      | Some v, _, _, _, _ -> (
           match Modelcheck.Explorer.check_crash ~max_steps scenario ~victim:v with
           | Ok n ->
               Printf.printf
@@ -201,7 +202,7 @@ let run algo length prefill setup threads sample seed victim crash
           | Error j ->
               Printf.printf "UNRECOVERED: crash point %d broke recovery\n" j;
               1)
-      | None, Some v, _, _, _, _ -> (
+      | None, Some v, _, _, _ -> (
           match
             Modelcheck.Explorer.check_nonblocking ~max_steps scenario ~victim:v
           with
@@ -214,26 +215,19 @@ let run algo length prefill setup threads sample seed victim crash
           | Error j ->
               Printf.printf "BLOCKED: stall point %d prevented completion\n" j;
               1)
-      | None, None, Some token, _, _, _ -> run_replay scenario token ~max_steps
-      | None, None, None, Some runs, _, _ ->
+      | None, None, Some token, _, _ -> run_replay scenario token ~max_steps
+      | None, None, None, Some runs, _ ->
           run_fuzz scenario ~runs ~seed
             ~strategy:(Modelcheck.Fuzz.Pct depth)
             ~shrink:(not no_shrink) ~max_steps
-      | None, None, None, None, Some runs, _ ->
+      | None, None, None, None, Some runs ->
           run_fuzz scenario ~runs ~seed ~strategy:Modelcheck.Fuzz.Uniform
             ~shrink:(not no_shrink) ~max_steps
-      | None, None, None, None, None, sample -> (
+      | None, None, None, None, None -> (
+          let check = if is_sharded algo then `None else `Linearizability in
           let outcome =
-            match sample with
-            | Some n ->
-                Modelcheck.Explorer.sample ~max_steps ~schedules:n ~seed
-                  scenario
-            | None ->
-                let check =
-                  if is_sharded algo then `None else `Linearizability
-                in
-                Modelcheck.Explorer.explore ~max_steps ~max_schedules ~check
-                  scenario
+            Modelcheck.Explorer.explore ~max_steps ~max_schedules ~check
+              scenario
           in
           Format.printf "%a@." Modelcheck.Explorer.pp_outcome outcome;
           match outcome.Modelcheck.Explorer.error with
@@ -313,17 +307,10 @@ let threads =
     & info [ "thread"; "t" ] ~docv:"OPS"
         ~doc:"One thread's scripted operations; repeatable.")
 
-let sample =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "sample" ] ~docv:"N"
-        ~doc:"Sample N random schedules instead of exhaustive DFS.")
-
 let seed =
   Arg.(
     value & opt int 42
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling / fuzzing seed.")
+    & info [ "seed" ] ~docv:"SEED" ~doc:"Fuzzing seed.")
 
 let fuzz =
   Arg.(
@@ -424,7 +411,7 @@ let cmd =
   Cmd.v
     (Cmd.info "explore" ~doc)
     Term.(
-      const run $ algo $ length $ prefill $ setup $ threads $ sample $ seed
+      const run $ algo $ length $ prefill $ setup $ threads $ seed
       $ victim $ crash $ max_schedules $ max_steps $ fuzz $ pct $ depth
       $ no_shrink $ replay $ chaos_fail $ chaos_freeze $ chaos_freeze_spins
       $ chaos_seed $ shards $ adopt_token $ shed_token)

@@ -28,46 +28,34 @@
 
 open Cmdliner
 
-type impl = {
-  name : string;
-  run :
-    watchdog:Harness.Watchdog.t option ->
-    threads:int ->
-    duration:float ->
-    mix:Harness.Workload.mix ->
-    capacity:int ->
-    prefill:int ->
-    Harness.Runner.result;
-}
+(* An implementation: its --impl name and a fresh instance's handle. *)
+type impl = { name : string; fresh : capacity:int -> int Deque.Deque_intf.handle }
 
-let make_impl (type t) ?(enroll = false) name
-    ~(create : capacity:int -> unit -> t)
-    ~(push_right : t -> int -> Deque.Deque_intf.push_result)
-    ~(push_left : t -> int -> Deque.Deque_intf.push_result)
-    ~(pop_right : t -> int Deque.Deque_intf.pop_result)
-    ~(pop_left : t -> int Deque.Deque_intf.pop_result) =
+let impl name f = { name; fresh = Deque.Deque_intf.create f }
+
+(* A list deque that recycles its nodes (experiment E16). *)
+let recycling name (module L : Deque.List_deque.ALGORITHM) =
+  let module W = Deque.Deque_intf.Wrap (L) in
+  { name; fresh = (fun ~capacity:_ -> W.handle (L.make ~recycle:true ())) }
+
+(* The array deque behind the Spill policy: a full primary overflows
+   into the unbounded list. *)
+let policy_spill name =
+  let module P = Deque.Policy.Make (Deque.Array_deque.Lockfree) in
   {
     name;
-    run =
-      (fun ~watchdog ~threads ~duration ~mix ~capacity ~prefill ->
-        let d = create ~capacity () in
-        for i = 1 to prefill do
-          match
-            if i mod 2 = 0 then push_right d i else push_left d i
-          with
-          | `Okay -> ()
-          | `Full -> invalid_arg "prefill exceeds capacity"
-        done;
-        Harness.Runner.run ?watchdog ~threads ~duration (fun ~tid ~rng ->
-            if enroll && tid < Harness.Fault.max_slots then
-              Harness.Fault.enroll ~tid;
-            ignore
-              (Harness.Workload.apply
-                 ~push_right:(fun v -> push_right d v)
-                 ~push_left:(fun v -> push_left d v)
-                 ~pop_right:(fun () -> pop_right d)
-                 ~pop_left:(fun () -> pop_left d)
-                 mix rng tid)));
+    fresh =
+      (fun ~capacity ->
+        let d = P.create ~full:Deque.Policy.Spill ~capacity () in
+        {
+          name = P.name;
+          push_right = (fun v -> P.push_simple d ~side:`Right v);
+          push_left = (fun v -> P.push_simple d ~side:`Left v);
+          pop_right = (fun () -> P.pop_simple d ~side:`Right);
+          pop_left = (fun () -> P.pop_simple d ~side:`Left);
+          contents = None;
+          invariant = None;
+        });
   }
 
 (* Sharded service front ends (Core.Sharded): --shards K deques behind
@@ -78,7 +66,7 @@ let make_impl (type t) ?(enroll = false) name
    priority lane. *)
 let shards_n = ref 4
 
-let sharded_impl ?(enroll = false) name (module D : Deque.Deque_intf.S) =
+let sharded name (module D : Deque.Deque_intf.S) =
   let module Sh = Deque.Sharded.Make (D) in
   let rr = ref 0 in
   let key () =
@@ -86,92 +74,57 @@ let sharded_impl ?(enroll = false) name (module D : Deque.Deque_intf.S) =
     incr rr;
     !rr
   in
-  let push urgent d v : Deque.Deque_intf.push_result =
-    match Sh.push ~urgent d ~key:v v with
+  (* no deadline is configured, so `Timeout is unreachable *)
+  let push urgent t v : Deque.Deque_intf.push_result =
+    match Sh.push ~urgent t ~key:v v with
     | `Okay -> `Okay
-    | `Full -> `Full
-    | `Timeout -> `Full (* no deadline configured: unreachable *)
+    | `Full | `Timeout -> `Full
   in
-  let pop urgent d : int Deque.Deque_intf.pop_result =
-    match Sh.pop ~urgent d ~key:(key ()) with
+  let pop urgent t : int Deque.Deque_intf.pop_result =
+    match Sh.pop ~urgent t ~key:(key ()) with
     | `Value v -> `Value v
-    | `Empty -> `Empty
-    | `Timeout -> `Empty
+    | `Empty | `Timeout -> `Empty
   in
-  make_impl ~enroll name
-    ~create:(fun ~capacity () ->
-      Sh.create ~full:Deque.Policy.Spill ~shards:!shards_n ~capacity ())
-    ~push_right:(push false) ~push_left:(push true) ~pop_right:(pop false)
-    ~pop_left:(pop true)
+  {
+    name;
+    fresh =
+      (fun ~capacity ->
+        let t =
+          Sh.create ~full:Deque.Policy.Spill ~shards:!shards_n ~capacity ()
+        in
+        {
+          name = Sh.name;
+          push_right = push false t;
+          push_left = push true t;
+          pop_right = (fun () -> pop false t);
+          pop_left = (fun () -> pop true t);
+          contents = None;
+          invariant = None;
+        });
+  }
 
 let impls : impl list =
   [
-    (let module D = Deque.Array_deque.Lockfree in
-    make_impl "array-lockfree"
-      ~create:(fun ~capacity () -> D.make ~length:capacity ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Deque.Array_deque.Locked in
-    make_impl "array-locked"
-      ~create:(fun ~capacity () -> D.make ~length:capacity ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Deque.List_deque.Lockfree in
-    make_impl "list-lockfree"
-      ~create:(fun ~capacity:_ () -> D.make ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Deque.List_deque_dummy.Lockfree in
-    make_impl "dummy-lockfree"
-      ~create:(fun ~capacity:_ () -> D.make ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Deque.List_deque_casn.Lockfree in
-    make_impl "3cas-lockfree"
-      ~create:(fun ~capacity:_ () -> D.make ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Deque.List_deque.Lockfree in
-    make_impl "list-recycle"
-      ~create:(fun ~capacity:_ () -> D.make ~recycle:true ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module P = Deque.Policy.Make (Deque.Array_deque.Lockfree) in
-    make_impl "array-policy-spill"
-      ~create:(fun ~capacity () -> P.create ~full:Deque.Policy.Spill ~capacity ())
-      ~push_right:(fun d v -> P.push_simple d ~side:`Right v)
-      ~push_left:(fun d v -> P.push_simple d ~side:`Left v)
-      ~pop_right:(fun d -> P.pop_simple d ~side:`Right)
-      ~pop_left:(fun d -> P.pop_simple d ~side:`Left));
-    (let module D = Baselines.Lock_deque in
-    make_impl "lock"
-      ~create:(fun ~capacity () -> D.create ~capacity ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Baselines.Spin_deque in
-    make_impl "spin"
-      ~create:(fun ~capacity () -> D.create ~capacity ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Baselines.Greenwald_v1.Lockfree in
-    make_impl "greenwald1"
-      ~create:(fun ~capacity () -> D.make ~length:capacity ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Baselines.St_deque in
-    make_impl "st-deque"
-      ~create:(fun ~capacity:_ () -> D.make ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    sharded_impl "sharded-array" (module Deque.Array_deque.Lockfree);
-    sharded_impl "sharded-list" (module Deque.List_deque.Lockfree);
+    impl "array-lockfree" (module Deque.Array_deque.Lockfree);
+    impl "array-locked" (module Deque.Array_deque.Locked);
+    impl "list-lockfree" (module Deque.List_deque.Lockfree);
+    impl "dummy-lockfree" (module Deque.List_deque_dummy.Lockfree);
+    impl "3cas-lockfree" (module Deque.List_deque_casn.Lockfree);
+    recycling "list-recycle" (module Deque.List_deque.Lockfree);
+    policy_spill "array-policy-spill";
+    impl "lock" (module Baselines.Lock_deque);
+    impl "spin" (module Baselines.Spin_deque);
+    impl "greenwald1" (module Baselines.Greenwald_v1.Lockfree);
+    impl "st-deque" (module Baselines.St_deque);
+    sharded "sharded-array" (module Deque.Array_deque.Lockfree);
+    sharded "sharded-list" (module Deque.List_deque.Lockfree);
   ]
 
 (* Crash-instrumented variants of the lock-free implementations: same
    algorithms over [Mem_lockfree] behind [Harness.Fault.Mem], so
    an armed worker dies at a shared-memory point and the others keep
    going.  Selected (by the same --impl names) when --crash-prob is
-   positive. *)
+   positive; every worker enrolls with the injector. *)
 module Crash_mem = Harness.Fault.Mem (Dcas.Mem_lockfree)
 module Crash_array = Deque.Array_deque.Make (Crash_mem)
 module Crash_list = Deque.List_deque.Make (Crash_mem)
@@ -180,33 +133,13 @@ module Crash_casn = Deque.List_deque_casn.Make (Crash_mem)
 
 let crash_impls : impl list =
   [
-    (let module D = Crash_array in
-    make_impl ~enroll:true "array-lockfree"
-      ~create:(fun ~capacity () -> D.make ~length:capacity ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Crash_list in
-    make_impl ~enroll:true "list-lockfree"
-      ~create:(fun ~capacity:_ () -> D.make ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Crash_dummy in
-    make_impl ~enroll:true "dummy-lockfree"
-      ~create:(fun ~capacity:_ () -> D.make ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Crash_casn in
-    make_impl ~enroll:true "3cas-lockfree"
-      ~create:(fun ~capacity:_ () -> D.make ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    (let module D = Crash_list in
-    make_impl ~enroll:true "list-recycle"
-      ~create:(fun ~capacity:_ () -> D.make ~recycle:true ())
-      ~push_right:D.push_right ~push_left:D.push_left ~pop_right:D.pop_right
-      ~pop_left:D.pop_left);
-    sharded_impl ~enroll:true "sharded-array" (module Crash_array);
-    sharded_impl ~enroll:true "sharded-list" (module Crash_list);
+    impl "array-lockfree" (module Crash_array);
+    impl "list-lockfree" (module Crash_list);
+    impl "dummy-lockfree" (module Crash_dummy);
+    impl "3cas-lockfree" (module Crash_casn);
+    recycling "list-recycle" (module Crash_list);
+    sharded "sharded-array" (module Crash_array);
+    sharded "sharded-list" (module Crash_list);
   ]
 
 let mix_of = function
@@ -259,7 +192,18 @@ let run impl_name threads duration mix_name capacity prefill watchdog_s
                ~stats:(fun () -> Dcas.Mem_lockfree.stats ())
                ~threads ())
       in
-      let r = impl.run ~watchdog ~threads ~duration ~mix ~capacity ~prefill in
+      let h = impl.fresh ~capacity in
+      for i = 1 to prefill do
+        match if i mod 2 = 0 then h.push_right i else h.push_left i with
+        | `Okay -> ()
+        | `Full -> invalid_arg "prefill exceeds capacity"
+      done;
+      let r =
+        Harness.Runner.run ?watchdog ~threads ~duration (fun ~tid ~rng ->
+            if crashing && tid < Harness.Fault.max_slots then
+              Harness.Fault.enroll ~tid;
+            ignore (Harness.Workload.apply h mix rng tid))
+      in
       if crashing then Harness.Crash.disarm ();
       Printf.printf "%s: %s ops/s (%d threads, %.1fs, mix %s)\n" impl.name
         (Harness.Table.ops_per_sec (Harness.Runner.throughput r))

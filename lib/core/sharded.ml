@@ -165,11 +165,16 @@ module Make (D : Deque_intf.S) = struct
      now costs nothing and sheds load where it helps (before the push
      touches shared state).  With few observations it admits (cold
      start); the p99 read is an upper bound within 3.1% of the true
-     p99, so it sheds at most that much early and never late. *)
+     p99, so it sheds at most that much early and never late.  It
+     decides as [sojourn_p99_ns] would, from one count pass and no
+     allocation. *)
   let admit t ~key ~budget =
-    match sojourn_p99_ns t ~shard:(shard_of t ~key) with
-    | None -> true
-    | Some p99_ns -> p99_ns <= budget *. 1e9
+    let h = t.sojourn.(shard_of t ~key) in
+    let n = Dcas.Histogram.count h in
+    n < min_observations
+    ||
+    let p99 = Dcas.Histogram.quantile_int h ~count:n 0.99 in
+    (if p99 = max_int then infinity else float_of_int p99) <= budget *. 1e9
 
   (* --- push --- *)
 

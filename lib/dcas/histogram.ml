@@ -50,21 +50,31 @@ let upper i =
     let shifts = (i lsr sub_bits) - 1 in
     ((i - (shifts lsl sub_bits) + 1) lsl shifts) - 1
 
-let count t =
-  Array.fold_left
-    (Array.fold_left (fun n c -> n + Atomic.get c))
-    (Atomic.get t.overflow) t.cells
+(* Reads are top-level loops, so a read allocates nothing: admission
+   control reads a quantile on every request it judges. *)
+let rec count_row row j n =
+  if j = sub then n else count_row row (j + 1) (n + Atomic.get row.(j))
+
+let rec count_rows cells r n =
+  if r = rows then n else count_rows cells (r + 1) (count_row cells.(r) 0 n)
+
+let count t = count_rows t.cells 0 (Atomic.get t.overflow)
+
+(* The upper value of the bucket holding the [rank]-th value, or
+   [max_int] when the rank lies in the overflow bucket. *)
+let rec walk t rank i seen =
+  if i = buckets then max_int
+  else
+    let seen = seen + Atomic.get (cell t i) in
+    if seen >= rank then upper i else walk t rank (i + 1) seen
+
+let quantile_int t ~count q =
+  let rank = int_of_float (Float.ceil (q *. float_of_int count)) in
+  walk t (if rank < 1 then 1 else if rank > count then count else rank) 0 0
 
 let quantile t q =
   let total = count t in
   if total = 0 then Float.nan
   else
-    let rank = int_of_float (Float.ceil (q *. float_of_int total)) in
-    let rank = if rank < 1 then 1 else if rank > total then total else rank in
-    let rec go i seen =
-      if i = buckets then infinity
-      else
-        let seen = seen + Atomic.get (cell t i) in
-        if seen >= rank then float_of_int (upper i) else go (i + 1) seen
-    in
-    go 0 0
+    let v = quantile_int t ~count:total q in
+    if v = max_int then infinity else float_of_int v

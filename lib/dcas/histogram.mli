@@ -20,9 +20,14 @@ val record : t -> int -> unit
 (** Count one value; a negative value counts as 0. *)
 
 val count : t -> int
-(** Values recorded so far, overflow included. *)
+(** Values recorded so far, overflow included.  Allocates nothing. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] is an upper bound on the nearest-rank [q]-quantile
     (rank [ceil (q * count)], at least 1): [infinity] when that rank
     lands in the overflow bucket, [nan] when nothing was recorded. *)
+
+val quantile_int : t -> count:int -> float -> int
+(** {!quantile} as an int, for a caller that has just read [count]
+    ([> 0]) with {!count}: [max_int] when the rank lands in the
+    overflow bucket.  Allocates nothing; [quantile] boxes its float. *)

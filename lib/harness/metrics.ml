@@ -1,16 +1,11 @@
-(* Measurement helpers for the macro benchmarks: wall-clock timing,
-   per-thread fairness and throughput.  Latency distributions go to
+(* Measurement helpers for the macro benchmarks: the wall clock and
+   per-thread fairness.  Latency distributions go to
    Dcas.Histogram, recorded in batches (time a group of operations,
    divide) because [Unix.gettimeofday]'s microsecond resolution is too
    coarse for a single sub-microsecond deque operation; bechamel covers
    the single-operation regime in experiment E4. *)
 
 let now = Unix.gettimeofday
-
-let time f =
-  let t0 = now () in
-  let r = f () in
-  (r, now () -. t0)
 
 (* Per-thread fairness: how unevenly did operations distribute over the
    workers?  A lock-free structure guarantees system-wide progress, not
@@ -44,17 +39,3 @@ module Starvation = struct
     Format.fprintf ppf "per-thread min=%d max=%d mean=%.0f imbalance=%.2f"
       s.min_ops s.max_ops s.mean_ops s.imbalance
 end
-
-(* Throughput of [f] executed repeatedly for ~[duration] seconds in the
-   calling thread; returns operations per second. *)
-let throughput ?(duration = 0.2) f =
-  let deadline = now () +. duration in
-  let batch = 64 in
-  let count = ref 0 in
-  while now () < deadline do
-    for _ = 1 to batch do
-      f ()
-    done;
-    count := !count + batch
-  done;
-  float_of_int !count /. duration

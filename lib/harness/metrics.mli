@@ -1,13 +1,10 @@
-(** Wall-clock timing, per-thread fairness and throughput.  Latency
+(** The wall clock and per-thread fairness.  Latency
     distributions go to {!Dcas.Histogram}, recorded in batches
     ([Unix.gettimeofday] is too coarse for one sub-microsecond
     operation); bechamel covers the single-operation regime
     (experiment E4). *)
 
 val now : unit -> float
-
-val time : (unit -> 'a) -> 'a * float
-(** Result and elapsed seconds. *)
 
 module Starvation : sig
   (** Per-thread fairness of a multi-domain run: lock-freedom
@@ -29,7 +26,3 @@ module Starvation : sig
 
   val pp : Format.formatter -> t -> unit
 end
-
-val throughput : ?duration:float -> (unit -> unit) -> float
-(** Operations per second of [f] run repeatedly in the calling thread
-    for ~[duration] seconds (default 0.2). *)

@@ -3,10 +3,11 @@
    per-thread body until a stop flag flips, and reports per-thread
    operation counts and wall-clock time.
 
-   On a single-core container the domains time-share preemptively;
-   throughput numbers therefore measure synchronization cost under
-   contention and oversubscription rather than parallel speedup, as
-   recorded in DESIGN.md's substitution table. *)
+   On the 2-vCPU VM the tables were measured on, at most two domains
+   run at once and the rest time-share preemptively; throughput
+   numbers therefore measure synchronization cost under contention and
+   oversubscription rather than parallel speedup, as recorded in
+   DESIGN.md's substitution table. *)
 
 type result = {
   per_thread : int array;  (* operations completed by each thread *)

@@ -34,12 +34,13 @@ let draw m rng =
   else if x < m.w_push_right + m.w_push_left + m.w_pop_right then Pop_right
   else Pop_left
 
-(* Apply one drawn operation to a deque given as its four primitives;
-   returns true if the operation "succeeded" (push okay / pop got a
-   value), which the harness can count for effective throughput. *)
-let apply ~push_right ~push_left ~pop_right ~pop_left m rng v =
+(* Apply one drawn operation to a deque through its handle; returns
+   true if the operation "succeeded" (push okay / pop got a value),
+   which the harness can count for effective throughput.  Allocates
+   only what the deque operation allocates. *)
+let apply (h : int Deque.Deque_intf.handle) m rng v =
   match draw m rng with
-  | Push_right -> ( match push_right v with `Okay -> true | `Full -> false)
-  | Push_left -> ( match push_left v with `Okay -> true | `Full -> false)
-  | Pop_right -> ( match pop_right () with `Value _ -> true | `Empty -> false)
-  | Pop_left -> ( match pop_left () with `Value _ -> true | `Empty -> false)
+  | Push_right -> ( match h.push_right v with `Okay -> true | `Full -> false)
+  | Push_left -> ( match h.push_left v with `Okay -> true | `Full -> false)
+  | Pop_right -> ( match h.pop_right () with `Value _ -> true | `Empty -> false)
+  | Pop_left -> ( match h.pop_left () with `Value _ -> true | `Empty -> false)

@@ -24,14 +24,7 @@ val fifo : mix
 val draw : mix -> Dcas.Splitmix.t -> kind
 (** @raise Invalid_argument on an all-zero mix. *)
 
-val apply :
-  push_right:(int -> [ `Okay | `Full ]) ->
-  push_left:(int -> [ `Okay | `Full ]) ->
-  pop_right:(unit -> [ `Value of int | `Empty ]) ->
-  pop_left:(unit -> [ `Value of int | `Empty ]) ->
-  mix ->
-  Dcas.Splitmix.t ->
-  int ->
-  bool
-(** Draw one operation and apply it; [true] if it succeeded (push okay
-    / pop got a value). *)
+val apply : int Deque.Deque_intf.handle -> mix -> Dcas.Splitmix.t -> int -> bool
+(** Draw one operation and apply it to the handle's deque (pushing the
+    given value); [true] if it succeeded (push okay / pop got a value).
+    Allocates only what the deque operation allocates. *)

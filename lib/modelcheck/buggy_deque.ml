@@ -67,6 +67,8 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     M.set_private sr.left { ptr = Node sl; deleted = false };
     { sl; sr }
 
+  let create ~capacity:_ () = make ()
+
   let pop_right t =
     let rec loop () =
       let old_l = M.get t.sr.left in
@@ -135,13 +137,4 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
       else loop ()
     in
     loop ()
-
-  let unsafe_to_list t =
-    let rec walk node acc =
-      match M.get node.value with
-      | SentR -> List.rev acc
-      | SentL | Null -> walk (node_of (M.get node.right).ptr) acc
-      | Item v -> walk (node_of (M.get node.right).ptr) (v :: acc)
-    in
-    walk (node_of (M.get t.sl.right).ptr) []
 end

@@ -15,8 +15,8 @@
      specification with the Wing&Gong checker (the linearizability
      obligation of Theorems 3.1 and 4.1).
 
-   [explore] is exhaustive up to [max_schedules]; [sample] draws random
-   schedules for configurations too large to enumerate;
+   [explore] is exhaustive up to [max_schedules] ({!Fuzz} draws random
+   schedules for configurations too large to enumerate);
    [check_nonblocking] freezes one thread at every one of its reachable
    step counts and verifies that all other threads still complete —
    the empirical face of the paper's lock-freedom theorems. *)
@@ -214,46 +214,6 @@ let explore ?(max_steps = 100_000) ?(max_schedules = 2_000_000)
             else attempt prefix' (count + 1))
   in
   attempt [] 0
-
-(* Randomized sampling for scenarios too large to enumerate. *)
-let sample ?(max_steps = 100_000) ~schedules ~seed (scenario : Scenario.t) =
-  let state = ref (seed lor 1) in
-  let rand bound =
-    let s = !state in
-    let s = s lxor (s lsl 13) in
-    let s = s lxor (s lsr 7) in
-    let s = s lxor (s lsl 17) in
-    state := s land max_int;
-    !state mod bound
-  in
-  let rec go k =
-    if k = 0 then { schedules; exhaustive = false; error = None }
-    else
-      let decide _depth enabled = rand (List.length enabled) in
-      match run_schedule ~max_steps scenario ~decide with
-      | report -> (
-          match check_history scenario report with
-          | Ok () -> go (k - 1)
-          | Error reason ->
-              {
-                schedules = schedules - k + 1;
-                exhaustive = false;
-                error = Some (failure_of report reason);
-              })
-      | exception Invariant_violation e ->
-          {
-            schedules = schedules - k + 1;
-            exhaustive = false;
-            error =
-              Some
-                {
-                  schedule = [];
-                  reason = "invariant violated: " ^ e;
-                  pretty_history = "";
-                };
-          }
-  in
-  go schedules
 
 (* Lock-freedom evidence: freeze [victim] after each of its reachable
    step counts (0, 1, 2, ... up to its solo completion) and check that

@@ -73,9 +73,6 @@ val explore :
     [on_schedule] observes every completed run, e.g. to aggregate
     memory statistics per schedule. *)
 
-val sample : ?max_steps:int -> schedules:int -> seed:int -> Scenario.t -> outcome
-(** Random schedules, for configurations too large to enumerate. *)
-
 val check_nonblocking :
   ?max_steps:int -> Scenario.t -> victim:int -> (int, int) result
 (** Freeze [victim] after each of its reachable step counts (0, 1, …,

@@ -16,7 +16,6 @@ type instance = {
   invariant : (unit -> (unit, string) result) option;
       (* evaluated by the explorer after every shared-memory step; this
          is the executable RepInv obligation of Section 5 *)
-  dump : (unit -> string) option;  (* quiescent contents, for reports *)
 }
 
 type t = {
@@ -55,17 +54,6 @@ module St_chaos_model =
 module St_buggy_model =
   Baselines.St_deque.Make_buggy (Baselines.St_deque.Of_casn (Mem_model))
 
-let apply_via push_right push_left pop_right pop_left d (op : int Spec.Op.op) :
-    int Spec.Op.res =
-  match op with
-  | Spec.Op.Push_right v -> Deque.Deque_intf.res_of_push (push_right d v)
-  | Spec.Op.Push_left v -> Deque.Deque_intf.res_of_push (push_left d v)
-  | Spec.Op.Pop_right -> Deque.Deque_intf.res_of_pop (pop_right d)
-  | Spec.Op.Pop_left -> Deque.Deque_intf.res_of_pop (pop_left d)
-
-let dump_ints to_list d () =
-  to_list d |> List.map string_of_int |> String.concat ","
-
 (* The abstract state after prefill and setup, for the oracle. *)
 let oracle_initial ?capacity ~prefill ~setup () =
   let d0 = Spec.Seq_deque.of_list ?capacity prefill in
@@ -84,108 +72,82 @@ let build ~name ~capacity ~prefill ~setup ~threads ~make_instance =
     threads = Array.of_list threads;
     instantiate =
       (fun () ->
-        let apply, invariant, dump = make_instance () in
+        let inst = make_instance () in
         List.iter
           (fun v ->
-            match apply (Spec.Op.Push_right v) with
+            match inst.apply (Spec.Op.Push_right v) with
             | Spec.Op.Okay -> ()
             | Spec.Op.Full | Spec.Op.Empty | Spec.Op.Got _ ->
                 invalid_arg "Scenario: prefill exceeded capacity")
           prefill;
-        List.iter (fun op -> ignore (apply op)) setup;
-        { apply; invariant; dump });
+        List.iter (fun op -> ignore (inst.apply op)) setup;
+        inst);
   }
 
-let array_deque ?(hints = true) ?(setup = []) ~name ~length ~prefill threads =
-  build ~name ~capacity:(Some length) ~prefill ~setup ~threads
-    ~make_instance:(fun () ->
-      let d = Array_model.make ~hints ~length () in
-      ( apply_via Array_model.push_right Array_model.push_left
-          Array_model.pop_right Array_model.pop_left d,
-        Some (fun () -> Array_model.check_invariant d),
-        Some (dump_ints Array_model.unsafe_to_list d) ))
+(* A deque scenario: [handle ()] is a fresh instance, driven through
+   its handle and checked with its invariant when it has one. *)
+let deque ?(setup = []) ?capacity ~name ~prefill threads handle =
+  build ~name ~capacity ~prefill ~setup ~threads ~make_instance:(fun () ->
+      let h = handle () in
+      { apply = Deque.Deque_intf.apply h; invariant = h.invariant })
 
-let list_deque ?(recycle = false) ?(setup = []) ~name ~prefill threads =
-  build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      let d = List_model.make ~recycle () in
-      ( apply_via List_model.push_right List_model.push_left
-          List_model.pop_right List_model.pop_left d,
-        Some (fun () -> List_model.check_invariant d),
-        Some (dump_ints List_model.unsafe_to_list d) ))
+module Array_checked = Deque.Deque_intf.Wrap_checked (Array_model)
+module List_checked = Deque.Deque_intf.Wrap_checked (List_model)
 
-let list_deque_dummy ?(setup = []) ~name ~prefill threads =
-  build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      let d = List_dummy_model.make () in
-      ( apply_via List_dummy_model.push_right List_dummy_model.push_left
-          List_dummy_model.pop_right List_dummy_model.pop_left d,
-        Some (fun () -> List_dummy_model.check_invariant d),
-        Some (dump_ints List_dummy_model.unsafe_to_list d) ))
+let array_deque ?(hints = true) ?setup ~name ~length ~prefill threads =
+  deque ?setup ~capacity:length ~name ~prefill threads (fun () ->
+      Array_checked.handle (Array_model.make ~hints ~length ()))
 
-let list_deque_casn ?(setup = []) ~name ~prefill threads =
-  build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      let d = List_casn_model.make () in
-      ( apply_via List_casn_model.push_right List_casn_model.push_left
-          List_casn_model.pop_right List_casn_model.pop_left d,
-        Some (fun () -> List_casn_model.check_invariant d),
-        Some (dump_ints List_casn_model.unsafe_to_list d) ))
+let list_deque ?(recycle = false) ?setup ~name ~prefill threads =
+  deque ?setup ~name ~prefill threads (fun () ->
+      List_checked.handle (List_model.make ~recycle ()))
 
-let list_deque_buggy ?(setup = []) ~name ~prefill threads =
-  build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      let d = Buggy_model.make () in
-      ( apply_via Buggy_model.push_right Buggy_model.push_left
-          Buggy_model.pop_right Buggy_model.pop_left d,
-        None,
-        Some (dump_ints Buggy_model.unsafe_to_list d) ))
+let unbounded ?setup ~name ~prefill threads (module D : Deque.Deque_intf.CHECKED)
+    =
+  deque ?setup ~name ~prefill threads (fun () ->
+      Deque.Deque_intf.create_checked (module D) ~capacity:0)
+
+let list_deque_dummy ?setup ~name ~prefill threads =
+  unbounded ?setup ~name ~prefill threads (module List_dummy_model)
+
+let list_deque_casn ?setup ~name ~prefill threads =
+  unbounded ?setup ~name ~prefill threads (module List_casn_model)
+
+let list_deque_buggy ?setup ~name ~prefill threads =
+  deque ?setup ~name ~prefill threads (fun () ->
+      Deque.Deque_intf.create (module Buggy_model) ~capacity:0)
+
+(* Re-arming chaos per instance restarts the fault streams, so every
+   schedule the explorer replays sees the same fault sequence for the
+   same interleaving prefix — exploration stays sound. *)
+let chaos ~fail_prob ~freeze_prob ~freeze_spins ~chaos_seed ?setup ~name
+    ~prefill threads (module D : Deque.Deque_intf.CHECKED) =
+  deque ?setup ~name ~prefill threads (fun () ->
+      Harness.Chaos.configure ~fail_prob ~freeze_prob ~freeze_spins
+        ~seed:chaos_seed ();
+      Deque.Deque_intf.create_checked (module D) ~capacity:0)
 
 let list_deque_chaos ?(fail_prob = 0.1) ?(freeze_prob = 0.) ?(freeze_spins = 8)
-    ?(chaos_seed = 0xC0FFEE) ?(setup = []) ~name ~prefill threads =
-  build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      (* re-arming per instance restarts the fault streams, so every
-         schedule the explorer replays sees the same fault sequence
-         for the same interleaving prefix — exploration stays sound *)
-      Harness.Chaos.configure ~fail_prob ~freeze_prob ~freeze_spins
-        ~seed:chaos_seed ();
-      let d = List_chaos_model.make () in
-      ( apply_via List_chaos_model.push_right List_chaos_model.push_left
-          List_chaos_model.pop_right List_chaos_model.pop_left d,
-        Some (fun () -> List_chaos_model.check_invariant d),
-        Some (dump_ints List_chaos_model.unsafe_to_list d) ))
+    ?(chaos_seed = 0xC0FFEE) ?setup ~name ~prefill threads =
+  chaos ~fail_prob ~freeze_prob ~freeze_spins ~chaos_seed ?setup ~name ~prefill
+    threads (module List_chaos_model)
 
-let st_deque ?(setup = []) ~name ~prefill threads =
-  build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      let d = St_model.make () in
-      ( apply_via St_model.push_right St_model.push_left St_model.pop_right
-          St_model.pop_left d,
-        Some (fun () -> St_model.check_invariant d),
-        Some (dump_ints St_model.unsafe_to_list d) ))
+let st_deque ?setup ~name ~prefill threads =
+  unbounded ?setup ~name ~prefill threads (module St_model)
 
 let st_deque_chaos ?(fail_prob = 0.1) ?(freeze_prob = 0.) ?(freeze_spins = 8)
-    ?(chaos_seed = 0xC0FFEE) ?(setup = []) ~name ~prefill threads =
-  build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      Harness.Chaos.configure ~fail_prob ~freeze_prob ~freeze_spins
-        ~seed:chaos_seed ();
-      let d = St_chaos_model.make () in
-      ( apply_via St_chaos_model.push_right St_chaos_model.push_left
-          St_chaos_model.pop_right St_chaos_model.pop_left d,
-        Some (fun () -> St_chaos_model.check_invariant d),
-        Some (dump_ints St_chaos_model.unsafe_to_list d) ))
+    ?(chaos_seed = 0xC0FFEE) ?setup ~name ~prefill threads =
+  chaos ~fail_prob ~freeze_prob ~freeze_spins ~chaos_seed ?setup ~name ~prefill
+    threads (module St_chaos_model)
 
-let st_deque_buggy ?(setup = []) ~name ~prefill threads =
-  build ~name ~capacity:None ~prefill ~setup ~threads ~make_instance:(fun () ->
-      let d = St_buggy_model.make () in
-      ( apply_via St_buggy_model.push_right St_buggy_model.push_left
-          St_buggy_model.pop_right St_buggy_model.pop_left d,
-        Some (fun () -> St_buggy_model.check_invariant d),
-        Some (dump_ints St_buggy_model.unsafe_to_list d) ))
+let st_deque_buggy ?setup ~name ~prefill threads =
+  unbounded ?setup ~name ~prefill threads (module St_buggy_model)
 
-let greenwald_v2 ?(setup = []) ~name ~length ~prefill threads =
-  build ~name ~capacity:(Some length) ~prefill ~setup ~threads
-    ~make_instance:(fun () ->
-      let d = Greenwald_v2_model.make ~length () in
-      ( apply_via Greenwald_v2_model.push_right Greenwald_v2_model.push_left
-          Greenwald_v2_model.pop_right Greenwald_v2_model.pop_left d,
-        None,
-        Some (dump_ints Greenwald_v2_model.unsafe_to_list d) ))
+(* Greenwald's deques have no executable invariant: the explorer checks
+   their histories only. *)
+let greenwald_v2 ?setup ~name ~length ~prefill threads =
+  deque ?setup ~capacity:length ~name ~prefill threads (fun () ->
+      Deque.Deque_intf.create (module Greenwald_v2_model) ~capacity:length)
 
 (* The sharded service front end over model-memory array deques: K
    policy-wrapped shards behind affinity routing, cross-shard overflow
@@ -358,28 +320,8 @@ let sharded ?(shards = 2) ?(capacity = 2) ?(adopt_token = min_int)
                              "value %d both shed and still resident" v)
                     | None -> Ok ())))
       in
-      let dump () =
-        (List.init shards (fun i ->
-             resident i |> List.map string_of_int |> String.concat ",")
-        |> String.concat " | ")
-        ^ (match Sharded_model.limbo_list t with
-          | [] -> ""
-          | l ->
-              " limbo: " ^ (List.map string_of_int l |> String.concat ","))
-        ^
-        match !sheds with
-        | [] -> ""
-        | s ->
-            " shed: "
-            ^ (List.rev_map string_of_int s |> String.concat ",")
-      in
-      (apply, Some invariant, Some dump))
+      { apply; invariant = Some invariant })
 
-let greenwald_v1 ?(setup = []) ~name ~length ~prefill threads =
-  build ~name ~capacity:(Some length) ~prefill ~setup ~threads
-    ~make_instance:(fun () ->
-      let d = Greenwald_v1_model.make ~length () in
-      ( apply_via Greenwald_v1_model.push_right Greenwald_v1_model.push_left
-          Greenwald_v1_model.pop_right Greenwald_v1_model.pop_left d,
-        None,
-        Some (dump_ints Greenwald_v1_model.unsafe_to_list d) ))
+let greenwald_v1 ?setup ~name ~length ~prefill threads =
+  deque ?setup ~capacity:length ~name ~prefill threads (fun () ->
+      Deque.Deque_intf.create (module Greenwald_v1_model) ~capacity:length)

@@ -13,7 +13,6 @@ type instance = {
   invariant : (unit -> (unit, string) result) option;
       (** evaluated by the explorer after every shared-memory step —
           the executable RepInv obligation of Section 5 *)
-  dump : (unit -> string) option;  (** quiescent contents, for reports *)
 }
 
 type t = {
@@ -23,6 +22,19 @@ type t = {
   threads : int Spec.Op.op list array;
   instantiate : unit -> instance;
 }
+
+val deque :
+  ?setup:int Spec.Op.op list ->
+  ?capacity:int ->
+  name:string ->
+  prefill:int list ->
+  int Spec.Op.op list list ->
+  (unit -> int Deque.Deque_intf.handle) ->
+  t
+(** A scenario over any deque: [handle ()] builds a fresh instance per
+    schedule, and the explorer drives it through the handle, checking
+    its invariant (when it has one) after every step.  [capacity]
+    bounds the oracle (default: unbounded). *)
 
 val array_deque :
   ?hints:bool ->

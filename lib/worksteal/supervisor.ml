@@ -36,25 +36,21 @@
    leave work behind and before every scan, retiring (and giving back
    what it pushed) instead of running beside its replacement. *)
 
-type config = {
-  interval : float;
-  silence_after : float;
-  zombie_after : float;
-  quiet_sweeps : int;
-}
+type config = { silence_after : float; zombie_after : float }
 
-let default =
-  { interval = 0.002; silence_after = 0.25; zombie_after = 0.; quiet_sweeps = 3 }
+let default = { silence_after = 0.25; zombie_after = 0. }
+
+(* The monitor's poll period, also the sweep granularity of the
+   quiescence window, and the consecutive frozen sweeps it needs before
+   reconciling. *)
+let interval = 0.002
+let quiet_sweeps = 3
 
 let validate c =
-  if not (c.interval > 0.) then
-    invalid_arg "Supervisor: interval must be > 0";
   if c.silence_after < 0. then
     invalid_arg "Supervisor: silence_after must be >= 0";
   if c.zombie_after < 0. then
-    invalid_arg "Supervisor: zombie_after must be >= 0";
-  if c.quiet_sweeps < 1 then
-    invalid_arg "Supervisor: quiet_sweeps must be >= 1"
+    invalid_arg "Supervisor: zombie_after must be >= 0"
 
 type report = {
   spawned : int;
@@ -251,7 +247,7 @@ let monitor cfg ~pending ~quiet ~progress ~replace workers =
     else begin
       incr frozen;
       if
-        !frozen >= cfg.quiet_sweeps
+        !frozen >= quiet_sweeps
         && certifying > 0
         && List.for_all scanned_twice !all
         && quiet ()
@@ -259,7 +255,7 @@ let monitor cfg ~pending ~quiet ~progress ~replace workers =
       then reconciled := !reconciled + p
     end;
     last := counters;
-    Unix.sleepf cfg.interval
+    Unix.sleepf interval
   done;
   List.iter Domain.join !domains;
   let workers = List.map (fun t -> t.w) !all in

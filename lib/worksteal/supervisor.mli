@@ -18,9 +18,6 @@
     a live worker silent. *)
 
 type config = {
-  interval : float;
-      (** monitor poll period in seconds (default 2ms); also the sweep
-          granularity of the quiescence window *)
   silence_after : float;
       (** presume a worker dead when its tick counter has not moved
           for this long (default 0.25s), unless it is parked in a
@@ -40,16 +37,13 @@ type config = {
           moving.  A scheduler worker's ticks and progress move
           together, so on the scheduler only a loop that spins without
           executing or scanning could trip it. *)
-  quiet_sweeps : int;
-      (** consecutive frozen sweeps required before reconciling
-          (default 3) *)
 }
 
 val default : config
 
 val validate : config -> unit
-(** @raise Invalid_argument on non-positive [interval], negative
-    [silence_after] or [zombie_after], or [quiet_sweeps < 1]. *)
+(** @raise Invalid_argument on negative [silence_after] or
+    [zombie_after]. *)
 
 type report = {
   spawned : int;  (** tasks made pending, root included *)
@@ -128,7 +122,7 @@ val run :
     {!Harness.Crash} and {!Harness.Stall.Freezer} under its slot, runs
     its loop, and marks itself [died] on {!Harness.Crash.Died} and
     [retired] on any exit.  The monitor, never enrolled and hence
-    immortal, sweeps every [config.interval]:
+    immortal, sweeps every 2 ms:
 
     - {b detect} the slot owner that died, went silent, or turned
       zombie ([progress] is the zombie detector's measure; only
@@ -137,7 +131,7 @@ val run :
       slot's takeover and returns the replacement worker and loop;
       the monitor spawns it on a fresh domain;
     - {b certify} quiescence: [pending], [executed] and [spawned]
-      frozen and no live worker busy for [quiet_sweeps] sweeps, and
+      frozen and no live worker busy for 3 consecutive sweeps, and
       every live certifying worker completed two full no-find scans
       inside that window (two completions inside the window imply one
       scan ran entirely within it, and a full scan over frozen queues

@@ -3,60 +3,34 @@
    generators, multi-domain stress with conservation checking, and
    history recording + linearizability checking on real domains.
 
-   Implementations are presented as [impl] records of closures so the
-   same machinery runs over every algorithm and memory model without
-   fighting the type system over the parameterized ['a t]; each test
-   file builds its impls with [of_module] (plus a [to_list] closure
-   where the implementation offers quiescent inspection). *)
+   Every implementation is driven through {!Deque.Deque_intf.handle}:
+   an [impl] makes a fresh handle per run, so the same machinery runs
+   over every algorithm and memory model.  A handle's quiescent views
+   (contents, invariant) are checked whenever the implementation
+   offers them. *)
 
 open Spec
-
-module type DEQUE = Deque.Deque_intf.S
-
-(* A live deque instance, as closures. *)
-type handle = {
-  apply : int Op.op -> int Op.res;
-  to_list : (unit -> int list) option;  (* quiescent-only *)
-  invariant : (unit -> (unit, string) result) option;  (* quiescent-only *)
-}
 
 (* An implementation under test. *)
 type impl = {
   impl_name : string;
   bounded : bool;  (* does capacity bind (array) or not (list)? *)
-  fresh : capacity:int -> handle;
+  fresh : capacity:int -> int Deque.Deque_intf.handle;
 }
 
-let handle_of_ops ~push_right ~push_left ~pop_right ~pop_left ~to_list
-    ~invariant =
-  {
-    apply =
-      (fun (op : int Op.op) ->
-        match op with
-        | Op.Push_right v -> Deque.Deque_intf.res_of_push (push_right v)
-        | Op.Push_left v -> Deque.Deque_intf.res_of_push (push_left v)
-        | Op.Pop_right -> Deque.Deque_intf.res_of_pop (pop_right ())
-        | Op.Pop_left -> Deque.Deque_intf.res_of_pop (pop_left ()));
-    to_list;
-    invariant;
-  }
+(* An impl over [create]: no quiescent views. *)
+let of_module (module D : Deque.Deque_intf.S) ~bounded =
+  { impl_name = D.name; bounded; fresh = Deque.Deque_intf.create (module D) }
 
-(* Build an impl from any module matching the uniform interface; no
-   quiescent inspection. *)
-let of_module (module D : DEQUE) ~bounded =
+(* An impl over [create], checking contents and invariant. *)
+let checked (module D : Deque.Deque_intf.CHECKED) ~bounded =
   {
     impl_name = D.name;
     bounded;
-    fresh =
-      (fun ~capacity ->
-        let d = D.create ~capacity () in
-        handle_of_ops
-          ~push_right:(fun v -> D.push_right d v)
-          ~push_left:(fun v -> D.push_left d v)
-          ~pop_right:(fun () -> D.pop_right d)
-          ~pop_left:(fun () -> D.pop_left d)
-          ~to_list:None ~invariant:None);
+    fresh = Deque.Deque_intf.create_checked (module D);
   }
+
+let apply = Deque.Deque_intf.apply
 
 (* --- Sequential equivalence --- *)
 
@@ -70,10 +44,10 @@ let sequential_vs_oracle impl ~capacity ops =
   in
   let rec go oracle i = function
     | [] -> (
-        match h.to_list with
+        match h.contents with
         | None -> Ok ()
-        | Some to_list ->
-            let got = to_list () and expect = Seq_deque.to_list oracle in
+        | Some contents ->
+            let got = contents () and expect = Seq_deque.to_list oracle in
             if got = expect then Ok ()
             else
               Error
@@ -81,7 +55,7 @@ let sequential_vs_oracle impl ~capacity ops =
                    (String.concat ";" (List.map string_of_int got))
                    (String.concat ";" (List.map string_of_int expect))))
     | op :: rest -> (
-        let got = h.apply op in
+        let got = apply h op in
         let oracle', expect = Seq_deque.apply oracle op in
         if not (Op.equal_res Int.equal got expect) then
           Error
@@ -145,6 +119,19 @@ let tiered name speed f =
   Alcotest.test_case name speed (fun () ->
       if slow_enabled then f () else Alcotest.skip ())
 
+(* Minor words per call of [f]: the slope over 10 000 calls (10 030
+   calls in all), since [Gc.minor_words] boxes its own result. *)
+let words_per_call f =
+  let delta n =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (delta 10);
+  (delta 10_010 -. delta 10) /. 10_000.
+
 (* Re-raise with the run's seed on stderr, so a failing randomized
    stress run can be replayed with DCAS_STRESS_SEED=<seed>. *)
 let with_seed_report ~seed f () =
@@ -180,18 +167,18 @@ let stress_conservation ?seed ?watchdog ?(per_op = fun ~tid:_ ~i:_ -> ()) impl
         per_op ~tid ~i;
         match Dcas.Splitmix.int rng ~bound:4 with
         | 0 ->
-            if h.apply (Op.Push_right (encode tid i)) = Op.Okay then
+            if apply h (Op.Push_right (encode tid i)) = Op.Okay then
               Hashtbl.replace pushed.(tid) (encode tid i) ()
         | 1 ->
-            if h.apply (Op.Push_left (encode tid i)) = Op.Okay then
+            if apply h (Op.Push_left (encode tid i)) = Op.Okay then
               Hashtbl.replace pushed.(tid) (encode tid i) ()
         | 2 -> (
-            match h.apply Op.Pop_right with
+            match apply h Op.Pop_right with
             | Op.Got v -> Hashtbl.replace popped.(tid) v ()
             | Op.Empty -> ()
             | Op.Okay | Op.Full -> assert false)
         | _ -> (
-            match h.apply Op.Pop_left with
+            match apply h Op.Pop_left with
             | Op.Got v -> Hashtbl.replace popped.(tid) v ()
             | Op.Empty -> ()
             | Op.Okay | Op.Full -> assert false))
@@ -202,7 +189,7 @@ let stress_conservation ?seed ?watchdog ?(per_op = fun ~tid:_ ~i:_ -> ()) impl
       | Ok () -> ()
       | Error e -> Alcotest.failf "post-stress invariant: %s" e)
   | None -> ());
-  let remaining = match h.to_list with Some f -> f () | None -> [] in
+  let remaining = match h.contents with Some f -> f () | None -> [] in
   let all_pushed = Hashtbl.create 4096 in
   Array.iter
     (fun tbl -> Hashtbl.iter (fun v () -> Hashtbl.replace all_pushed v ()) tbl)
@@ -226,7 +213,7 @@ let stress_conservation ?seed ?watchdog ?(per_op = fun ~tid:_ ~i:_ -> ()) impl
       if not (Hashtbl.mem all_pushed v) then
         Alcotest.failf "value %d present but never pushed" v)
     remaining;
-  match h.to_list with
+  match h.contents with
   | Some _ ->
       Alcotest.(check int)
         "pushes = pops + remaining"
@@ -273,9 +260,9 @@ let conservation_failures impl ~capacity ~trials ~duration ~main ~peer =
     let h = impl.fresh ~capacity in
     (* worker [w] pushes 2k + w at its k-th successful push *)
     let burst w (script : script) rng n pushed got =
-      let push op = if h.apply op = Op.Okay then incr pushed in
+      let push op = if apply h op = Op.Okay then incr pushed in
       let pop op =
-        match h.apply op with
+        match apply h op with
         | Op.Got v -> got := v :: !got
         | Op.Empty | Op.Okay | Op.Full -> ()
       in
@@ -314,7 +301,7 @@ let conservation_failures impl ~capacity ~trials ~duration ~main ~peer =
     List.iter count !got;
     List.iter count peer_got;
     let rec drain () =
-      match h.apply Op.Pop_left with
+      match apply h Op.Pop_left with
       | Op.Got v ->
           count v;
           drain ()
@@ -362,7 +349,7 @@ let record_round impl ~threads ~ops_per_thread ~capacity ~seed =
       in
       ignore
         (Spec.History.Recorder.record recorder ~thread:tid op (fun () ->
-             h.apply op))
+             apply h op))
     done
   in
   let ds = List.init threads (fun tid -> Domain.spawn (worker tid)) in

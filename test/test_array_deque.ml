@@ -7,19 +7,11 @@ open Spec
 
 let impl_of ?(hints = true) (module A : Deque.Array_deque.ALGORITHM) :
     Test_support.impl =
+  let module W = Deque.Deque_intf.Wrap_checked (A) in
   {
     impl_name = A.name ^ (if hints then "" else "(no-hints)");
     bounded = true;
-    fresh =
-      (fun ~capacity ->
-        let d = A.make ~hints ~length:capacity () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> A.push_right d v)
-          ~push_left:(fun v -> A.push_left d v)
-          ~pop_right:(fun () -> A.pop_right d)
-          ~pop_left:(fun () -> A.pop_left d)
-          ~to_list:(Some (fun () -> A.unsafe_to_list d))
-          ~invariant:(Some (fun () -> A.check_invariant d)));
+    fresh = (fun ~capacity -> W.handle (A.make ~hints ~length:capacity ()));
   }
 
 let algorithms : (module Deque.Array_deque.ALGORITHM) list =
@@ -143,15 +135,8 @@ let test_hints_equivalence () =
         | _ -> Op.Pop_left)
   in
   let run hints =
-    let d = A.make ~hints ~length:5 () in
-    List.map
-      (fun op ->
-        match op with
-        | Op.Push_right v -> Deque.Deque_intf.res_of_push (A.push_right d v)
-        | Op.Push_left v -> Deque.Deque_intf.res_of_push (A.push_left d v)
-        | Op.Pop_right -> Deque.Deque_intf.res_of_pop (A.pop_right d)
-        | Op.Pop_left -> Deque.Deque_intf.res_of_pop (A.pop_left d))
-      ops
+    let module W = Deque.Deque_intf.Wrap (A) in
+    List.map (Deque.Deque_intf.apply (W.handle (A.make ~hints ~length:5 ()))) ops
   in
   Alcotest.(check bool) "hint and no-hint runs agree" true (run true = run false)
 

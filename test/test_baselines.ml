@@ -96,39 +96,23 @@ let abp_tests =
 
 (* --- Greenwald v1: correct, but serializes the two ends --- *)
 
-let g1_impl : Test_support.impl =
-  let module G = Baselines.Greenwald_v1.Sequential in
+(* Greenwald's deques have contents to compare but no executable
+   invariant. *)
+let greenwald (module G : Baselines.Greenwald_v1.ALGORITHM) : Test_support.impl
+    =
+  let module W = Deque.Deque_intf.Wrap (G) in
   {
     impl_name = G.name;
     bounded = true;
     fresh =
       (fun ~capacity ->
-        let d = G.make ~length:capacity () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> G.push_right d v)
-          ~push_left:(fun v -> G.push_left d v)
-          ~pop_right:(fun () -> G.pop_right d)
-          ~pop_left:(fun () -> G.pop_left d)
-          ~to_list:(Some (fun () -> G.unsafe_to_list d))
-          ~invariant:None);
+        let d = G.create ~capacity () in
+        { (W.handle d) with contents = Some (fun () -> G.unsafe_to_list d) });
   }
 
-let g1_lockfree_impl : Test_support.impl =
-  let module G = Baselines.Greenwald_v1.Lockfree in
-  {
-    impl_name = G.name;
-    bounded = true;
-    fresh =
-      (fun ~capacity ->
-        let d = G.make ~length:capacity () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> G.push_right d v)
-          ~push_left:(fun v -> G.push_left d v)
-          ~pop_right:(fun () -> G.pop_right d)
-          ~pop_left:(fun () -> G.pop_left d)
-          ~to_list:(Some (fun () -> G.unsafe_to_list d))
-          ~invariant:None);
-  }
+let g1_impl = greenwald (module Baselines.Greenwald_v1.Sequential)
+
+let g1_lockfree_impl = greenwald (module Baselines.Greenwald_v1.Lockfree)
 
 let greenwald_v1_tests =
   [
@@ -181,22 +165,7 @@ let test_greenwald_v2_modelcheck () =
         f.Modelcheck.Explorer.reason
 
 (* Sanity: on schedules without the race, v2 behaves like a deque. *)
-let g2_impl : Test_support.impl =
-  let module G = Baselines.Greenwald_v2.Sequential in
-  {
-    impl_name = G.name;
-    bounded = true;
-    fresh =
-      (fun ~capacity ->
-        let d = G.make ~length:capacity () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> G.push_right d v)
-          ~push_left:(fun v -> G.push_left d v)
-          ~pop_right:(fun () -> G.pop_right d)
-          ~pop_left:(fun () -> G.pop_left d)
-          ~to_list:(Some (fun () -> G.unsafe_to_list d))
-          ~invariant:None);
-  }
+let g2_impl = greenwald (module Baselines.Greenwald_v2.Sequential)
 
 let greenwald_v2_tests =
   [

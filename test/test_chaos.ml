@@ -173,20 +173,10 @@ let order_tests =
    real domains.  Slow tier. *)
 module Deque_under_chaos = Deque.List_deque.Make (Over_lockfree)
 
-let chaos_impl : Test_support.impl =
+let chaos_impl =
   {
+    (Test_support.checked (module Deque_under_chaos) ~bounded:false) with
     impl_name = "list-deque/lockfree under chaos";
-    bounded = false;
-    fresh =
-      (fun ~capacity:_ ->
-        let d = Deque_under_chaos.make () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> Deque_under_chaos.push_right d v)
-          ~push_left:(fun v -> Deque_under_chaos.push_left d v)
-          ~pop_right:(fun () -> Deque_under_chaos.pop_right d)
-          ~pop_left:(fun () -> Deque_under_chaos.pop_left d)
-          ~to_list:(Some (fun () -> Deque_under_chaos.unsafe_to_list d))
-          ~invariant:(Some (fun () -> Deque_under_chaos.check_invariant d)));
   }
 
 let stress_tests =

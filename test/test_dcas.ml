@@ -211,19 +211,7 @@ let concurrent_tests (module M : MEM) =
 
 (* --- CASN (lock-free model only) --- *)
 
-(* Minor words per call of [f]: the slope of the delta over the
-   iteration count, since [Gc.minor_words] boxes its own result (as in
-   the fast-fail test below). *)
-let words_per_call f =
-  let delta n =
-    let before = Gc.minor_words () in
-    for _ = 1 to n do
-      f ()
-    done;
-    Gc.minor_words () -. before
-  in
-  ignore (delta 10);
-  (delta 10_010 -. delta 10) /. 10_000.
+let words_per_call = Test_support.words_per_call
 
 (* One uncontended DCAS on [a] and [b] that writes both. *)
 let write a b () =

@@ -129,17 +129,7 @@ let test_splitmix_golden () =
 let test_splitmix_allocates_nothing () =
   let rng = Dcas.Splitmix.create ~seed:3 in
   let sink = ref 0 in
-  let per_draw f =
-    let delta n =
-      let before = Gc.minor_words () in
-      for _ = 1 to n do
-        f ()
-      done;
-      Gc.minor_words () -. before
-    in
-    ignore (delta 10);
-    (delta 10_010 -. delta 10) /. 10_000.
-  in
+  let per_draw = Test_support.words_per_call in
   Alcotest.(check (float 0.)) "words per int draw" 0.
     (per_draw (fun () -> sink := !sink + Dcas.Splitmix.int rng ~bound:10));
   Alcotest.(check (float 0.)) "words per bool draw" 0.
@@ -292,6 +282,36 @@ let test_workload_right_only () =
     | Harness.Workload.Push_left | Harness.Workload.Pop_left ->
         Alcotest.fail "left operation drawn from right_only mix"
   done
+
+(* [Workload.apply] over a handle allocates exactly what the drawn deque
+   operation allocates: the handle's operations are applied to the
+   instance once, so nothing is built per call (the four-closure form
+   it replaced added 16 words per op).  The same seeded mix runs through
+   the handle and straight on a twin deque. *)
+let test_workload_apply_allocation () =
+  let module A = Deque.Array_deque.Lockfree in
+  let mix = Harness.Workload.balanced in
+  let through_handle =
+    let h = Deque.Deque_intf.create (module A) ~capacity:64 in
+    let rng = Dcas.Splitmix.create ~seed:11 in
+    Test_support.words_per_call (fun () ->
+        ignore (Harness.Workload.apply h mix rng 1))
+  in
+  let bare =
+    let d = A.create ~capacity:64 () in
+    let rng = Dcas.Splitmix.create ~seed:11 in
+    Test_support.words_per_call (fun () ->
+        match Harness.Workload.draw mix rng with
+        | Harness.Workload.Push_right -> ignore (A.push_right d 1)
+        | Harness.Workload.Push_left -> ignore (A.push_left d 1)
+        | Harness.Workload.Pop_right -> ignore (A.pop_right d)
+        | Harness.Workload.Pop_left -> ignore (A.pop_left d))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the deque allocates (%.2f words per op)" bare)
+    true (bare > 0.);
+  Alcotest.(check (float 0.)) "words per op: the deque's own" bare
+    through_handle
 
 let test_runner_counts () =
   let r =
@@ -917,6 +937,8 @@ let () =
         [
           Alcotest.test_case "mix skew" `Quick test_workload_mix;
           Alcotest.test_case "right-only" `Quick test_workload_right_only;
+          Alcotest.test_case "apply allocates only the deque's words" `Quick
+            test_workload_apply_allocation;
         ] );
       ( "runner",
         [

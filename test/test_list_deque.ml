@@ -4,21 +4,8 @@
    the Figures 24-25 representation invariant, and sequential
    equivalence with the oracle on every memory model. *)
 
-let impl_of (module L : Deque.List_deque.ALGORITHM) : Test_support.impl =
-  {
-    impl_name = L.name;
-    bounded = false;
-    fresh =
-      (fun ~capacity:_ ->
-        let d = L.make () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> L.push_right d v)
-          ~push_left:(fun v -> L.push_left d v)
-          ~pop_right:(fun () -> L.pop_right d)
-          ~pop_left:(fun () -> L.pop_left d)
-          ~to_list:(Some (fun () -> L.unsafe_to_list d))
-          ~invariant:(Some (fun () -> L.check_invariant d)));
-  }
+let impl_of (module L : Deque.List_deque.ALGORITHM) =
+  Test_support.checked (module L) ~bounded:false
 
 let algorithms : (module Deque.List_deque.ALGORITHM) list =
   [
@@ -164,19 +151,11 @@ let qcheck_tests =
 (* Sequential semantics are unchanged with recycling on. *)
 let recycle_impl : Test_support.impl =
   let module R = Deque.List_deque.Sequential in
+  let module W = Deque.Deque_intf.Wrap_checked (R) in
   {
     impl_name = R.name ^ "(recycle)";
     bounded = false;
-    fresh =
-      (fun ~capacity:_ ->
-        let d = R.make ~recycle:true () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> R.push_right d v)
-          ~push_left:(fun v -> R.push_left d v)
-          ~pop_right:(fun () -> R.pop_right d)
-          ~pop_left:(fun () -> R.pop_left d)
-          ~to_list:(Some (fun () -> R.unsafe_to_list d))
-          ~invariant:(Some (fun () -> R.check_invariant d)));
+    fresh = (fun ~capacity:_ -> W.handle (R.make ~recycle:true ()));
   }
 
 (* Nodes really are reused: with a bounded allocator and recycling, a

@@ -7,21 +7,8 @@
 
 open Spec.Op
 
-let impl_of (module L : Deque.List_deque_casn.ALGORITHM) : Test_support.impl =
-  {
-    impl_name = L.name;
-    bounded = false;
-    fresh =
-      (fun ~capacity:_ ->
-        let d = L.make () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> L.push_right d v)
-          ~push_left:(fun v -> L.push_left d v)
-          ~pop_right:(fun () -> L.pop_right d)
-          ~pop_left:(fun () -> L.pop_left d)
-          ~to_list:(Some (fun () -> L.unsafe_to_list d))
-          ~invariant:(Some (fun () -> L.check_invariant d)));
-  }
+let impl_of (module L : Deque.List_deque_casn.ALGORITHM) =
+  Test_support.checked (module L) ~bounded:false
 
 let algorithms : (module Deque.List_deque_casn.ALGORITHM) list =
   [
@@ -181,18 +168,6 @@ module Broken = struct
     in
     loop ()
 
-  let unsafe_to_list t =
-    let max_nodes = 100 in
-    let rec walk node acc n =
-      if n > max_nodes then acc
-      else
-        match node.value with
-        | SentR -> List.rev acc
-        | SentL -> walk (node_of (M.get node.right)) acc (n + 1)
-        | Item v -> walk (node_of (M.get node.right)) (v :: acc) (n + 1)
-    in
-    walk (node_of (M.get t.sl.right)) [] 0
-
   (* minimal invariant: SR's inward neighbor must be reachable from SL *)
   let check_invariant t =
     let max_nodes = 100 in
@@ -206,36 +181,20 @@ module Broken = struct
     if List.memq sr_l chain then Ok ()
     else Error "SR->L points outside the chain"
 
-  let scenario : Modelcheck.Scenario.t =
-    {
-      Modelcheck.Scenario.name = "broken-2cas";
-      capacity = None;
-      initial = [ 1; 2 ];
-      threads =
-        [| [ Spec.Op.Pop_right; Spec.Op.Push_right 3 ]; [ Spec.Op.Pop_left ] |];
-      instantiate =
-        (fun () ->
-          let d = make () in
-          assert (push_right d 1 = `Okay);
-          assert (push_right d 2 = `Okay);
-          {
-            Modelcheck.Scenario.apply =
-              (fun op ->
-                match op with
-                | Spec.Op.Push_right v ->
-                    Deque.Deque_intf.res_of_push (push_right d v)
-                | Spec.Op.Pop_right ->
-                    Deque.Deque_intf.res_of_pop (pop_right d)
-                | Spec.Op.Pop_left -> Deque.Deque_intf.res_of_pop (pop_left d)
-                | Spec.Op.Push_left _ -> Spec.Op.Full (* unused here *));
-            invariant = Some (fun () -> check_invariant d);
-            dump =
-              Some
-                (fun () ->
-                  unsafe_to_list d |> List.map string_of_int
-                  |> String.concat ",");
-          });
-    }
+  let scenario =
+    Modelcheck.Scenario.deque ~name:"broken-2cas" ~prefill:[ 1; 2 ]
+      [ [ Spec.Op.Pop_right; Spec.Op.Push_right 3 ]; [ Spec.Op.Pop_left ] ]
+      (fun () ->
+        let d = make () in
+        {
+          Deque.Deque_intf.name = "broken-2cas";
+          push_right = push_right d;
+          push_left = (fun _ -> `Full (* unused here *));
+          pop_right = (fun () -> pop_right d);
+          pop_left = (fun () -> pop_left d);
+          contents = None;
+          invariant = Some (fun () -> check_invariant d);
+        })
 end
 
 let test_validation_entry_necessary () =

@@ -2,21 +2,8 @@
    correctness side): identical observable behaviour to the deleted-bit
    representation, plus its own invariant and allocator semantics. *)
 
-let impl_of (module L : Deque.List_deque_dummy.ALGORITHM) : Test_support.impl =
-  {
-    impl_name = L.name;
-    bounded = false;
-    fresh =
-      (fun ~capacity:_ ->
-        let d = L.make () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> L.push_right d v)
-          ~push_left:(fun v -> L.push_left d v)
-          ~pop_right:(fun () -> L.pop_right d)
-          ~pop_left:(fun () -> L.pop_left d)
-          ~to_list:(Some (fun () -> L.unsafe_to_list d))
-          ~invariant:(Some (fun () -> L.check_invariant d)));
-  }
+let impl_of (module L : Deque.List_deque_dummy.ALGORITHM) =
+  Test_support.checked (module L) ~bounded:false
 
 let algorithms : (module Deque.List_deque_dummy.ALGORITHM) list =
   [

@@ -291,12 +291,12 @@ let run_frozen ?watchdog ?(fail_prob = 0.) ~threads ~time_budget op =
   (progressed, parks, stalls)
 
 (* A balanced op mix over both ends, from the worker's own stream. *)
-let mixed_op ~push_right ~push_left ~pop_right ~pop_left ~tid ~rng =
+let mixed_op (h : int Deque.Deque_intf.handle) ~tid ~rng =
   match Dcas.Splitmix.int rng ~bound:4 with
-  | 0 -> ignore (push_right ((tid * 1_000_000) + Dcas.Splitmix.int rng ~bound:1000))
-  | 1 -> ignore (push_left ((tid * 1_000_000) + Dcas.Splitmix.int rng ~bound:1000))
-  | 2 -> ignore (pop_right ())
-  | _ -> ignore (pop_left ())
+  | 0 -> ignore (h.push_right ((tid * 1_000_000) + Dcas.Splitmix.int rng ~bound:1000))
+  | 1 -> ignore (h.push_left ((tid * 1_000_000) + Dcas.Splitmix.int rng ~bound:1000))
+  | 2 -> ignore (h.pop_right ())
+  | _ -> ignore (h.pop_left ())
 
 let assert_survives name (progressed, parks, _stalls) ~threads =
   Alcotest.(check bool)
@@ -308,79 +308,18 @@ let assert_survives name (progressed, parks, _stalls) ~threads =
     true
     (parks >= threads - 1)
 
-let test_empirical_array () =
-  let d = F_array.make ~length:64 () in
+(* Three domains on one deque holding 16 items, chaos failing 10% of
+   the DCASes; the survivor must keep going with both peers frozen.
+   For the ST deque, a peer frozen between the mark and the unlink of
+   a pop leaves a marked link the survivor must help past. *)
+let test_empirical name deque () =
+  let h = Deque.Deque_intf.create deque ~capacity:64 in
   for i = 1 to 16 do
-    ignore (F_array.push_right d i)
+    ignore (h.push_right i)
   done;
   let threads = 3 in
-  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
-      mixed_op ~tid ~rng
-        ~push_right:(fun v -> F_array.push_right d v)
-        ~push_left:(fun v -> F_array.push_left d v)
-        ~pop_right:(fun () -> F_array.pop_right d)
-        ~pop_left:(fun () -> F_array.pop_left d))
-  |> assert_survives "array" ~threads
-
-let test_empirical_list () =
-  let d = F_list.make () in
-  for i = 1 to 16 do
-    ignore (F_list.push_right d i)
-  done;
-  let threads = 3 in
-  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
-      mixed_op ~tid ~rng
-        ~push_right:(fun v -> F_list.push_right d v)
-        ~push_left:(fun v -> F_list.push_left d v)
-        ~pop_right:(fun () -> F_list.pop_right d)
-        ~pop_left:(fun () -> F_list.pop_left d))
-  |> assert_survives "list" ~threads
-
-let test_empirical_dummy () =
-  let d = F_dummy.make () in
-  for i = 1 to 16 do
-    ignore (F_dummy.push_right d i)
-  done;
-  let threads = 3 in
-  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
-      mixed_op ~tid ~rng
-        ~push_right:(fun v -> F_dummy.push_right d v)
-        ~push_left:(fun v -> F_dummy.push_left d v)
-        ~pop_right:(fun () -> F_dummy.pop_right d)
-        ~pop_left:(fun () -> F_dummy.pop_left d))
-  |> assert_survives "3cas" ~threads
-
-let test_empirical_casn () =
-  let d = F_casn.make () in
-  for i = 1 to 16 do
-    ignore (F_casn.push_right d i)
-  done;
-  let threads = 3 in
-  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
-      mixed_op ~tid ~rng
-        ~push_right:(fun v -> F_casn.push_right d v)
-        ~push_left:(fun v -> F_casn.push_left d v)
-        ~pop_right:(fun () -> F_casn.pop_right d)
-        ~pop_left:(fun () -> F_casn.pop_left d))
-  |> assert_survives "3cas" ~threads
-
-(* The single-word-CAS competitor under the same adversary: a peer
-   frozen between the mark and the unlink of a pop leaves a marked
-   link the survivor must help past, with spurious CAS failures on
-   top. *)
-let test_empirical_st () =
-  let d = F_st.make () in
-  for i = 1 to 16 do
-    ignore (F_st.push_right d i)
-  done;
-  let threads = 3 in
-  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (fun ~tid ~rng ->
-      mixed_op ~tid ~rng
-        ~push_right:(fun v -> F_st.push_right d v)
-        ~push_left:(fun v -> F_st.push_left d v)
-        ~pop_right:(fun () -> F_st.pop_right d)
-        ~pop_left:(fun () -> F_st.pop_left d))
-  |> assert_survives "st" ~threads
+  run_frozen ~fail_prob:0.1 ~threads ~time_budget:30. (mixed_op h)
+  |> assert_survives name ~threads
 
 (* The planted livelock: freezing any participant of the turn-passing
    deque blocks the survivor, the validator flags it, and the watchdog
@@ -396,13 +335,22 @@ let test_empirical_buggy_spin () =
       ~on_stall:(fun s -> captured := Some s)
       ~threads ()
   in
+  (* the turn-passing deque names its participant on every call *)
+  let participant tid : int Deque.Deque_intf.handle =
+    {
+      name = F_buggy.name;
+      push_right = F_buggy.push_right d ~tid;
+      push_left = F_buggy.push_left d ~tid;
+      pop_right = (fun () -> F_buggy.pop_right d ~tid);
+      pop_left = (fun () -> F_buggy.pop_left d ~tid);
+      contents = None;
+      invariant = None;
+    }
+  in
+  let handles = Array.init threads participant in
   let progressed, _parks, stalls =
     run_frozen ~watchdog ~threads ~time_budget:10. (fun ~tid ~rng ->
-        mixed_op ~tid ~rng
-          ~push_right:(fun v -> F_buggy.push_right d ~tid v)
-          ~push_left:(fun v -> F_buggy.push_left d ~tid v)
-          ~pop_right:(fun () -> F_buggy.pop_right d ~tid)
-          ~pop_left:(fun () -> F_buggy.pop_left d ~tid))
+        mixed_op handles.(tid) ~tid ~rng)
   in
   Alcotest.(check bool)
     "turn-passing deque blocks when a participant freezes" false progressed;
@@ -448,12 +396,16 @@ let () =
         ] );
       ( "empirical lock-freedom, threads-1 frozen (E19)",
         [
-          Alcotest.test_case "array deque survives" `Slow test_empirical_array;
-          Alcotest.test_case "list deque survives" `Slow test_empirical_list;
+          Alcotest.test_case "array deque survives" `Slow
+            (test_empirical "array" (module F_array));
+          Alcotest.test_case "list deque survives" `Slow
+            (test_empirical "list" (module F_list));
           Alcotest.test_case "dummy variant survives" `Slow
-            test_empirical_dummy;
-          Alcotest.test_case "casn variant survives" `Slow test_empirical_casn;
-          Alcotest.test_case "st deque survives" `Slow test_empirical_st;
+            (test_empirical "dummy" (module F_dummy));
+          Alcotest.test_case "casn variant survives" `Slow
+            (test_empirical "3cas" (module F_casn));
+          Alcotest.test_case "st deque survives" `Slow
+            (test_empirical "st" (module F_st));
           Alcotest.test_case "turn-passing deque fails, watchdog fires" `Slow
             test_empirical_buggy_spin;
         ] );

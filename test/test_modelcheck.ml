@@ -149,6 +149,12 @@ let test_greenwald_v1_fig6 () =
 
 (* --- Randomized sampling for configurations too big to enumerate --- *)
 
+(* The first violation among [runs] uniformly random schedules. *)
+let uniform ~runs ~seed scenario =
+  (Modelcheck.Fuzz.run ~shrink:false ~runs ~seed
+     ~strategy:Modelcheck.Fuzz.Uniform scenario)
+    .Modelcheck.Fuzz.violation
+
 let test_sampled_array () =
   let s =
     Modelcheck.Scenario.array_deque ~name:"sampled-array" ~length:3
@@ -159,12 +165,9 @@ let test_sampled_array () =
         [ Push_left 4; Pop_left ];
       ]
   in
-  match
-    (Modelcheck.Explorer.sample ~schedules:3_000 ~seed:42 s)
-      .Modelcheck.Explorer.error
-  with
+  match uniform ~runs:3_000 ~seed:42 s with
   | None -> ()
-  | Some f -> Alcotest.failf "sampled array: %s" f.Modelcheck.Explorer.reason
+  | Some c -> Alcotest.failf "sampled array: %s" c.failure.reason
 
 let test_sampled_list () =
   let s =
@@ -175,12 +178,9 @@ let test_sampled_list () =
         [ Pop_right; Pop_left ];
       ]
   in
-  match
-    (Modelcheck.Explorer.sample ~schedules:2_000 ~seed:43 s)
-      .Modelcheck.Explorer.error
-  with
+  match uniform ~runs:2_000 ~seed:43 s with
   | None -> ()
-  | Some f -> Alcotest.failf "sampled list: %s" f.Modelcheck.Explorer.reason
+  | Some c -> Alcotest.failf "sampled list: %s" c.failure.reason
 
 (* --- Scenario fuzzing: randomly generated small scenarios, random
    schedules, across every algorithm --- *)
@@ -215,13 +215,9 @@ let print_fuzz (prefill, threads) =
 let fuzz_test name mk =
   QCheck2.Test.make ~name ~count:30 ~print:print_fuzz ops_arb
     (fun (prefill, threads) ->
-      let scenario = mk ~prefill threads in
-      let outcome =
-        Modelcheck.Explorer.sample ~schedules:120 ~seed:7 scenario
-      in
-      match outcome.Modelcheck.Explorer.error with
+      match uniform ~runs:120 ~seed:7 (mk ~prefill threads) with
       | None -> true
-      | Some f -> QCheck2.Test.fail_report f.Modelcheck.Explorer.reason)
+      | Some c -> QCheck2.Test.fail_report c.failure.reason)
 
 let fuzz_tests =
   [
@@ -324,7 +320,6 @@ let test_invariant_message () =
           {
             Modelcheck.Scenario.apply = (fun _ -> Empty);
             invariant = Some (fun () -> Error "custom-message-42");
-            dump = None;
           });
     }
   in

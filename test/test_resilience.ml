@@ -18,68 +18,16 @@ module R_list = Deque.List_deque.Make (Mem)
 module R_dummy = Deque.List_deque_dummy.Make (Mem)
 module R_casn = Deque.List_deque_casn.Make (Mem)
 
-let impl_of ~name ~bounded ~fresh : Test_support.impl =
-  { Test_support.impl_name = name; bounded; fresh }
-
-let array_impl =
-  impl_of ~name:"array under chaos+stall" ~bounded:true ~fresh:(fun ~capacity ->
-      let d = R_array.make ~length:capacity () in
-      Test_support.handle_of_ops
-        ~push_right:(fun v -> R_array.push_right d v)
-        ~push_left:(fun v -> R_array.push_left d v)
-        ~pop_right:(fun () -> R_array.pop_right d)
-        ~pop_left:(fun () -> R_array.pop_left d)
-        ~to_list:(Some (fun () -> R_array.unsafe_to_list d))
-        ~invariant:(Some (fun () -> R_array.check_invariant d)))
-
-let list_impl =
-  impl_of ~name:"list under chaos+stall" ~bounded:false ~fresh:(fun ~capacity:_ ->
-      let d = R_list.make () in
-      Test_support.handle_of_ops
-        ~push_right:(fun v -> R_list.push_right d v)
-        ~push_left:(fun v -> R_list.push_left d v)
-        ~pop_right:(fun () -> R_list.pop_right d)
-        ~pop_left:(fun () -> R_list.pop_left d)
-        ~to_list:(Some (fun () -> R_list.unsafe_to_list d))
-        ~invariant:(Some (fun () -> R_list.check_invariant d)))
-
-let dummy_impl =
-  impl_of ~name:"dummy under chaos+stall" ~bounded:false
-    ~fresh:(fun ~capacity:_ ->
-      let d = R_dummy.make () in
-      Test_support.handle_of_ops
-        ~push_right:(fun v -> R_dummy.push_right d v)
-        ~push_left:(fun v -> R_dummy.push_left d v)
-        ~pop_right:(fun () -> R_dummy.pop_right d)
-        ~pop_left:(fun () -> R_dummy.pop_left d)
-        ~to_list:(Some (fun () -> R_dummy.unsafe_to_list d))
-        ~invariant:(Some (fun () -> R_dummy.check_invariant d)))
+let impl_of name (module D : Deque.Deque_intf.CHECKED) ~bounded =
+  { (Test_support.checked (module D) ~bounded) with impl_name = name }
 
 module R_st = Baselines.St_deque.Make (Baselines.St_deque.Of_casn (Mem))
 
-let st_impl =
-  impl_of ~name:"st under chaos+stall" ~bounded:false
-    ~fresh:(fun ~capacity:_ ->
-      let d = R_st.make () in
-      Test_support.handle_of_ops
-        ~push_right:(fun v -> R_st.push_right d v)
-        ~push_left:(fun v -> R_st.push_left d v)
-        ~pop_right:(fun () -> R_st.pop_right d)
-        ~pop_left:(fun () -> R_st.pop_left d)
-        ~to_list:(Some (fun () -> R_st.unsafe_to_list d))
-        ~invariant:(Some (fun () -> R_st.check_invariant d)))
-
-let casn_impl =
-  impl_of ~name:"3cas under chaos+stall" ~bounded:false
-    ~fresh:(fun ~capacity:_ ->
-      let d = R_casn.make () in
-      Test_support.handle_of_ops
-        ~push_right:(fun v -> R_casn.push_right d v)
-        ~push_left:(fun v -> R_casn.push_left d v)
-        ~pop_right:(fun () -> R_casn.pop_right d)
-        ~pop_left:(fun () -> R_casn.pop_left d)
-        ~to_list:(Some (fun () -> R_casn.unsafe_to_list d))
-        ~invariant:(Some (fun () -> R_casn.check_invariant d)))
+let array_impl = impl_of "array under chaos+stall" (module R_array) ~bounded:true
+let list_impl = impl_of "list under chaos+stall" (module R_list) ~bounded:false
+let dummy_impl = impl_of "dummy under chaos+stall" (module R_dummy) ~bounded:false
+let st_impl = impl_of "st under chaos+stall" (module R_st) ~bounded:false
+let casn_impl = impl_of "3cas under chaos+stall" (module R_casn) ~bounded:false
 
 (* Each worker periodically arms a cooperative stall for itself — a
    short sleep in the middle of a later operation — layered on top of
@@ -296,20 +244,27 @@ let test_policy_deadline_under_chaos () =
 (* Spill under real contention: many domains push past capacity and pop
    concurrently; the primary + overflow chain must conserve values.
    [bounded = false]: with Spill armed, capacity never refuses. *)
-let spill_impl =
-  impl_of ~name:"array+spill policy" ~bounded:false ~fresh:(fun ~capacity ->
-      let d = P.create ~full:Deque.Policy.Spill ~capacity () in
-      Test_support.handle_of_ops
-        ~push_right:(fun v -> P.push_simple d ~side:`Right v)
-        ~push_left:(fun v -> P.push_simple d ~side:`Left v)
-        ~pop_right:(fun () -> P.pop_simple d ~side:`Right)
-        ~pop_left:(fun () -> P.pop_simple d ~side:`Left)
-        ~to_list:
-          (Some
-             (fun () ->
-               Deque.Array_deque.Lockfree.unsafe_to_list (P.primary d)
-               @ P.overflow_list d))
-        ~invariant:None)
+let spill_impl : Test_support.impl =
+  {
+    impl_name = "array+spill policy";
+    bounded = false;
+    fresh =
+      (fun ~capacity ->
+        let d = P.create ~full:Deque.Policy.Spill ~capacity () in
+        {
+          name = P.name;
+          push_right = (fun v -> P.push_simple d ~side:`Right v);
+          push_left = (fun v -> P.push_simple d ~side:`Left v);
+          pop_right = (fun () -> P.pop_simple d ~side:`Right);
+          pop_left = (fun () -> P.pop_simple d ~side:`Left);
+          contents =
+            Some
+              (fun () ->
+                Deque.Array_deque.Lockfree.unsafe_to_list (P.primary d)
+                @ P.overflow_list d);
+          invariant = None;
+        });
+  }
 
 let spill_stress =
   Test_support.tiered "spill policy: multi-domain conservation" `Slow

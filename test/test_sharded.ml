@@ -179,22 +179,9 @@ let test_steal_rebalancing () =
    holds whatever the DCAS layer underneath allocates. *)
 let test_routed_allocation () =
   let module A = Deque.Array_deque.Lockfree in
-  let n = 10_000 in
-  let calls = n + 30 in
-  (* words per call: the slope between [n + 10] calls and 10, after a
-     warm-up of 10, since [Gc.minor_words] boxes its own result *)
-  let per_call f =
-    let delta k =
-      let before = Gc.minor_words () in
-      for _ = 1 to k do
-        f ()
-      done;
-      Gc.minor_words () -. before
-    in
-    ignore (delta 10);
-    let small = delta 10 in
-    (delta (n + 10) -. small) /. float_of_int n
-  in
+  (* [per_call] runs its thunk 10 030 times *)
+  let calls = 10_030 in
+  let per_call = Test_support.words_per_call in
   let pushed = function
     | `Okay -> ()
     | `Full | `Timeout -> Alcotest.fail "push refused"
@@ -533,11 +520,7 @@ let test_idle_not_misclassified () =
       rate = 20.;
       (* a trickle: consumers idle almost always *)
       sup =
-        {
-          Worksteal.Supervisor.default with
-          silence_after = 0.05;
-          zombie_after = 0.05;
-        };
+        { Worksteal.Supervisor.silence_after = 0.05; zombie_after = 0.05 };
     }
   in
   let r = Svc.Array_service.run ~config:cfg ~duration:0.5 () in
@@ -560,11 +543,7 @@ let test_zombie_fenced () =
       Svc.producers = 1;
       consumers = 2;
       sup =
-        {
-          Worksteal.Supervisor.default with
-          silence_after = 0.;
-          zombie_after = 0.05;
-        };
+        { Worksteal.Supervisor.silence_after = 0.; zombie_after = 0.05 };
     }
   in
   let victim = cfg.Svc.producers in
@@ -652,6 +631,26 @@ let test_admission () =
   Alcotest.(check bool) "0.5ms budget refused" false
     (Sh.admit t ~key ~budget:0.0005)
 
+(* [admit] judges every request at enqueue, so it allocates nothing:
+   one count pass, an int rank walk and a float compare (22 words per
+   call while it counted twice and boxed an optional float). *)
+let test_admission_allocation () =
+  let t = Sh.create ~shards:2 ~capacity:8 () in
+  let key = 0 in
+  let shard = Sh.shard_of t ~key in
+  for i = 1 to 10_000 do
+    Sh.note_sojourn t ~shard ~ns:(i * 100)
+  done;
+  let admitted = ref 0 in
+  let words budget =
+    Test_support.words_per_call (fun () ->
+        if Sh.admit t ~key ~budget then incr admitted)
+  in
+  Alcotest.(check (float 0.)) "admitting: 0 words per call" 0. (words 0.002);
+  Alcotest.(check (float 0.)) "refusing: 0 words per call" 0. (words 0.0005);
+  Alcotest.(check int) "decisions: 2ms admitted, 0.5ms refused" 10_030
+    !admitted
+
 let () =
   let tiered = Test_support.tiered in
   Alcotest.run "sharded"
@@ -680,6 +679,8 @@ let () =
           Alcotest.test_case "p99 sojourn admission" `Quick test_admission;
           Alcotest.test_case "routed path allocates only the deque's words"
             `Quick test_routed_allocation;
+          Alcotest.test_case "admission allocates nothing" `Quick
+            test_admission_allocation;
         ] );
       ( "supervised service",
         [

@@ -11,21 +11,7 @@
 open Spec.Op
 module St = Baselines.St_deque
 
-let st_impl : Test_support.impl =
-  {
-    impl_name = St.name;
-    bounded = false;
-    fresh =
-      (fun ~capacity:_ ->
-        let d = St.make () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> St.push_right d v)
-          ~push_left:(fun v -> St.push_left d v)
-          ~pop_right:(fun () -> St.pop_right d)
-          ~pop_left:(fun () -> St.pop_left d)
-          ~to_list:(Some (fun () -> St.unsafe_to_list d))
-          ~invariant:(Some (fun () -> St.check_invariant d)));
-  }
+let st_impl = Test_support.checked (module St) ~bounded:false
 
 let check_inv d =
   match St.check_invariant d with
@@ -111,9 +97,13 @@ let explore_deep name scenario =
       .Modelcheck.Explorer.error
 
 let sample name scenario =
-  fail_of name
-    (Modelcheck.Explorer.sample ~schedules:2_000 ~seed:42 scenario)
-      .Modelcheck.Explorer.error
+  match
+    (Modelcheck.Fuzz.run ~shrink:false ~runs:2_000 ~seed:42
+       ~strategy:Modelcheck.Fuzz.Uniform scenario)
+      .Modelcheck.Fuzz.violation
+  with
+  | None -> ()
+  | Some c -> Alcotest.failf "%s: %s" name c.failure.reason
 
 let one_element_scenarios () =
   (* both pops race to mark the single node's next link; exactly one

@@ -21,64 +21,15 @@ let stress_seed =
       Int64.to_int (Int64.of_float (Unix.gettimeofday () *. 1e6))
       land 0x3FFF_FFFF
 
-let array_impl (module A : Deque.Array_deque.ALGORITHM) : Test_support.impl =
-  {
-    impl_name = A.name;
-    bounded = true;
-    fresh =
-      (fun ~capacity ->
-        let d = A.make ~length:capacity () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> A.push_right d v)
-          ~push_left:(fun v -> A.push_left d v)
-          ~pop_right:(fun () -> A.pop_right d)
-          ~pop_left:(fun () -> A.pop_left d)
-          ~to_list:(Some (fun () -> A.unsafe_to_list d))
-          ~invariant:(Some (fun () -> A.check_invariant d)));
-  }
-
-let list_impl (module L : Deque.List_deque.ALGORITHM) : Test_support.impl =
-  {
-    impl_name = L.name;
-    bounded = false;
-    fresh =
-      (fun ~capacity:_ ->
-        let d = L.make () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> L.push_right d v)
-          ~push_left:(fun v -> L.push_left d v)
-          ~pop_right:(fun () -> L.pop_right d)
-          ~pop_left:(fun () -> L.pop_left d)
-          ~to_list:(Some (fun () -> L.unsafe_to_list d))
-          ~invariant:(Some (fun () -> L.check_invariant d)));
-  }
-
-let dummy_impl (module L : Deque.List_deque_dummy.ALGORITHM) : Test_support.impl
-    =
-  {
-    impl_name = L.name;
-    bounded = false;
-    fresh =
-      (fun ~capacity:_ ->
-        let d = L.make () in
-        Test_support.handle_of_ops
-          ~push_right:(fun v -> L.push_right d v)
-          ~push_left:(fun v -> L.push_left d v)
-          ~pop_right:(fun () -> L.pop_right d)
-          ~pop_left:(fun () -> L.pop_left d)
-          ~to_list:(Some (fun () -> L.unsafe_to_list d))
-          ~invariant:(Some (fun () -> L.check_invariant d)));
-  }
-
 let impls : Test_support.impl list =
   [
-    array_impl (module Deque.Array_deque.Lockfree);
-    array_impl (module Deque.Array_deque.Locked);
-    array_impl (module Deque.Array_deque.Striped);
-    list_impl (module Deque.List_deque.Lockfree);
-    list_impl (module Deque.List_deque.Locked);
-    list_impl (module Deque.List_deque.Striped);
-    dummy_impl (module Deque.List_deque_dummy.Lockfree);
+    Test_support.checked (module Deque.Array_deque.Lockfree) ~bounded:true;
+    Test_support.checked (module Deque.Array_deque.Locked) ~bounded:true;
+    Test_support.checked (module Deque.Array_deque.Striped) ~bounded:true;
+    Test_support.checked (module Deque.List_deque.Lockfree) ~bounded:false;
+    Test_support.checked (module Deque.List_deque.Locked) ~bounded:false;
+    Test_support.checked (module Deque.List_deque.Striped) ~bounded:false;
+    Test_support.checked (module Deque.List_deque_dummy.Lockfree) ~bounded:false;
     Test_support.of_module (module Baselines.Lock_deque) ~bounded:true;
     Test_support.of_module (module Baselines.Spin_deque) ~bounded:true;
   ]
@@ -111,10 +62,9 @@ let two_end_pipeline (impl : Test_support.impl) =
       let producer () =
         for i = 1 to n do
           let rec push () =
-            match h.Test_support.apply (Spec.Op.Push_left i) with
-            | Spec.Op.Okay -> Atomic.incr produced
-            | Spec.Op.Full -> push ()
-            | Spec.Op.Empty | Spec.Op.Got _ -> assert false
+            match h.push_left i with
+            | `Okay -> Atomic.incr produced
+            | `Full -> push ()
           in
           push ()
         done
@@ -122,12 +72,11 @@ let two_end_pipeline (impl : Test_support.impl) =
       let consumer () =
         let got = ref 0 in
         while !got < n do
-          match h.Test_support.apply Spec.Op.Pop_right with
-          | Spec.Op.Got _ ->
+          match h.pop_right () with
+          | `Value _ ->
               incr got;
               Atomic.incr consumed
-          | Spec.Op.Empty -> Domain.cpu_relax ()
-          | Spec.Op.Okay | Spec.Op.Full -> assert false
+          | `Empty -> Domain.cpu_relax ()
         done
       in
       let p = Domain.spawn producer and c = Domain.spawn consumer in
@@ -139,9 +88,10 @@ let two_end_pipeline (impl : Test_support.impl) =
 let pipelines =
   List.map two_end_pipeline
     [
-      array_impl (module Deque.Array_deque.Lockfree);
-      list_impl (module Deque.List_deque.Lockfree);
-      dummy_impl (module Deque.List_deque_dummy.Lockfree);
+      Test_support.checked (module Deque.Array_deque.Lockfree) ~bounded:true;
+      Test_support.checked (module Deque.List_deque.Lockfree) ~bounded:false;
+      Test_support.checked (module Deque.List_deque_dummy.Lockfree)
+        ~bounded:false;
     ]
 
 let () =
